@@ -3,11 +3,8 @@
 from .adversary import (
     AttackOutcomeStats,
     BlindingAttackParams,
-    attacked_distribution_literal,
-    blind_and_fake,
     detection_power,
     predict_attacked_distribution,
-    second_pass_intercept,
 )
 from .analysis import (
     CapacityParams,
@@ -26,21 +23,7 @@ from .analysis import (
     secrecy_capacity,
     sweep,
 )
-from .devices import (
-    EMPTY_READOUT,
-    ChannelNoiseModel,
-    DetectionOutcome,
-    DetectorModel,
-    LinkBudget,
-    LossSite,
-    NoiseMode,
-    PhotonRecord,
-    StorageLoop,
-    detect,
-    encode_photon,
-    memory_efficiency,
-    transmit,
-)
+from .devices import ChannelNoiseModel, LinkBudget, LossSite, NoiseMode, memory_efficiency
 from .protocol import (
     Announcements,
     BasisPolicy,
@@ -69,6 +52,7 @@ from .qstate import (
     PureState,
     apply_encode,
     apply_rotation,
+    born_p,
     outcome_probability,
     prepare,
     sample_outcome,

@@ -1,13 +1,14 @@
-"""Eavesdropper models.
+"""Eavesdropper model: the detector-blinding attack and what it reveals.
 
 Blinding drives the receiving detectors into linear mode so that forged
 trigger pulses click deterministically: outcome g=0 when the forger's
-basis is close to the measuring basis, g=1 when nearly orthogonal. A slot
-is attacked with probability p1; the forger's basis is drawn so that the
-closeness event has probability exactly p2. The attacked first-round
-distribution therefore converges to (1-p1)*P1 + p1*p2; the historical
-half-normalized variant of that expression is kept available for
-diagnostics.
+basis is close to the measuring basis, g=1 when it is far. A slot is
+attacked with probability p1 and the forged click reads g=0 with
+probability p2, so the attacked first-round distribution converges to
+(1-p1)*P1 + p1*p2. The photon engine in :mod:`rdiqsdc.protocol` realizes
+the attack event by event; this module holds its parameters, the
+predicted distribution, the probability that the first check aborts, and
+the information the eavesdropper gains per intercepted bit.
 """
 from __future__ import annotations
 
@@ -15,11 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
 from scipy.stats import binom
-
-from .devices import DetectionOutcome, PhotonRecord
-from .qstate import BasisConfig, Measurement
 
 
 @dataclass(frozen=True)
@@ -28,15 +25,12 @@ class BlindingAttackParams:
 
     p1: float
     p2: float
-    closeness_angle: float = math.pi / 2  # phase-angle threshold for "close"
 
     def __post_init__(self) -> None:
         for name in ("p1", "p2"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if not 0.0 < self.closeness_angle < math.pi:
-            raise ValueError("closeness_angle must lie in (0, pi)")
 
 
 @dataclass(frozen=True)
@@ -56,81 +50,11 @@ class AttackOutcomeStats:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
 
-def phase_angle_distance(w_a: int, w_b: int, config: BasisConfig) -> float:
-    """Circular distance between two settings in phase-angle space."""
-    steps = (w_a - w_b) % config.n
-    return 2.0 * math.pi * min(steps, config.n - steps) / config.n
-
-
-def is_close(w_eve: int, w_bob: int, params: BlindingAttackParams, config: BasisConfig) -> bool:
-    # small slack keeps the boundary decision stable in floating point
-    return phase_angle_distance(w_eve, w_bob, config) <= params.closeness_angle + 1e-12
-
-
-def close_and_far_sets(
-    w_bob: int, params: BlindingAttackParams, config: BasisConfig
-) -> tuple[list[int], list[int]]:
-    close = [w for w in range(1, config.n + 1) if is_close(w, w_bob, params, config)]
-    far = [w for w in range(1, config.n + 1) if not is_close(w, w_bob, params, config)]
-    return close, far
-
-
-def blind_and_fake(
-    photon: PhotonRecord,
-    bob_measurement: Measurement,
-    params: BlindingAttackParams,
-    rng: np.random.Generator,
-) -> DetectionOutcome:
-    """Forced outcome at a blinded detector for one attacked slot.
-
-    The forger draws a basis from the close set with probability p2,
-    otherwise from the far set; the resulting click is deterministic:
-    g=0 iff the closeness predicate holds.
-    """
-    config = bob_measurement.config
-    close, far = close_and_far_sets(bob_measurement.basis_index, params, config)
-    want_close = rng.random() < params.p2
-    pool = close if want_close else far
-    if not pool:
-        raise ValueError(
-            "closeness_angle leaves no basis to draw from; tighten the predicate"
-        )
-    eve_basis = int(pool[int(rng.integers(0, len(pool)))])
-    g = 0 if is_close(eve_basis, bob_measurement.basis_index, params, config) else 1
-    return DetectionOutcome(clicked=True, g=g)
-
-
-def second_pass_intercept(
-    encoded_photon: PhotonRecord, eve_basis: int, rng: np.random.Generator
-) -> int:
-    """Eavesdropper's decoded bit from the returned encoded photon.
-
-    Perfect when her first-pass measurement basis matched the preparation
-    (she then knows the pre-encode state exactly); a coin flip otherwise.
-    Bookkept rather than re-simulated.
-    """
-    if encoded_photon.message_flip is None:
-        raise ValueError("photon carries no message encoding")
-    if eve_basis == encoded_photon.prep_index:
-        return int(encoded_photon.message_flip)
-    return int(rng.integers(0, 2))
-
-
 def predict_attacked_distribution(p1_target: float, params: BlindingAttackParams) -> float:
     """First-round P(g=0) the event-level attack converges to."""
     if not 0.0 <= p1_target <= 1.0:
         raise ValueError(f"p1_target must lie in [0, 1], got {p1_target}")
     return (1.0 - params.p1) * p1_target + params.p1 * params.p2
-
-
-def attacked_distribution_literal(p1_target: float, params: BlindingAttackParams) -> float:
-    """Half-normalized variant of the attacked distribution, for diagnostics.
-
-    Not the event-level limit: it returns p1_target/2 already at p1=0.
-    """
-    if not 0.0 <= p1_target <= 1.0:
-        raise ValueError(f"p1_target must lie in [0, 1], got {p1_target}")
-    return (1.0 - params.p1) * p1_target / 2.0 + params.p1 * params.p2 / 2.0
 
 
 def detection_power(

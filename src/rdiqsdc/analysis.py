@@ -242,14 +242,17 @@ def max_distance(
 ) -> Optional[float]:
     """Maximum secure distance in km, inverting the attenuation law at the
     eta threshold. None when the link cannot reach the threshold even at
-    zero distance; inf when C_S never changes sign but is positive at 1."""
+    zero distance; inf when C_S never changes sign but is positive at 1,
+    or when lossless fiber (alpha = 0) reaches the threshold at all."""
     star = eta_threshold(p1, delta_theta)
     if star is None:
         return math.inf if _cs_at_eta(1.0, p1, delta_theta) > 0.0 else None
-    required_eta_t = star / (eta_c * eta_m * eta_d)
-    if required_eta_t > 1.0:
+    budget = eta_c * eta_m * eta_d
+    if star > budget:
         return None
-    return -(10.0 / alpha_db_per_km) * math.log10(required_eta_t)
+    if alpha_db_per_km == 0.0:
+        return math.inf
+    return -(10.0 / alpha_db_per_km) * math.log10(star / budget)
 
 
 DTH_SCAN_MAX = 0.3 * math.pi
@@ -308,7 +311,6 @@ class EfficiencyParams:
 
     r_rep_hz: float = 1e7
     p_s: float = 1.0
-    p_e: float = 1e-3  # entanglement-source benchmark constant, reporting only
 
     def __post_init__(self) -> None:
         if self.r_rep_hz <= 0:

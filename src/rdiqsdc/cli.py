@@ -16,12 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import analysis, verify
-from .adversary import (
-    BlindingAttackParams,
-    attacked_distribution_literal,
-    detection_power,
-    predict_attacked_distribution,
-)
+from .adversary import BlindingAttackParams, detection_power, predict_attacked_distribution
 from .config import ConfigError, RunConfig, load_config
 from .protocol import ProtocolRun, hoeffding_tolerance, run_full_protocol, summary_record, write_transcript
 
@@ -203,10 +198,8 @@ def _attack_point(job) -> list:
     report = run.step3_first_check()
     adv = params.adversary
     predicted = predict_attacked_distribution(target, adv)
-    literal = attacked_distribution_literal(target, adv)
     abort_p = detection_power(target, adv, params.r, tol)
-    return [adv.p1, adv.p2, predicted, literal,
-            report.empirical_p_g0, abort_p, int(not report.passed)]
+    return [adv.p1, adv.p2, predicted, report.empirical_p_g0, abort_p, int(not report.passed)]
 
 
 def cmd_attack_scan(cfg: RunConfig, args) -> int:
@@ -232,8 +225,8 @@ def cmd_attack_scan(cfg: RunConfig, args) -> int:
             rows = list(pool.map(_attack_point, jobs))
     else:
         rows = [_attack_point(job) for job in jobs]
-    header = ["p1_attack", "p2_attack", "predicted_p_g0", "literal_p_g0",
-              "empirical_p_g0", "abort_probability", "aborted"]
+    header = ["p1_attack", "p2_attack", "predicted_p_g0", "empirical_p_g0",
+              "abort_probability", "aborted"]
     path = outdir / f"attack_scan.{args.format}"
     _write_rows(path, header, rows, _delim(args))
     print(f"wrote {path} ({len(rows)} rows)")

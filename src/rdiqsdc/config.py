@@ -3,7 +3,7 @@
 A config file holds `key = value` lines (# comments allowed). Every key
 has a documented default matching the reference operating point
 (theta = pi/4, alpha = 0.2 dB/km, eta_c = 0.95, eta_m = eta_d = 1,
-R_rep = 1e7 Hz, p_s = 1, p_e = 1e-3). Unknown keys are rejected.
+R_rep = 1e7 Hz, p_s = 1). Unknown keys are rejected.
 
 Grids accept either a comma list ("0.001,0.1,0.2") or linspace syntax
 "start:stop:count".
@@ -89,13 +89,11 @@ SCHEMA: dict[str, tuple] = {
     "adversary.enabled": (False, _parse_bool, "interpose the blinding attack"),
     "adversary.p1": (0.0, float, "per-slot attack probability"),
     "adversary.p2": (0.0, float, "forced-click closeness probability"),
-    "adversary.closeness_angle": (math.pi / 2, float, "close-basis phase threshold"),
     "analysis.axis": ("eta", _identity, "sweep axis: eta | L | delta_theta"),
     "analysis.grid": ((), _parse_grid, "sweep grid: start:stop:count or comma list"),
     "analysis.p1_list": ((0.001, 0.1, 0.2, 0.3, 0.4, 0.5), _parse_grid, "P1 operating points"),
     "analysis.r_rep_hz": (1e7, float, "source repetition rate"),
     "analysis.p_s": (1.0, float, "single-photon source efficiency"),
-    "analysis.p_e": (1e-3, float, "entanglement-source benchmark constant"),
     "attack.p1_grid": ((0.0, 0.25, 0.5, 0.75, 1.0), _parse_grid, "attack-scan p1 grid"),
     "attack.p2_grid": ((0.0, 0.25, 0.5, 0.75, 1.0), _parse_grid, "attack-scan p2 grid"),
     "attack.r": (100_000, int, "photons per attack-scan point"),
@@ -153,11 +151,7 @@ class RunConfig:
     def adversary(self) -> Optional[BlindingAttackParams]:
         if not self["adversary.enabled"]:
             return None
-        return BlindingAttackParams(
-            p1=self["adversary.p1"],
-            p2=self["adversary.p2"],
-            closeness_angle=self["adversary.closeness_angle"],
-        )
+        return BlindingAttackParams(p1=self["adversary.p1"], p2=self["adversary.p2"])
 
     def round2_mode(self) -> Round2Mode:
         mode = self["protocol.round2_mode"]
@@ -199,7 +193,6 @@ class RunConfig:
         return EfficiencyParams(
             r_rep_hz=self["analysis.r_rep_hz"],
             p_s=self["analysis.p_s"],
-            p_e=self["analysis.p_e"],
         )
 
 

@@ -1,25 +1,24 @@
-"""Physical-device models: fiber link, channel noise, storage-loop memory,
-threshold detectors, and the per-photon record they act on.
+"""Physical-device models shared by the photon engine and the closed forms.
 
-The scalar operations here define the per-photon semantics; the protocol
-engine applies the same models vectorized over whole photon sequences.
+`LinkBudget` holds the per-trip efficiencies (fiber, coupling, memory,
+detector) and the one-way and round-trip gains they imply;
+`ChannelNoiseModel` draws the per-trip amplitude-angle rotation; `LossSite`
+names where a photon dropped out. The engine in :mod:`rdiqsdc.protocol`
+applies them vectorized over whole photon sequences.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
-
-from .qstate import ChannelRotation, EncodeOp, Measurement, PureState, apply_rotation, sample_outcome
 
 
 class LossSite(enum.Enum):
     """Where a photon dropped out, or NONE if it reached a detector click.
 
-    Sites are mutually exclusive; FIBER/COUPLING/MEMORY carry the leg they
-    occurred on in PhotonRecord.loss_leg.
+    Sites are mutually exclusive; FIBER/COUPLING/MEMORY also record the leg
+    they occurred on (1 = outbound, 2 = return) in the transcript.
     """
 
     NONE = "none"
@@ -27,43 +26,6 @@ class LossSite(enum.Enum):
     COUPLING = "coupling"
     MEMORY = "memory"
     DETECTOR = "detector"
-
-
-@dataclass(frozen=True)
-class DetectionOutcome:
-    clicked: bool
-    g: Optional[int] = None  # 0 or 1 when clicked
-
-    def __post_init__(self) -> None:
-        if self.clicked and self.g not in (0, 1):
-            raise ValueError("clicked outcome requires g in {0, 1}")
-        if not self.clicked and self.g is not None:
-            raise ValueError("no-click outcome carries no g")
-
-
-@dataclass(frozen=True)
-class PhotonRecord:
-    """Life history of one photon from preparation to detection or loss."""
-
-    id: int
-    prep_index: int
-    state: Optional[PureState]
-    sequence: str = ""                    # "S1" | "S2" | "S3" once assigned
-    secret_flip: bool = False             # sender-side random U1 on S3
-    message_flip: Optional[bool] = None   # encoder's U1 (S3 only)
-    rotation_total: float = 0.0
-    loss_site: LossSite = LossSite.NONE
-    loss_leg: int = 0                     # 1 = outbound, 2 = return
-    outcome: Optional[DetectionOutcome] = None
-    fake_g: Optional[int] = None          # adversary-forced click outcome
-
-    @property
-    def lost(self) -> bool:
-        return self.loss_site is not LossSite.NONE
-
-    @property
-    def detected(self) -> bool:
-        return self.outcome is not None and self.outcome.clicked
 
 
 @dataclass(frozen=True)
@@ -147,146 +109,3 @@ class ChannelNoiseModel:
         if self.mode is NoiseMode.UNIFORM or self.family == "constant":
             return np.full(size, self.delta_theta)
         return rng.uniform(self.delta_theta - self.spread, self.delta_theta + self.spread, size)
-
-
-@dataclass(frozen=True)
-class DetectorModel:
-    eta_d: float = 1.0
-    blinded: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.eta_d <= 1.0:
-            raise ValueError(f"eta_d must lie in [0, 1], got {self.eta_d}")
-
-
-def transmit(
-    photon: PhotonRecord,
-    link: LinkBudget,
-    noise: ChannelNoiseModel,
-    rng: np.random.Generator,
-    leg: int = 1,
-) -> PhotonRecord:
-    """One fiber trip: rotate the state, then sample fiber and coupling loss.
-
-    The rotation-before-loss order is unobservable but fixed for
-    reproducibility. Loss is a modeled outcome, not an error.
-    """
-    if photon.detected:
-        raise ValueError("photon already detected")
-    if photon.lost:
-        return photon
-    dth = float(noise.draw(1, rng)[0])
-    state = apply_rotation(photon.state, ChannelRotation(dth))
-    photon = replace(
-        photon, state=state, rotation_total=photon.rotation_total + dth
-    )
-    if rng.random() >= link.eta_t:
-        return replace(photon, state=None, loss_site=LossSite.FIBER, loss_leg=leg)
-    if rng.random() >= link.eta_c:
-        return replace(photon, state=None, loss_site=LossSite.COUPLING, loss_leg=leg)
-    return photon
-
-
-EMPTY_READOUT = object()  # sentinel returned when reading an empty/lost slot
-
-
-@dataclass
-class StorageLoop:
-    """All-optical storage-loop memory for a single photon.
-
-    The loop flips polarization between entry and exit; read_out applies
-    the corrector plate so store-then-read is the identity on the state,
-    up to the per-round-trip survival probability. A diagnostic mode can
-    return the pre-corrector (flipped) state instead.
-    """
-
-    per_trip_efficiency: float = 1.0
-    max_round_trips: int = 11
-    eom_on: bool = False
-    occupant: Optional[PhotonRecord] = None
-    trips: int = 0
-    lost: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.per_trip_efficiency <= 1.0:
-            raise ValueError("per_trip_efficiency must lie in [0, 1]")
-        if self.max_round_trips < 1:
-            raise ValueError("max_round_trips must be positive")
-
-    @property
-    def occupied(self) -> bool:
-        return self.occupant is not None
-
-    def store(self, photon: PhotonRecord) -> "StorageLoop":
-        if self.occupied:
-            raise ValueError("storage loop already occupied")
-        if photon.state is None:
-            raise ValueError("cannot store a lost photon")
-        self.occupant = photon
-        self.eom_on = True
-        self.trips = 0
-        self.lost = False
-        return self
-
-    def advance_trip(self, rng: np.random.Generator) -> "StorageLoop":
-        if not self.occupied:
-            raise ValueError("storage loop is empty")
-        if self.lost:
-            return self
-        self.trips += 1
-        if self.trips > self.max_round_trips or rng.random() >= self.per_trip_efficiency:
-            self.lost = True
-        return self
-
-    def read_out(self, diagnostic: bool = False):
-        """Release the stored photon; EMPTY_READOUT if the slot is empty/lost.
-
-        diagnostic=True returns the photon with the intermediate flipped
-        polarization, before the corrector plate.
-        """
-        if not self.occupied:
-            return EMPTY_READOUT
-        photon = self.occupant
-        self.occupant = None
-        self.eom_on = False
-        if self.lost:
-            self.lost = False
-            return EMPTY_READOUT
-        if diagnostic:
-            flipped = PureState(photon.state.amp1, photon.state.amp0)
-            return replace(photon, state=flipped)
-        # flip on exit, corrector flips back: identity
-        return photon
-
-
-def detect(
-    photon: PhotonRecord,
-    m: Measurement,
-    det: DetectorModel,
-    rng: np.random.Generator,
-) -> DetectionOutcome:
-    """Click with probability eta_d; Born-rule outcome on click.
-
-    A blinded detector never consults the Born rule: it clicks
-    deterministically on a forged trigger pulse and stays silent on a
-    real single photon (linear mode is only power-sensitive).
-    """
-    if det.blinded:
-        if photon.fake_g is not None:
-            return DetectionOutcome(clicked=True, g=photon.fake_g)
-        return DetectionOutcome(clicked=False)
-    if photon.lost or photon.state is None:
-        return DetectionOutcome(clicked=False)
-    if rng.random() >= det.eta_d:
-        return DetectionOutcome(clicked=False)
-    return DetectionOutcome(clicked=True, g=sample_outcome(photon.state, m, rng))
-
-
-def encode_photon(photon: PhotonRecord, op: EncodeOp, secret: bool = False) -> PhotonRecord:
-    """Apply U0/U1 to the carried state and record it on the photon."""
-    if photon.state is None:
-        return photon
-    state = PureState(photon.state.amp0, -photon.state.amp1) if op is EncodeOp.U1 else photon.state
-    if secret:
-        return replace(photon, state=state, secret_flip=(op is EncodeOp.U1))
-    return replace(photon, state=state, message_flip=(op is EncodeOp.U1))

@@ -26,9 +26,8 @@ import numpy as np
 
 from . import seeding
 from .adversary import AttackOutcomeStats, BlindingAttackParams, attack_stats
-from .analysis import ideal_outcome_probability
 from .devices import ChannelNoiseModel, LinkBudget, LossSite
-from .qstate import BasisConfig
+from .qstate import BasisConfig, born_p
 
 
 class ProtocolViolation(ValueError):
@@ -49,18 +48,8 @@ class OffsetDistribution:
     weights: tuple[float, ...]
 
     def expected_p_g0(self, theta: float = math.pi / 4) -> float:
-        return math.fsum(
-            w * ideal_outcome_probability(d, self.n, theta)
-            for d, w in zip(self.deltas, self.weights)
-        )
-
-    def assigned_g0_fraction(self, theta: float = math.pi / 4) -> float:
-        """Fraction of no-click slots the assignment rule maps to g=0."""
-        return math.fsum(
-            w
-            for d, w in zip(self.deltas, self.weights)
-            if ideal_outcome_probability(d, self.n, theta) > 0.5
-        )
+        probs = _ideal_p(theta, 2.0 * math.pi * np.asarray(self.deltas) / self.n)
+        return math.fsum(w * float(p) for w, p in zip(self.weights, probs))
 
     def draw(self, size: int, rng: np.random.Generator) -> np.ndarray:
         idx = rng.choice(len(self.deltas), size=size, p=self.weights)
@@ -94,7 +83,8 @@ class BasisPolicy:
             return OffsetDistribution(
                 n=n, deltas=tuple(range(n)), weights=(1.0 / n,) * n
             )
-        probs = [(ideal_outcome_probability(d, n, config.theta), d) for d in range(n)]
+        ideal = _ideal_p(config.theta, 2.0 * math.pi * np.arange(n) / n)
+        probs = [(float(p), d) for d, p in enumerate(ideal)]
         lo = max(((p, d) for p, d in probs if p <= self.target + 1e-12), default=None)
         hi = min(((p, d) for p, d in probs if p >= self.target - 1e-12), default=None)
         if lo is None or hi is None:
@@ -107,6 +97,11 @@ class BasisPolicy:
         return OffsetDistribution(
             n=n, deltas=(lo[1], hi[1]), weights=(1.0 - w_hi, w_hi)
         )
+
+
+def _ideal_p(theta: float, phase: np.ndarray) -> np.ndarray:
+    """Noise-free P(g=0) for the basis phase offsets `phase`."""
+    return born_p(theta, np.full(len(phase), theta), phase)
 
 
 def hoeffding_tolerance(m: int, epsilon: float = 1e-6) -> float:
@@ -196,18 +191,6 @@ class MessageFrame:
     def __post_init__(self) -> None:
         if self.payload.shape != self.decoded.shape:
             raise ValueError("payload and decoded lengths differ")
-
-    @property
-    def status(self) -> list[str]:
-        out = []
-        for want, got in zip(self.payload, self.decoded):
-            if got < 0:
-                out.append("lost")
-            elif got == want:
-                out.append("ok")
-            else:
-                out.append("flipped")
-        return out
 
     @property
     def n_lost(self) -> int:
@@ -368,14 +351,6 @@ class ProtocolResult:
         return self.aborted_at_step is None
 
 
-def _born_p(theta: float, angles: np.ndarray, phase_diff: np.ndarray) -> np.ndarray:
-    """Born probability of g=0: |<basis|state>|^2 by direct complex arithmetic."""
-    inner = math.cos(theta) * np.cos(angles) + np.exp(1j * phase_diff) * math.sin(
-        theta
-    ) * np.sin(angles)
-    return np.clip(np.abs(inner) ** 2, 0.0, 1.0)
-
-
 class ProtocolRun:
     """One protocol execution; call the step methods in order or use run()."""
 
@@ -474,8 +449,8 @@ class ProtocolRun:
             raise ProtocolViolation("announcement length mismatch in round 1")
 
         phase = 2.0 * math.pi * (a - led.y1) / self.n
-        self.p1_ideal = _born_p(self.theta, np.full(r, self.theta), phase)
-        p_noisy = _born_p(self.theta, self.theta + self.dth1[led.s1_pos], phase)
+        self.p1_ideal = _ideal_p(self.theta, phase)
+        p_noisy = born_p(self.theta, self.theta + self.dth1[led.s1_pos], phase)
 
         alive = self.in_qm_bob[led.s1_pos]
         clicked = alive & (self._rng("check1-click").random(r) < self.params.link.eta_d)
@@ -566,10 +541,10 @@ class ProtocolRun:
             led.y2 = led.x2.copy()  # original order against the shuffled stream
 
         phase = 2.0 * math.pi * (d - led.y2) / self.n
-        self.p2_ideal = _born_p(self.theta, np.full(r, self.theta), phase)
+        self.p2_ideal = _ideal_p(self.theta, phase)
         pos = self.return_pos[slots]
         rot = self.dth1[pos] + self.dth2[slots]
-        p_noisy = _born_p(self.theta, self.theta + rot, phase)
+        p_noisy = born_p(self.theta, self.theta + rot, phase)
 
         alive = self.alive_at_alice[slots]
         clicked = alive & (self._rng("check2-click").random(r) < self.params.link.eta_d)
@@ -612,7 +587,7 @@ class ProtocolRun:
         # cancels, leaving only the message flip in the relative phase
         msg = self.payload[order]
         phase = math.pi * msg.astype(np.float64)
-        p_g0 = _born_p(self.theta, self.theta + rot, phase)
+        p_g0 = born_p(self.theta, self.theta + rot, phase)
 
         alive = self.alive_at_alice[slots]
         clicked = alive & (self._rng("decode-click").random(r) < self.params.link.eta_d)

@@ -9,7 +9,8 @@ state, 1 = its complement).
 
 Everything here is pure double-precision complex arithmetic; this module
 doubles as the brute-force oracle for the closed-form expressions in
-:mod:`rdiqsdc.analysis`.
+:mod:`rdiqsdc.analysis`. `born_p` is the one vectorized Born rule of the
+photon engine; the scalar functions are its test oracle.
 """
 from __future__ import annotations
 
@@ -145,6 +146,19 @@ def outcome_probability(state: PureState, m: Measurement) -> float:
     p = abs(inner_product(m.basis_state(), state)) ** 2
     # Guard against representation round-off at the interval edges.
     return min(max(p, 0.0), 1.0)
+
+
+def born_p(theta: float, angles: np.ndarray, phase_diff: np.ndarray) -> np.ndarray:
+    """Vectorized outcome_probability for the photon engine.
+
+    P(g=0) when the state at amplitude angle `angles` is measured in the
+    basis at amplitude angle theta whose phase trails the state's by
+    `phase_diff`: |cos(theta)cos(t) + e^{i phase_diff} sin(theta)sin(t)|^2.
+    """
+    inner = math.cos(theta) * np.cos(angles) + np.exp(1j * phase_diff) * math.sin(
+        theta
+    ) * np.sin(angles)
+    return np.clip(np.abs(inner) ** 2, 0.0, 1.0)
 
 
 def sample_outcome(state: PureState, m: Measurement, rng: np.random.Generator) -> int:

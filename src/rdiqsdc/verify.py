@@ -198,12 +198,10 @@ def _keystone_closed(eta: float, dth: float, p1: float, policy: BasisPolicy, con
     mean_cos = 2.0 * p1 - 1.0
     p1_clicked = 0.5 + math.cos(2.0 * dth) * mean_cos / 2.0
     p2_clicked = 0.5 + math.cos(4.0 * dth) * mean_cos / 2.0
-    assign_w = math.fsum(
-        w * min(p, 1.0 - p)
-        for d, w in zip(offs.deltas, offs.weights)
-        for p in (analysis.ideal_outcome_probability(d, offs.n, config.theta),)
-    )
-    assign0 = offs.assigned_g0_fraction(config.theta)
+    ideal = [analysis.ideal_outcome_probability(d, offs.n, config.theta) for d in offs.deltas]
+    assign_w = math.fsum(w * min(p, 1.0 - p) for w, p in zip(offs.weights, ideal))
+    # no-click slots are assigned g=0 where the ideal P(g=0) exceeds one half
+    assign0 = math.fsum(w for w, p in zip(offs.weights, ideal) if p > 0.5)
     return {
         "q_ab": q1,
         "q_aba": q2,

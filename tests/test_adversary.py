@@ -6,18 +6,13 @@ import pytest
 
 from rdiqsdc.adversary import (
     BlindingAttackParams,
-    attacked_distribution_literal,
-    blind_and_fake,
-    close_and_far_sets,
     detection_power,
     eve_information,
-    is_close,
     predict_attacked_distribution,
-    second_pass_intercept,
 )
-from rdiqsdc.devices import ChannelNoiseModel, LinkBudget, PhotonRecord
+from rdiqsdc.devices import ChannelNoiseModel, LinkBudget
 from rdiqsdc.protocol import BasisPolicy, BasisPolicyMode, ProtocolParams, run_full_protocol
-from rdiqsdc.qstate import BasisConfig, Measurement, prepare
+from rdiqsdc.qstate import BasisConfig
 
 
 def attack_run_params(r, p1, p2, target=0.1, seed=0, **kw) -> ProtocolParams:
@@ -42,88 +37,6 @@ class TestParams:
         with pytest.raises(ValueError):
             BlindingAttackParams(p1=0.5, p2=-0.1)
 
-    def test_closeness_angle_bounds(self):
-        with pytest.raises(ValueError):
-            BlindingAttackParams(p1=0.5, p2=0.5, closeness_angle=math.pi)
-
-
-class TestCloseness:
-    def test_n3_partition(self):
-        params = BlindingAttackParams(p1=1.0, p2=0.5)
-        close, far = close_and_far_sets(2, params, BasisConfig(n=3))
-        assert close == [2]
-        assert sorted(far) == [1, 3]
-
-    def test_n8_partition(self):
-        # quarter-turn threshold over eighth-turn spacing: two steps away
-        # is still close, three or four steps is far
-        params = BlindingAttackParams(p1=1.0, p2=0.5)
-        close, far = close_and_far_sets(4, params, BasisConfig(n=8))
-        assert sorted(close) == [2, 3, 4, 5, 6]
-        assert sorted(far) == [1, 7, 8]
-
-    def test_predicate_is_symmetric(self):
-        params = BlindingAttackParams(p1=1.0, p2=0.5)
-        config = BasisConfig(n=16)
-        for a in range(1, 17):
-            for b in range(1, 17):
-                assert is_close(a, b, params, config) == is_close(b, a, params, config)
-
-
-class TestBlindAndFake:
-    def _photon(self):
-        return PhotonRecord(id=0, prep_index=1, state=prepare(1, BasisConfig(n=8)))
-
-    def test_always_close_clicks_zero(self):
-        m = Measurement(basis_index=3, config=BasisConfig(n=8))
-        rng = np.random.default_rng(0)
-        params = BlindingAttackParams(p1=1.0, p2=1.0)
-        for _ in range(100):
-            out = blind_and_fake(self._photon(), m, params, rng)
-            assert out.clicked and out.g == 0
-
-    def test_never_close_clicks_one(self):
-        m = Measurement(basis_index=3, config=BasisConfig(n=8))
-        rng = np.random.default_rng(0)
-        params = BlindingAttackParams(p1=1.0, p2=0.0)
-        for _ in range(100):
-            assert blind_and_fake(self._photon(), m, params, rng).g == 1
-
-    def test_closeness_frequency(self):
-        m = Measurement(basis_index=5, config=BasisConfig(n=8))
-        rng = np.random.default_rng(1)
-        params = BlindingAttackParams(p1=1.0, p2=0.3)
-        n = 20_000
-        zeros = sum(
-            1 for _ in range(n) if blind_and_fake(self._photon(), m, params, rng).g == 0
-        )
-        band = 5.0 * math.sqrt(0.3 * 0.7 / n)
-        assert abs(zeros / n - 0.3) <= band
-
-
-class TestSecondPassIntercept:
-    def test_matched_basis_reads_bit_exactly(self):
-        photon = PhotonRecord(
-            id=0, prep_index=5, state=prepare(5, BasisConfig(n=8)), message_flip=True
-        )
-        rng = np.random.default_rng(0)
-        assert all(second_pass_intercept(photon, 5, rng) == 1 for _ in range(50))
-
-    def test_unmatched_basis_guesses(self):
-        photon = PhotonRecord(
-            id=0, prep_index=5, state=prepare(5, BasisConfig(n=8)), message_flip=False
-        )
-        rng = np.random.default_rng(3)
-        n = 10_000
-        correct = sum(1 for _ in range(n) if second_pass_intercept(photon, 2, rng) == 0)
-        band = 5.0 * math.sqrt(0.25 / n)
-        assert abs(correct / n - 0.5) <= band
-
-    def test_unencoded_photon_rejected(self):
-        photon = PhotonRecord(id=0, prep_index=5, state=prepare(5, BasisConfig(n=8)))
-        with pytest.raises(ValueError):
-            second_pass_intercept(photon, 5, np.random.default_rng(0))
-
 
 class TestPredictor:
     def test_no_attack_passthrough(self):
@@ -141,11 +54,6 @@ class TestPredictor:
         for p1 in (0.1, 0.5, 1.0):
             got = predict_attacked_distribution(0.5, BlindingAttackParams(p1, 0.5))
             assert got == pytest.approx(0.5, abs=1e-12)
-
-    def test_literal_variant_halves_at_no_attack(self):
-        # the half-normalized diagnostic form disagrees with the
-        # event-level limit already at p1 = 0
-        assert attacked_distribution_literal(0.3, BlindingAttackParams(0.0, 0.9)) == 0.15
 
 
 class TestDetectionPower:

@@ -244,6 +244,12 @@ class TestMaxDistance:
     def test_never_secure(self):
         assert max_distance(0.001, math.pi / 4, eta_c=0.95) is None
 
+    def test_lossless_fiber_has_no_limit(self):
+        assert max_distance(0.1, math.pi / 400, eta_c=0.95, alpha_db_per_km=0.0) == math.inf
+        assert max_distance(0.001, 0.0, alpha_db_per_km=0.0) == math.inf
+        # lossless fiber cannot lift a link that misses the threshold at L = 0
+        assert max_distance(0.5, 0.0, eta_c=0.5, alpha_db_per_km=0.0) is None
+
 
 class TestDeltaThetaThreshold:
     def test_reference_point(self):

@@ -1,4 +1,5 @@
 """Config parsing and CLI subcommand tests."""
+import hashlib
 import json
 import math
 
@@ -17,7 +18,7 @@ class TestConfig:
         assert cfg["physics.eta_c"] == 0.95
         assert cfg["physics.eta_m"] == 1.0 and cfg["physics.eta_d"] == 1.0
         assert cfg["analysis.r_rep_hz"] == 1e7
-        assert cfg["analysis.p_s"] == 1.0 and cfg["analysis.p_e"] == 1e-3
+        assert cfg["analysis.p_s"] == 1.0
 
     def test_file_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -38,9 +39,10 @@ class TestConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("protocol.bogus = 1\n")
-        with pytest.raises(ConfigError):
-            load_config(str(path))
+        for line in ("protocol.bogus = 1", "adversary.closeness_angle = 0.5", "analysis.p_e = 7"):
+            path.write_text(line + "\n")
+            with pytest.raises(ConfigError):
+                load_config(str(path))
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
@@ -114,9 +116,44 @@ class TestSimulateCommand:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["aborted_at_step"] == 3
 
-    def test_config_error_exits_two(self, tmp_path):
-        rc = main(["simulate", "--out", str(tmp_path), "--set", "bogus.key=1"])
-        assert rc == 2
+    def test_config_error_exits_two(self, tmp_path, capsys):
+        # removed keys are rejected like any other unknown key
+        for item in ("bogus.key=1", "adversary.closeness_angle=0.5", "analysis.p_e=7"):
+            rc = main(["simulate", "--out", str(tmp_path), "--set", item])
+            assert rc == 2
+            err = capsys.readouterr().err
+            key = item.split("=")[0]
+            assert err == f"config error: unknown config key: {key!r}\n"
+
+
+# sha256 of the files `simulate --seed 0` writes at r = 2000. Any change to
+# the random streams, the engine or the writers shows up here first.
+GOLDEN_RUNS = {
+    "clean": ([], {
+        "summary.json": "3debe6bb629a2165517c137e20fcbef4ce9213b180d743c1f35e345a2e0e0a0d",
+        "transcript.jsonl": "41eb2147909db90b86c87951829d4ffd09f497b744e687aeebe72320882ccd19",
+    }),
+    "attacked-noisy": ([
+        "physics.distance_km=10", "physics.delta_theta=0.0785398",
+        "adversary.enabled=true", "adversary.p1=0.2", "adversary.p2=0.5",
+    ], {
+        "summary.json": "abe64edfc67874a87dcb56104763313c04c9f43dc36c5a1b67eb4d0780aa6aec",
+        "transcript.jsonl": "52e844c4793c00788864a9bc22a36282ad28e3874cda2d8d0828fd96eba00859",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_RUNS))
+def test_simulate_golden_bytes(tmp_path, case):
+    sets, want = GOLDEN_RUNS[case]
+    argv = ["simulate", "--out", str(tmp_path), "--seed", "0", "--set", "protocol.r=2000"]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == 0
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want
+    }
+    assert got == want
 
 
 class TestSweepCommand:
@@ -196,11 +233,13 @@ class TestAttackScanCommand:
         assert main(args + ["--workers", "2"]) == 0
         assert (tmp_path / "attack_scan.csv").read_bytes() == body1
         rows = body1.decode().splitlines()
-        assert rows[0].split(",")[:3] == ["p1_attack", "p2_attack", "predicted_p_g0"]
+        header = rows[0].split(",")
+        assert header == ["p1_attack", "p2_attack", "predicted_p_g0", "empirical_p_g0",
+                          "abort_probability", "aborted"]
         assert len(rows) == 5
         # full attack with aligned bases forces every click to g=0
-        full = rows[-1].split(",")
-        assert float(full[4]) == 1.0
+        full = dict(zip(header, rows[-1].split(",")))
+        assert float(full["empirical_p_g0"]) == 1.0
 
 
 class TestVerifyCommand:

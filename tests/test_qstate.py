@@ -17,6 +17,7 @@ from rdiqsdc.qstate import (
     PureState,
     apply_encode,
     apply_rotation,
+    born_p,
     outcome_probability,
     prepare,
     sample_outcome,
@@ -215,6 +216,24 @@ class TestOutcomeProbability:
             Measurement(basis_index=0, config=config)
         with pytest.raises(ValueError):
             Measurement(basis_index=9, config=config)
+
+
+class TestBornP:
+    def test_matches_scalar_oracle(self):
+        # the engine's vectorized rule against outcome_probability on every
+        # (x, y) pair, with the phase difference formed as the engine does
+        for n in (3, 5, 8, 16):
+            xs, ys = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1), indexing="ij")
+            xs, ys = xs.ravel(), ys.ravel()
+            phase = 2.0 * math.pi * (xs - ys) / n
+            for theta in (math.pi / 4, 0.3, 1.2):
+                config = BasisConfig(n=n, theta=theta)
+                for rot in (0.0, math.pi / 40, 0.3):
+                    got = born_p(theta, np.full(len(xs), theta + rot), phase)
+                    for x, y, p in zip(xs, ys, got):
+                        state = apply_rotation(prepare(int(x), config), ChannelRotation(rot))
+                        want = outcome_probability(state, Measurement(int(y), config))
+                        assert abs(p - want) <= 1e-12, (n, theta, rot, x, y)
 
 
 class TestSampleOutcome:

@@ -11,7 +11,13 @@ from rdiqsdc.adversary import (
     predict_attacked_distribution,
 )
 from rdiqsdc.devices import ChannelNoiseModel, LinkBudget
-from rdiqsdc.protocol import BasisPolicy, BasisPolicyMode, ProtocolParams, run_full_protocol
+from rdiqsdc.protocol import (
+    BasisPolicy,
+    BasisPolicyMode,
+    ProtocolParams,
+    ProtocolRun,
+    run_full_protocol,
+)
 from rdiqsdc.qstate import BasisConfig
 
 
@@ -54,6 +60,63 @@ class TestPredictor:
         for p1 in (0.1, 0.5, 1.0):
             got = predict_attacked_distribution(0.5, BlindingAttackParams(p1, 0.5))
             assert got == pytest.approx(0.5, abs=1e-12)
+
+
+class TestBlindAndFake:
+    def test_always_close_clicks_zero(self):
+        # every slot attacked with close-basis forgeries: both checking
+        # rounds and the decoder see clicks reading g=0, lost photons or not
+        params = attack_run_params(500, 1.0, 1.0, seed=3, link=LinkBudget(eta_c=0.5))
+        cols = run_full_protocol(params).photons
+        assert np.all(cols.attacked) and np.all(cols.clicked)
+        assert np.all(cols.g == 0)
+
+    def test_never_close_clicks_one(self):
+        params = attack_run_params(500, 1.0, 0.0, seed=3, link=LinkBudget(eta_c=0.5))
+        cols = run_full_protocol(params).photons
+        assert np.all(cols.clicked) and np.all(cols.g == 1)
+
+    def test_closeness_frequency(self):
+        run = ProtocolRun(attack_run_params(20_000, 1.0, 0.3, seed=1))
+        run.step1_prepare()
+        run.step2_transmit_to_bob()
+        report = run.step3_first_check()
+        band = 5.0 * math.sqrt(0.3 * 0.7 / 20_000)
+        assert report.n_clicked == 20_000
+        assert abs(report.empirical_p_g0 - 0.3) <= band
+
+
+def intercepted_counts(r, seed):
+    """Bits the interceptor reads right under an all-zero and an all-one
+    payload, and the number of its matched-basis S3 slots.
+
+    Every slot is attacked and the interceptor's bases and coin flips do
+    not depend on the payload, so a slot read in the matched basis is
+    right under both payloads and a guessed slot under exactly one.
+    """
+    params = attack_run_params(r, 1.0, 0.5, seed=seed)
+    right = []
+    for bit in (0, 1):
+        run = ProtocolRun(params, message=[bit] * r)
+        result = run.run()
+        right.append(round(result.attack.eve_correct_fraction * r))
+    s3 = run.ledger.s3_pos
+    matched = int(np.sum(run.eve_basis[s3] == run.ledger.prep[s3]))
+    return right, matched
+
+
+class TestSecondPassIntercept:
+    def test_matched_basis_reads_bit_exactly(self):
+        (right0, right1), matched = intercepted_counts(4_000, seed=5)
+        assert 0 < matched < 4_000
+        assert right0 + right1 - 4_000 == matched
+
+    def test_unmatched_basis_guesses(self):
+        r = 20_000
+        (right0, _), matched = intercepted_counts(r, seed=3)
+        guessed = r - matched
+        band = 5.0 * math.sqrt(0.25 / guessed)
+        assert abs((right0 - matched) / guessed - 0.5) <= band
 
 
 class TestDetectionPower:

@@ -1,9 +1,50 @@
-"""Device-model tests: link budget arithmetic, memory efficiency and the
-channel noise model."""
+"""Device-model tests: link budget arithmetic, memory efficiency, the
+channel noise model, and how the photon engine applies them to channel
+transmission, storage, detection and encoding."""
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from rdiqsdc.devices import ChannelNoiseModel, LinkBudget, NoiseMode, memory_efficiency
+from rdiqsdc.adversary import BlindingAttackParams
+from rdiqsdc.devices import (
+    ChannelNoiseModel,
+    LinkBudget,
+    LossSite,
+    NoiseMode,
+    memory_efficiency,
+)
+from rdiqsdc.protocol import (
+    _SITE_CODE,
+    BasisPolicy,
+    BasisPolicyMode,
+    ProtocolParams,
+    ProtocolRun,
+    run_full_protocol,
+)
+from rdiqsdc.qstate import BasisConfig
+
+
+def engine_params(r=500, n=8, target=0.1, seed=0, **kw) -> ProtocolParams:
+    defaults = dict(
+        r=r, config=BasisConfig(n=n),
+        policy=BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=target),
+        link=LinkBudget(), noise=ChannelNoiseModel(), continue_on_abort=True,
+        seed=seed,
+    )
+    defaults.update(kw)
+    return ProtocolParams(**defaults)
+
+
+def run_through(params: ProtocolParams, step: int) -> ProtocolRun:
+    """Engine run stopped after step 2 (outbound leg) or step 3 (first check)."""
+    run = ProtocolRun(params)
+    run.step1_prepare()
+    run.step2_transmit_to_bob()
+    if step >= 3:
+        run.step3_first_check()
+    return run
 
 
 class TestLinkBudget:
@@ -65,3 +106,124 @@ class TestChannelNoiseModel:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             ChannelNoiseModel(family="gaussian")
+
+
+class TestTransmit:
+    def test_ideal_link_applies_rotation(self):
+        # every photon survives a lossless link and carries one rotation per
+        # trip: check photons of S1 travel once, returned photons twice
+        params = engine_params(noise=ChannelNoiseModel(delta_theta=0.3))
+        cols = run_full_protocol(params).photons
+        assert np.all(cols.loss_site == _SITE_CODE[LossSite.NONE])
+        one_trip = cols.sequence == 1
+        assert np.allclose(cols.rotation[one_trip], 0.3, rtol=0, atol=1e-12)
+        assert np.allclose(cols.rotation[~one_trip], 0.6, rtol=0, atol=1e-12)
+
+    def test_total_fiber_loss(self):
+        params = engine_params(link=LinkBudget(distance_km=1000.0))  # eta_t ~ 1e-20
+        cols = run_full_protocol(params).photons
+        assert np.all(cols.loss_site == _SITE_CODE[LossSite.FIBER])
+        assert np.all(cols.loss_leg == 1)
+
+    def test_coupling_loss_site(self):
+        cols = run_full_protocol(engine_params(link=LinkBudget(eta_c=0.0))).photons
+        assert np.all(cols.loss_site == _SITE_CODE[LossSite.COUPLING])
+        assert np.all(cols.loss_leg == 1)
+
+    def test_lost_photon_passthrough(self):
+        # a photon lost on the way out is not sent back: it takes no
+        # return-leg rotation and is never lost a second time
+        params = engine_params(
+            link=LinkBudget(eta_c=0.0), noise=ChannelNoiseModel(delta_theta=0.3)
+        )
+        cols = run_full_protocol(params).photons
+        assert not np.any(cols.loss_leg == 2)
+        assert np.allclose(cols.rotation, 0.3, rtol=0, atol=1e-12)
+        assert not np.any(cols.clicked)
+
+    def test_survival_frequency(self):
+        # one-way survival through fiber and coupling at 5 sigma, N ~ 1e5
+        link = LinkBudget(distance_km=15.0, eta_c=0.9)
+        p = link.eta_t * link.eta_c
+        run = run_through(engine_params(r=33_334, seed=11, link=link), 2)
+        band = 5.0 * math.sqrt(p * (1 - p) / len(run.at_bob))
+        assert abs(np.mean(run.at_bob) - p) <= band
+
+
+class TestStorageLoop:
+    def test_store_then_read_is_identity(self):
+        # two lossless storage episodes leave the state untouched: matched
+        # second-round bases read g=0 and the payload decodes exactly
+        params = engine_params(n=5, target=1.0, seed=2, link=LinkBudget(eta_m=1.0))
+        result = run_full_protocol(params)
+        assert result.check2.empirical_p_g0 == 1.0
+        assert np.array_equal(result.frame.decoded, result.frame.payload)
+        assert not np.any(result.photons.loss_site == _SITE_CODE[LossSite.MEMORY])
+
+    def test_cumulative_survival(self):
+        # per-trip survival tuned so 11 trips retain about 91%
+        per_trip = 0.91 ** (1.0 / 11.0)
+        link = LinkBudget(eta_m=memory_efficiency(per_trip, 11))
+        run = run_through(engine_params(r=20_000, seed=3, link=link), 2)
+        n = int(np.sum(run.at_bob))
+        band = 5.0 * math.sqrt(0.91 * 0.09 / n)
+        assert abs(np.sum(run.in_qm_bob) / n - 0.91) <= band
+
+
+class TestDetect:
+    def test_eigenstate_clicks_zero(self):
+        # target 1.0 forces offset 0: each check photon is measured in its
+        # own preparation basis
+        run = run_through(engine_params(target=1.0), 3)
+        assert np.array_equal(run.ledger.y1, run.ledger.prep[run.ledger.s1_pos])
+        assert np.all(run.clicked1) and np.all(run.g1 == 0)
+
+    def test_dead_detector_never_clicks(self):
+        cols = run_full_protocol(engine_params(link=LinkBudget(eta_d=0.0))).photons
+        assert not np.any(cols.clicked) and np.all(cols.g == -1)
+        assert np.all(cols.loss_site == _SITE_CODE[LossSite.DETECTOR])
+
+    def test_lost_photon_never_clicks(self):
+        result = run_full_protocol(engine_params(link=LinkBudget(eta_c=0.0)))
+        assert not np.any(result.photons.clicked)
+        assert np.all(result.frame.decoded == -1)
+
+    def test_blinded_detector_forced_outcome(self):
+        # offset 0 would give g=0 unblinded; far-basis forged pulses read g=1
+        params = engine_params(target=1.0, adversary=BlindingAttackParams(1.0, 0.0))
+        run = run_through(params, 3)
+        assert np.all(run.clicked1) and np.all(run.g1 == 1)
+
+    def test_blinded_detector_ignores_real_photons(self):
+        # linear mode responds to pulse power, not to single photons: the
+        # same forged pulses give the same clicks whether or not any photon
+        # arrives
+        params = engine_params(adversary=BlindingAttackParams(1.0, 0.5))
+        lit = run_full_protocol(params).photons
+        dark = run_full_protocol(
+            dataclasses.replace(params, link=LinkBudget(eta_c=0.0))
+        ).photons
+        assert np.all(lit.clicked) and np.all(dark.clicked)
+        assert np.array_equal(lit.g, dark.g)
+
+    def test_outcome_frequency(self):
+        # n=3 with target 0.25 uses a single offset whose P(g=0) is 0.25
+        run = run_through(engine_params(r=100_000, n=3, target=0.25, seed=5), 3)
+        g = run.g1[run.clicked1]
+        band = 5.0 * math.sqrt(0.25 * 0.75 / len(g))
+        assert abs(np.mean(g == 0) - 0.25) <= band
+
+
+def test_encode_photon_records_operation():
+    # the encoder acts on S3 only: message bits are recorded there, and the
+    # sigma_z flip of each 1 bit is read back in decoding
+    run = ProtocolRun(engine_params(seed=1))
+    result = run.run()
+    cols, s3 = result.photons, run.ledger.s3_pos
+    outside = np.ones(len(cols), dtype=bool)
+    outside[s3] = False
+    assert np.array_equal(cols.message_bit[s3], run.payload)
+    assert np.all(cols.message_bit[outside] == -1)
+    assert not np.any(cols.secret_flip[outside])
+    assert 0 < int(np.sum(run.payload)) < run.r
+    assert np.array_equal(result.frame.decoded, run.payload)

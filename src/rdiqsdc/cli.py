@@ -62,6 +62,13 @@ def _load(args) -> RunConfig:
     return load_config(args.config, overrides)
 
 
+def _require_pi_over_4(cfg: RunConfig, cmd: str) -> None:
+    """The closed forms behind sweep and threshold hold only at theta = pi/4."""
+    theta = cfg["protocol.theta"]
+    if abs(theta - math.pi / 4) > 1e-12:
+        raise ConfigError(f"{cmd} uses the theta = pi/4 closed forms; got protocol.theta={theta}")
+
+
 def _delim(args) -> str:
     return "\t" if args.format == "tsv" else ","
 
@@ -113,6 +120,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
+    _require_pi_over_4(cfg, "sweep")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     axis = cfg["analysis.axis"]
@@ -157,6 +165,7 @@ def _write_gnuplot(path: Path, csv_name: str, axis: str, delim: str) -> None:
 
 
 def cmd_threshold(cfg: RunConfig, args) -> int:
+    _require_pi_over_4(cfg, "threshold")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     dth = cfg["physics.delta_theta"]
@@ -259,7 +268,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.cmd == "verify":
             return cmd_verify(cfg, args)
         raise ConfigError(f"unknown command {args.cmd!r}")
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError and the domain objects' own checks
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

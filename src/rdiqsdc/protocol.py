@@ -216,6 +216,8 @@ class EstStat:
 
 def _est(values: np.ndarray) -> EstStat:
     n = len(values)
+    if n == 0:
+        return EstStat(0.0, 0.0)
     mean = float(np.mean(values))
     stderr = float(np.std(values) / math.sqrt(n)) if n > 1 else 0.0
     return EstStat(mean, stderr)
@@ -263,10 +265,6 @@ class SequenceLedger:
     y1: Optional[np.ndarray] = None
     return_perm: Optional[np.ndarray] = None  # return slot -> combined index
     y2: Optional[np.ndarray] = None
-
-    @property
-    def x1(self) -> np.ndarray:
-        return self.prep[self.s1_pos]
 
     @property
     def x2(self) -> np.ndarray:
@@ -364,6 +362,8 @@ class ProtocolRun:
         self.ledger: Optional[SequenceLedger] = None
         self._message_in = message
         self._stage = 0
+        self.check2: Optional[SecurityCheckReport] = None
+        self.frame: Optional[MessageFrame] = None
 
     def _rng(self, purpose: str) -> np.random.Generator:
         if purpose not in self._streams:
@@ -375,6 +375,71 @@ class ProtocolRun:
             raise ProtocolViolation(
                 f"protocol step out of order: at stage {self._stage}, need {stage}"
             )
+
+    # -- kernels shared by the steps --------------------------------------------
+    def _trip(self, leg: int, pos: np.ndarray, alive: np.ndarray):
+        """One trip over fiber and coupling into the receiving party's memory.
+
+        Draws the channel rotation and one survival draw per stage for every
+        slot; a live photon is charged to the first stage it fails. Returns
+        the rotation, the photons alive after coupling and after storage.
+        """
+        link, size = self.params.link, len(pos)
+        way, store = ("ab", "bob") if leg == 1 else ("ba", "alice")
+        rotation = self.params.noise.draw(size, self._rng(f"noise-{way}"))
+        after = []
+        for purpose, eta, site in (
+            (f"loss-fiber-{way}", link.eta_t, LossSite.FIBER),
+            (f"loss-coupling-{way}", link.eta_c, LossSite.COUPLING),
+            (f"loss-memory-{store}", link.eta_m, LossSite.MEMORY),
+        ):
+            survived = self._rng(purpose).random(size) < eta
+            lost = pos[alive & ~survived]
+            self.site[lost] = _SITE_CODE[site]
+            self.leg[lost] = leg
+            alive = alive & survived
+            after.append(alive)
+        return rotation, after[1], after[2]
+
+    def _detect(self, purpose: str, pos: np.ndarray, alive: np.ndarray,
+                p_g0: np.ndarray, forced: np.ndarray):
+        """Detector event at the photons `pos`; blinded slots click `forced`."""
+        m = len(pos)
+        clicked = alive & (self._rng(f"{purpose}-click").random(m) < self.params.link.eta_d)
+        g = np.where(self._rng(f"{purpose}-born").random(m) < p_g0, 0, 1).astype(np.int8)
+        att = self.attacked[pos]
+        clicked = clicked | att
+        g = np.where(att, forced, g)
+        # no-click at the measuring detector; a forged pulse always clicks
+        self.site[pos[alive & ~clicked]] = _SITE_CODE[LossSite.DETECTOR]
+        self.site[pos[att]] = _SITE_CODE[LossSite.NONE]
+        self.leg[pos[att]] = 0
+        return clicked, g
+
+    def _report(self, round_index: int, p_ideal: np.ndarray, clicked: np.ndarray,
+                g: np.ndarray):
+        """Check report, with no-clicks assigned the more likely ideal outcome."""
+        assigned = np.where(p_ideal <= 0.5, 1, 0).astype(np.int8)
+        n_g0_clicked = int(np.sum(clicked & (g == 0)))
+        n_assigned_g0 = int(np.sum(~clicked & (assigned == 0)))
+        report = SecurityCheckReport(
+            round_index=round_index,
+            m=self.r,
+            theoretical_p_g0=float(np.mean(p_ideal)),
+            empirical_p_g0=(n_g0_clicked + n_assigned_g0) / self.r,
+            tolerance=self.params.check_tolerance(),
+            n_clicked=int(np.sum(clicked)),
+            n_clicked_g0=n_g0_clicked,
+            n_assigned_g0=n_assigned_g0,
+        )
+        return report, assigned
+
+    def _forced(self, purpose: str, size: int) -> np.ndarray:
+        """Outcome each blinded slot is forced to click (-1 without Eve)."""
+        adv = self.params.adversary
+        if adv is None:
+            return np.full(size, -1, dtype=np.int8)
+        return np.where(self._rng(purpose).random(size) < adv.p2, 0, 1).astype(np.int8)
 
     # -- step 1: preparation ------------------------------------------------
     def step1_prepare(self) -> SequenceLedger:
@@ -390,6 +455,7 @@ class ProtocolRun:
         self.secret_flip[self.ledger.s3_pos] = (
             self._rng("secret").integers(0, 2, size=r).astype(bool)
         )
+        self.message_bit = np.full(3 * r, -1, dtype=np.int8)
         if self._message_in is None:
             self.payload = self._rng("message").integers(0, 2, size=r).astype(np.int8)
         else:
@@ -404,37 +470,20 @@ class ProtocolRun:
     # -- step 2: outbound transmission and storage at the encoder ------------
     def step2_transmit_to_bob(self) -> None:
         self._require_stage(1)
-        r, link = self.r, self.params.link
-        size = 3 * r
-        self.dth1 = self.params.noise.draw(size, self._rng("noise-ab"))
-        surv_f = self._rng("loss-fiber-ab").random(size) < link.eta_t
-        surv_c = self._rng("loss-coupling-ab").random(size) < link.eta_c
-        surv_m = self._rng("loss-memory-bob").random(size) < link.eta_m
-        self.at_bob = surv_f & surv_c
-        self.in_qm_bob = self.at_bob & surv_m
-
+        size = 3 * self.r
         self.site = np.zeros(size, dtype=np.int8)
         self.leg = np.zeros(size, dtype=np.int8)
-        self.site[~surv_f] = _SITE_CODE[LossSite.FIBER]
-        self.leg[~surv_f] = 1
-        lost_c = surv_f & ~surv_c
-        self.site[lost_c] = _SITE_CODE[LossSite.COUPLING]
-        self.leg[lost_c] = 1
-        lost_m = self.at_bob & ~surv_m
-        self.site[lost_m] = _SITE_CODE[LossSite.MEMORY]
-        self.leg[lost_m] = 1
-
+        self.dth1, self.at_bob, self.in_qm_bob = self._trip(
+            1, np.arange(size), np.ones(size, dtype=bool)
+        )
         adv = self.params.adversary
         if adv is not None:
             self.attacked = self._rng("adv-attack").random(size) < adv.p1
-            self.forced_g1 = np.where(
-                self._rng("adv-close-1").random(size) < adv.p2, 0, 1
-            ).astype(np.int8)
             self.eve_basis = self._rng("adv-basis").integers(1, self.n + 1, size=size)
         else:
             self.attacked = np.zeros(size, dtype=bool)
-            self.forced_g1 = np.full(size, -1, dtype=np.int8)
             self.eve_basis = np.full(size, -1, dtype=np.int64)
+        self.forced_g1 = self._forced("adv-close-1", size)
         self._stage = 2
 
     # -- step 3: first checking round ----------------------------------------
@@ -451,43 +500,18 @@ class ProtocolRun:
         phase = 2.0 * math.pi * (a - led.y1) / self.n
         self.p1_ideal = _ideal_p(self.theta, phase)
         p_noisy = born_p(self.theta, self.theta + self.dth1[led.s1_pos], phase)
-
-        alive = self.in_qm_bob[led.s1_pos]
-        clicked = alive & (self._rng("check1-click").random(r) < self.params.link.eta_d)
-        g = np.where(self._rng("check1-born").random(r) < p_noisy, 0, 1).astype(np.int8)
-        att = self.attacked[led.s1_pos]
-        clicked = clicked | att
-        g = np.where(att, self.forced_g1[led.s1_pos], g)
-
-        self.assigned1 = np.where(self.p1_ideal <= 0.5, 1, 0).astype(np.int8)
-        self.clicked1, self.g1 = clicked, g
-        n_g0_clicked = int(np.sum(clicked & (g == 0)))
-        n_assigned_g0 = int(np.sum(~clicked & (self.assigned1 == 0)))
-        report = SecurityCheckReport(
-            round_index=1,
-            m=r,
-            theoretical_p_g0=float(np.mean(self.p1_ideal)),
-            empirical_p_g0=(n_g0_clicked + n_assigned_g0) / r,
-            tolerance=self.params.check_tolerance(),
-            n_clicked=int(np.sum(clicked)),
-            n_clicked_g0=n_g0_clicked,
-            n_assigned_g0=n_assigned_g0,
+        self.clicked1, self.g1 = self._detect(
+            "check1", led.s1_pos, self.in_qm_bob[led.s1_pos], p_noisy,
+            self.forced_g1[led.s1_pos],
         )
-        # no-click at the measuring detector
-        s1 = led.s1_pos
-        no_click = alive & ~clicked
-        self.site[s1[no_click]] = _SITE_CODE[LossSite.DETECTOR]
-        self.site[s1[att]] = _SITE_CODE[LossSite.NONE]  # forged pulse clicked
-        self.leg[s1[att]] = 0
-        self.check1 = report
+        self.check1, self.assigned1 = self._report(1, self.p1_ideal, self.clicked1, self.g1)
         self._stage = 3
-        return report
+        return self.check1
 
     # -- step 4: encoding and shuffle -----------------------------------------
     def step4_encode_and_shuffle(self) -> None:
         self._require_stage(3)
         led = self.ledger
-        self.message_bit = np.full(3 * self.r, -1, dtype=np.int8)
         self.message_bit[led.s3_pos] = self.payload
         led.return_perm = self._rng("shuffle").permutation(2 * self.r)
         self._stage = 4
@@ -495,35 +519,12 @@ class ProtocolRun:
     # -- step 5: return transmission and second checking round ----------------
     def step5_transmit_to_alice(self) -> None:
         self._require_stage(4)
-        led, link = self.ledger, self.params.link
-        size = 2 * self.r
-        combined = led.combined_positions()
-        self.return_pos = combined[led.return_perm]  # sent position per slot
-        self.dth2 = self.params.noise.draw(size, self._rng("noise-ba"))
-        surv_f = self._rng("loss-fiber-ba").random(size) < link.eta_t
-        surv_c = self._rng("loss-coupling-ba").random(size) < link.eta_c
-        surv_m = self._rng("loss-memory-alice").random(size) < link.eta_m
-        alive_in = self.in_qm_bob[self.return_pos]
-        self.alive_at_alice = alive_in & surv_f & surv_c & surv_m
-
-        pos = self.return_pos
-        lost_f = alive_in & ~surv_f
-        lost_c = alive_in & surv_f & ~surv_c
-        lost_m = alive_in & surv_f & surv_c & ~surv_m
-        self.site[pos[lost_f]] = _SITE_CODE[LossSite.FIBER]
-        self.leg[pos[lost_f]] = 2
-        self.site[pos[lost_c]] = _SITE_CODE[LossSite.COUPLING]
-        self.leg[pos[lost_c]] = 2
-        self.site[pos[lost_m]] = _SITE_CODE[LossSite.MEMORY]
-        self.leg[pos[lost_m]] = 2
-
-        adv = self.params.adversary
-        if adv is not None:
-            self.forced_g2 = np.where(
-                self._rng("adv-close-2").random(size) < adv.p2, 0, 1
-            ).astype(np.int8)
-        else:
-            self.forced_g2 = np.full(size, -1, dtype=np.int8)
+        led = self.ledger
+        self.return_pos = led.combined_positions()[led.return_perm]  # sent position per slot
+        self.dth2, _, self.alive_at_alice = self._trip(
+            2, self.return_pos, self.in_qm_bob[self.return_pos]
+        )
+        self.forced_g2 = self._forced("adv-close-2", 2 * self.r)
         self._stage = 5
 
     def step5_second_check(self) -> SecurityCheckReport:
@@ -545,35 +546,12 @@ class ProtocolRun:
         pos = self.return_pos[slots]
         rot = self.dth1[pos] + self.dth2[slots]
         p_noisy = born_p(self.theta, self.theta + rot, phase)
-
-        alive = self.alive_at_alice[slots]
-        clicked = alive & (self._rng("check2-click").random(r) < self.params.link.eta_d)
-        g = np.where(self._rng("check2-born").random(r) < p_noisy, 0, 1).astype(np.int8)
-        att = self.attacked[pos]
-        clicked = clicked | att
-        g = np.where(att, self.forced_g2[slots], g)
-
-        self.assigned2 = np.where(self.p2_ideal <= 0.5, 1, 0).astype(np.int8)
-        self.clicked2, self.g2 = clicked, g
-        n_g0_clicked = int(np.sum(clicked & (g == 0)))
-        n_assigned_g0 = int(np.sum(~clicked & (self.assigned2 == 0)))
-        report = SecurityCheckReport(
-            round_index=2,
-            m=r,
-            theoretical_p_g0=float(np.mean(self.p2_ideal)),
-            empirical_p_g0=(n_g0_clicked + n_assigned_g0) / r,
-            tolerance=self.params.check_tolerance(),
-            n_clicked=int(np.sum(clicked)),
-            n_clicked_g0=n_g0_clicked,
-            n_assigned_g0=n_assigned_g0,
+        self.clicked2, self.g2 = self._detect(
+            "check2", pos, self.alive_at_alice[slots], p_noisy, self.forced_g2[slots]
         )
-        no_click = alive & ~clicked
-        self.site[pos[no_click]] = _SITE_CODE[LossSite.DETECTOR]
-        self.site[pos[att]] = _SITE_CODE[LossSite.NONE]
-        self.leg[pos[att]] = 0
-        self.check2 = report
+        self.check2, self.assigned2 = self._report(2, self.p2_ideal, self.clicked2, self.g2)
         self._stage = 6
-        return report
+        return self.check2
 
     # -- step 6: decoding ------------------------------------------------------
     def step6_decode(self) -> MessageFrame:
@@ -588,30 +566,18 @@ class ProtocolRun:
         msg = self.payload[order]
         phase = math.pi * msg.astype(np.float64)
         p_g0 = born_p(self.theta, self.theta + rot, phase)
-
-        alive = self.alive_at_alice[slots]
-        clicked = alive & (self._rng("decode-click").random(r) < self.params.link.eta_d)
-        g = np.where(self._rng("decode-born").random(r) < p_g0, 0, 1).astype(np.int8)
-        att = self.attacked[pos]
-        clicked = clicked | att
-        g = np.where(att, self.forced_g2[slots], g)
-
-        decoded_by_slot = np.where(clicked, g, -1).astype(np.int8)
+        self.clicked3, self.g3 = self._detect(
+            "decode", pos, self.alive_at_alice[slots], p_g0, self.forced_g2[slots]
+        )
         decoded = np.full(r, -1, dtype=np.int8)
-        decoded[order] = decoded_by_slot
-        self.clicked3, self.g3 = clicked, g
+        decoded[order] = np.where(self.clicked3, self.g3, -1)
         self.decode_slots = slots
-        no_click = alive & ~clicked
-        self.site[pos[no_click]] = _SITE_CODE[LossSite.DETECTOR]
-        self.site[pos[att]] = _SITE_CODE[LossSite.NONE]
-        self.leg[pos[att]] = 0
         self.frame = MessageFrame(payload=self.payload.copy(), decoded=decoded)
         self._stage = 7
         return self.frame
 
     # -- assembly ---------------------------------------------------------------
     def _stats(self) -> TranscriptStats:
-        r, led = self.r, self.ledger
         clicked1 = self.clicked1.astype(np.float64)
         clicked2 = self.clicked2.astype(np.float64)
         clicked3 = self.clicked3.astype(np.float64)
@@ -627,17 +593,13 @@ class ProtocolRun:
         obs1 = clicked1 * (self.g1 == 0) + (1.0 - clicked1) * (self.assigned1 == 0)
         obs2 = clicked2 * (self.g2 == 0) + (1.0 - clicked2) * (self.assigned2 == 0)
 
-        def clicked_g0(clicked: np.ndarray, g: np.ndarray) -> EstStat:
-            sel = (g == 0)[clicked].astype(np.float64)
-            if len(sel) == 0:
-                return EstStat(0.0, 0.0)
-            return EstStat(float(np.mean(sel)), float(np.std(sel) / math.sqrt(len(sel))))
-
-        counts: dict[str, int] = {}
-        for code, leg in zip(self.site, self.leg):
-            name = _SITE_NAME[int(code)]
-            key = name if code == 0 or leg == 0 else f"{name}-leg{int(leg)}"
-            counts[key] = counts.get(key, 0) + 1
+        # one bin per (site, leg); the none and detector sites carry no leg
+        tally = np.bincount(3 * self.site + self.leg)
+        counts = {}
+        for idx in np.flatnonzero(tally):
+            code, leg = divmod(int(idx), 3)
+            name = _SITE_NAME[code]
+            counts[name if leg == 0 else f"{name}-leg{leg}"] = int(tally[idx])
 
         return TranscriptStats(
             q_ab=_est(clicked1),
@@ -647,8 +609,8 @@ class ProtocolRun:
             p2_theoretical=float(np.mean(self.p2_ideal)),
             p1_observed=_est(obs1),
             p2_observed=_est(obs2),
-            p1_clicked=clicked_g0(self.clicked1, self.g1),
-            p2_clicked=clicked_g0(self.clicked2, self.g2),
+            p1_clicked=_est((self.g1 == 0)[self.clicked1].astype(np.float64)),
+            p2_clicked=_est((self.g2 == 0)[self.clicked2].astype(np.float64)),
             e_ab_signed=_est(shift1),
             e_ab_assign=_est(assign1),
             e_aba_signed=_est(shift2),
@@ -696,7 +658,7 @@ class ProtocolRun:
             sequence=seq,
             prep=led.prep,
             secret_flip=self.secret_flip,
-            message_bit=getattr(self, "message_bit", np.full(size, -1, dtype=np.int8)),
+            message_bit=self.message_bit,
             basis=basis,
             rotation=rotation,
             loss_site=self.site,
@@ -710,15 +672,19 @@ class ProtocolRun:
     def _announcements(self) -> Announcements:
         led = self.ledger
         done2 = self._stage >= 6
+        if led.return_perm is not None:
+            s2p, s2_order, s3p, s3_order = led.s2p_slots, led.s2_order, led.s3p_slots, led.s3_order
+        else:
+            s2p = s2_order = s3p = s3_order = np.array([], dtype=np.int64)
         return Announcements(
             s1_positions=led.s1_pos.copy(),
             y1=led.y1.copy(),
             round1_clicked=self.clicked1.copy(),
             round1_g=np.where(self.clicked1, self.g1, -1),
-            s2p_slots=led.s2p_slots if led.return_perm is not None else np.array([], dtype=np.int64),
-            s2_original_positions=led.s2_order if led.return_perm is not None else np.array([], dtype=np.int64),
-            s3p_slots=led.s3p_slots if led.return_perm is not None else np.array([], dtype=np.int64),
-            s3_original_positions=led.s3_order if led.return_perm is not None else np.array([], dtype=np.int64),
+            s2p_slots=s2p,
+            s2_original_positions=s2_order,
+            s3p_slots=s3p,
+            s3_original_positions=s3_order,
             round2_clicked=self.clicked2.copy() if done2 else None,
             round2_g=np.where(self.clicked2, self.g2, -1) if done2 else None,
         )
@@ -740,35 +706,27 @@ class ProtocolRun:
             self.check1.theoretical_p_g0, adv, self.check1.empirical_p_g0, correct
         )
 
+    def _result(self, aborted_at_step: Optional[int]) -> ProtocolResult:
+        return ProtocolResult(
+            params=self.params, ledger=self.ledger,
+            announcements=self._announcements(), check1=self.check1,
+            check2=self.check2, frame=self.frame, aborted_at_step=aborted_at_step,
+            stats=self._stats() if aborted_at_step is None else None,
+            photons=self._columns(), attack=self._attack_summary(),
+        )
+
     def run(self) -> ProtocolResult:
         self.step1_prepare()
         self.step2_transmit_to_bob()
-        check1 = self.step3_first_check()
         enforce = not self.params.continue_on_abort
-        if enforce and not check1.passed:
-            return ProtocolResult(
-                params=self.params, ledger=self.ledger,
-                announcements=self._announcements(), check1=check1, check2=None,
-                frame=None, aborted_at_step=3, stats=None, photons=self._columns(),
-                attack=self._attack_summary(),
-            )
+        if not self.step3_first_check().passed and enforce:
+            return self._result(3)
         self.step4_encode_and_shuffle()
         self.step5_transmit_to_alice()
-        check2 = self.step5_second_check()
-        if enforce and not check2.passed:
-            return ProtocolResult(
-                params=self.params, ledger=self.ledger,
-                announcements=self._announcements(), check1=check1, check2=check2,
-                frame=None, aborted_at_step=5, stats=None, photons=self._columns(),
-                attack=self._attack_summary(),
-            )
-        frame = self.step6_decode()
-        return ProtocolResult(
-            params=self.params, ledger=self.ledger,
-            announcements=self._announcements(), check1=check1, check2=check2,
-            frame=frame, aborted_at_step=None, stats=self._stats(),
-            photons=self._columns(), attack=self._attack_summary(),
-        )
+        if not self.step5_second_check().passed and enforce:
+            return self._result(5)
+        self.step6_decode()
+        return self._result(None)
 
 
 def run_full_protocol(

@@ -124,32 +124,64 @@ class TestSimulateCommand:
             err = capsys.readouterr().err
             key = item.split("=")[0]
             assert err == f"config error: unknown config key: {key!r}\n"
+        # values the domain objects reject, not the config parser
+        for argv in (
+            ["sweep", "--set", "analysis.p1_list=1.5", "--set", "analysis.grid=0.5"],
+            ["threshold", "--set", "analysis.p1_list=0,0.1"],
+            ["attack-scan", "--set", "attack.r=0"],
+            ["sweep", "--set", "analysis.axis=L", "--set", "physics.eta_c=2",
+             "--set", "analysis.grid=1"],
+        ):
+            assert main(argv + ["--out", str(tmp_path), "--workers", "1"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1
 
 
-# sha256 of the files `simulate --seed 0` writes at r = 2000. Any change to
-# the random streams, the engine or the writers shows up here first.
+# sha256 of the files `simulate --seed 0` writes at r = 2000, with the step
+# each run stops at. Any change to the random streams, the engine or the
+# writers shows up here first. The abort and original-order cases cover the
+# early returns, the second-leg memory losses and the detector losses.
 GOLDEN_RUNS = {
-    "clean": ([], {
+    "clean": ([], None, {
         "summary.json": "3debe6bb629a2165517c137e20fcbef4ce9213b180d743c1f35e345a2e0e0a0d",
         "transcript.jsonl": "41eb2147909db90b86c87951829d4ffd09f497b744e687aeebe72320882ccd19",
     }),
     "attacked-noisy": ([
         "physics.distance_km=10", "physics.delta_theta=0.0785398",
         "adversary.enabled=true", "adversary.p1=0.2", "adversary.p2=0.5",
-    ], {
+    ], None, {
         "summary.json": "abe64edfc67874a87dcb56104763313c04c9f43dc36c5a1b67eb4d0780aa6aec",
         "transcript.jsonl": "52e844c4793c00788864a9bc22a36282ad28e3874cda2d8d0828fd96eba00859",
+    }),
+    "abort-step3": ([
+        "adversary.enabled=true", "adversary.p1=0.5", "adversary.p2=0.5",
+    ], 3, {
+        "summary.json": "90f512797a5bc29e5e217b2819b1eae0f18f8c901158bcad98266f98897bca25",
+        "transcript.jsonl": "e10abf8a2374b499c001cedac7a9c04881a6d45140b33de16e9eb5531e117203",
+    }),
+    "abort-step5": (["physics.delta_theta=0.2"], 5, {
+        "summary.json": "31f3bbf4e194b1c79d6f5ed917f7bd8401699ce8fd8c82d29bf0c60566c8e390",
+        "transcript.jsonl": "8f11153b78bba0d9d67ba5f5525b62fbee6e82e41121921c8502b3150ff6f586",
+    }),
+    "lossy-original-order": ([
+        "protocol.round2_mode=original-order", "physics.eta_m=0.8",
+        "physics.eta_d=0.7", "protocol.continue_on_abort=true",
+    ], None, {
+        "summary.json": "321e9432c67c52d639e64967dc7e20f96a5d7065fee7f9d0e589c27a37b8e112",
+        "transcript.jsonl": "ed0f4fe67974d1dee57e263fc939bfbb5cfeca0e90bfdc8cf655bf7eaaf783f4",
     }),
 }
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_RUNS))
 def test_simulate_golden_bytes(tmp_path, case):
-    sets, want = GOLDEN_RUNS[case]
+    sets, aborted_at_step, want = GOLDEN_RUNS[case]
     argv = ["simulate", "--out", str(tmp_path), "--seed", "0", "--set", "protocol.r=2000"]
     for item in sets:
         argv += ["--set", item]
     assert main(argv) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["aborted_at_step"] == aborted_at_step
     got = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want
     }
@@ -219,6 +251,15 @@ class TestThresholdCommand:
         assert rows[2].split(",")[5] == "none"
         out = capsys.readouterr().out
         assert "DI benchmark" in out and "0.926" in out
+
+    def test_theta_other_than_pi_over_4_rejected(self, tmp_path, capsys):
+        # the closed forms assume theta = pi/4; another angle is refused, not ignored
+        argv = ["threshold", "--out", str(tmp_path), "--set", "analysis.p1_list=0.1"]
+        assert main(argv + ["--set", "protocol.theta=0.3"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: threshold uses the theta = pi/4 closed forms; "
+                       "got protocol.theta=0.3\n")
+        assert main(argv) == 0
 
 
 class TestAttackScanCommand:

@@ -2,6 +2,11 @@
 decoding, bookkeeping invariants, and the transcript export."""
 import json
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from rdiqsdc.protocol import (
     ProtocolRun,
     ProtocolViolation,
     Round2Mode,
+    _SITE_NAME,
     hoeffding_tolerance,
     run_full_protocol,
     write_transcript,
@@ -317,6 +323,12 @@ class TestAccounting:
             "none", "fiber-leg1", "fiber-leg2", "coupling-leg1", "coupling-leg2",
             "memory-leg1", "memory-leg2", "detector",
         }
+        # reference: a per-photon tally of the transcript columns
+        cols = result.photons
+        names = [_SITE_NAME[int(c)] for c in cols.loss_site]
+        assert counts == Counter(
+            name if leg == 0 else f"{name}-leg{leg}" for name, leg in zip(names, cols.loss_leg)
+        )
         # degenerate links put all 3r photons on one site: a photon lost on
         # the way out is never lost again, and a dead detector never clicks
         for link, site in (
@@ -436,3 +448,16 @@ class TestTranscriptExport:
         write_transcript(run_full_protocol(params_for(r=25, seed=3)), p1)
         write_transcript(run_full_protocol(params_for(r=25, seed=3)), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestTracedLayers:
+    def test_every_benchmarked_layer_exists(self):
+        # the benchmark tracer wraps step, assembly and solver functions by
+        # name; a rename would silently drop that layer from the profile
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), str(root / "perfbench")]))
+        code = "import tracing; t = tracing.Tracer(); t.install(); assert not t.missing, t.missing"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -18,7 +18,10 @@ from typing import Optional
 from . import analysis, verify
 from .adversary import BlindingAttackParams, detection_power, predict_attacked_distribution
 from .config import ConfigError, RunConfig, load_config
-from .protocol import ProtocolRun, hoeffding_tolerance, run_full_protocol, summary_record, write_transcript
+from .protocol import (
+    ProtocolRun, atomic_open, hoeffding_tolerance, run_full_protocol, summary_record,
+    write_transcript,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +77,7 @@ def _delim(args) -> str:
 
 
 def _write_rows(path: Path, header: list[str], rows: list[list], delim: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         fh.write(delim.join(header) + "\n")
         for row in rows:
             fh.write(delim.join(_fmt(v) for v in row) + "\n")
@@ -95,7 +98,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     result = run_full_protocol(cfg.protocol_params(), cfg.message_bits())
     summary = summary_record(result)
-    with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
+    with atomic_open(outdir / "summary.json") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if cfg["output.transcript"]:
@@ -161,7 +164,8 @@ def _write_gnuplot(path: Path, csv_name: str, axis: str, delim: str) -> None:
         f'set ylabel "C_S"\n'
         f'plot "{csv_name}" using 1:11 with lines\n'
     )
-    path.write_text(script, encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write(script)
 
 
 def cmd_threshold(cfg: RunConfig, args) -> int:

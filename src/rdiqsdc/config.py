@@ -39,23 +39,30 @@ def _parse_bool(s: str) -> bool:
     raise ConfigError(f"expected a boolean, got {s!r}")
 
 
+def _parse_float(s: str) -> float:
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError("not a finite number")
+    return v
+
+
 def _parse_grid(s: str) -> tuple[float, ...]:
     s = s.strip()
     if ":" in s:
         parts = s.split(":")
         if len(parts) != 3:
             raise ConfigError(f"grid must be start:stop:count, got {s!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, count = _parse_float(parts[0]), _parse_float(parts[1]), int(parts[2])
         if count < 1:
             raise ConfigError("grid count must be positive")
         return tuple(float(x) for x in np.linspace(start, stop, count))
-    return tuple(float(x) for x in s.split(","))
+    return tuple(_parse_float(x) for x in s.split(","))
 
 
 def _parse_tolerance(s: str):
     if s.strip().lower() == "hoeffding":
         return None
-    return float(s)
+    return _parse_float(s)
 
 
 def _identity(s: str) -> str:
@@ -66,34 +73,34 @@ def _identity(s: str) -> str:
 SCHEMA: dict[str, tuple] = {
     "protocol.r": (10_000, int, "photons per sequence"),
     "protocol.n": (8, int, "number of phase settings (>=3, !=4)"),
-    "protocol.theta": (math.pi / 4, float, "amplitude angle in radians"),
+    "protocol.theta": (math.pi / 4, _parse_float, "amplitude angle in radians"),
     "protocol.policy": ("target-p1", _identity, "basis policy: uniform | target-p1"),
-    "protocol.p1_target": (0.1, float, "first-round P(g=0) target for target-p1"),
+    "protocol.p1_target": (0.1, _parse_float, "first-round P(g=0) target for target-p1"),
     "protocol.tolerance": (None, _parse_tolerance, "check tolerance: hoeffding | float"),
-    "protocol.epsilon": (1e-6, float, "failure budget for the hoeffding tolerance"),
+    "protocol.epsilon": (1e-6, _parse_float, "failure budget for the hoeffding tolerance"),
     "protocol.message": ("random", _identity, "payload: random | bit string"),
     "protocol.seed": (0, int, "master seed"),
     "protocol.round2_mode": ("policy", _identity, "second-round bases: policy | original-order"),
     "protocol.continue_on_abort": (False, _parse_bool, "keep running after a failed check"),
-    "physics.distance_km": (0.0, float, "one-way fiber length"),
-    "physics.alpha_db_per_km": (0.2, float, "fiber attenuation"),
-    "physics.eta_c": (0.95, float, "coupling efficiency"),
-    "physics.eta_m": (1.0, float, "memory efficiency per storage episode"),
-    "physics.eta_d": (1.0, float, "detector efficiency"),
-    "physics.qm_per_trip_efficiency": (1.0, float, "storage-loop survival per round trip"),
+    "physics.distance_km": (0.0, _parse_float, "one-way fiber length"),
+    "physics.alpha_db_per_km": (0.2, _parse_float, "fiber attenuation"),
+    "physics.eta_c": (0.95, _parse_float, "coupling efficiency"),
+    "physics.eta_m": (1.0, _parse_float, "memory efficiency per storage episode"),
+    "physics.eta_d": (1.0, _parse_float, "detector efficiency"),
+    "physics.qm_per_trip_efficiency": (1.0, _parse_float, "storage-loop survival per round trip"),
     "physics.qm_round_trips": (0, int, "round trips consumed per storage episode; overrides eta_m when > 0"),
-    "physics.delta_theta": (0.0, float, "rotation per one-way trip, radians"),
+    "physics.delta_theta": (0.0, _parse_float, "rotation per one-way trip, radians"),
     "physics.noise_mode": ("uniform", _identity, "uniform | per-photon"),
     "physics.noise_family": ("constant", _identity, "constant | uniform-interval"),
-    "physics.noise_spread": (0.0, float, "halfwidth for uniform-interval"),
+    "physics.noise_spread": (0.0, _parse_float, "halfwidth for uniform-interval"),
     "adversary.enabled": (False, _parse_bool, "interpose the blinding attack"),
-    "adversary.p1": (0.0, float, "per-slot attack probability"),
-    "adversary.p2": (0.0, float, "forced-click closeness probability"),
+    "adversary.p1": (0.0, _parse_float, "per-slot attack probability"),
+    "adversary.p2": (0.0, _parse_float, "forced-click closeness probability"),
     "analysis.axis": ("eta", _identity, "sweep axis: eta | L | delta_theta"),
     "analysis.grid": ((), _parse_grid, "sweep grid: start:stop:count or comma list"),
     "analysis.p1_list": ((0.001, 0.1, 0.2, 0.3, 0.4, 0.5), _parse_grid, "P1 operating points"),
-    "analysis.r_rep_hz": (1e7, float, "source repetition rate"),
-    "analysis.p_s": (1.0, float, "single-photon source efficiency"),
+    "analysis.r_rep_hz": (1e7, _parse_float, "source repetition rate"),
+    "analysis.p_s": (1.0, _parse_float, "single-photon source efficiency"),
     "attack.p1_grid": ((0.0, 0.25, 0.5, 0.75, 1.0), _parse_grid, "attack-scan p1 grid"),
     "attack.p2_grid": ((0.0, 0.25, 0.5, 0.75, 1.0), _parse_grid, "attack-scan p2 grid"),
     "attack.r": (100_000, int, "photons per attack-scan point"),

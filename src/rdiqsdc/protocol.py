@@ -16,9 +16,11 @@ the physics draws untouched.
 """
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -737,34 +739,93 @@ def run_full_protocol(
     return ProtocolRun(params, message).run()
 
 
+# The transcript writer builds its records a block of photons at a time;
+# the block size bounds the memory the writer adds to a run.
+_BLOCK_ROWS = 4096
+# A record is _SEPARATORS[0] + text of _KEYS[0] + _SEPARATORS[1] + ... +
+# text of _KEYS[-1] + _SEPARATORS[-1], as json.dumps(sort_keys=True) has it.
+_KEYS = tuple(sorted((
+    "id", "seq", "prep", "secret_flip", "message_bit", "basis", "measured_at",
+    "rotation", "loss_site", "loss_leg", "clicked", "g", "assigned_g", "attacked",
+)))
+_SEPARATORS = (f'{{"{_KEYS[0]}": ',) + tuple(f', "{k}": ' for k in _KEYS[1:]) + ("}\n",)
+_BOOL_JSON = np.array(["false", "true"], dtype=object)
+_SITE_JSON = np.array([json.dumps(_SITE_NAME[c]) for c in sorted(_SITE_NAME)], dtype=object)
+# indexed by 0 never measured, 1 measured by Bob (S1), 2 measured by Alice
+_MEASURED_AT_JSON = np.array(['""', '"bob"', '"alice"'], dtype=object)
+_NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _int_json(col: np.ndarray, fmt: str = "%d") -> tuple[int, np.ndarray]:
+    """(lo, table) with table[v - lo] the JSON text of each value v in col;
+    the table spans col's value range (at most n + 1 for prep and basis)."""
+    lo, hi = int(col.min()), int(col.max())
+    return lo, np.array([fmt % v for v in range(lo, hi + 1)], dtype=object)
+
+
+def _float_json(col: np.ndarray) -> list[str]:
+    """JSON texts of floats, non-finite ones spelled as json.dumps has them."""
+    texts = list(map(repr, col.tolist()))
+    for i in np.flatnonzero(~np.isfinite(col)).tolist():
+        texts[i] = _NONFINITE_JSON[texts[i]]
+    return texts
+
+
+@contextlib.contextmanager
+def atomic_open(path):
+    """Text handle whose contents appear at `path` only once the block
+    completes: it writes a temporary file next to `path` and renames it over
+    `path`, so a failed or interrupted write leaves no partial file."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_transcript(result: ProtocolResult, path) -> None:
     """Line-delimited per-photon records plus one trailing summary record.
 
-    Field names are stable across versions; see README for the schema.
+    Each line is exactly `json.dumps(record, sort_keys=True)`. The records
+    are built from the columns a block of photons at a time: each column
+    becomes its JSON texts (a table lookup for the small-range columns),
+    interleaved with the fixed key separators. Field names are stable
+    across versions; see README for the schema.
     """
     cols = result.photons
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(len(cols)):
-            measured_at = ""
-            if cols.basis[i] >= 0:
-                measured_at = "bob" if cols.sequence[i] == 1 else "alice"
-            rec = {
-                "id": i,
-                "seq": f"S{cols.sequence[i]}",
-                "prep": int(cols.prep[i]),
-                "secret_flip": bool(cols.secret_flip[i]),
-                "message_bit": int(cols.message_bit[i]),
-                "basis": int(cols.basis[i]),
-                "measured_at": measured_at,
-                "rotation": float(cols.rotation[i]),
-                "loss_site": _SITE_NAME[int(cols.loss_site[i])],
-                "loss_leg": int(cols.loss_leg[i]),
-                "clicked": bool(cols.clicked[i]),
-                "g": int(cols.g[i]),
-                "assigned_g": int(cols.assigned_g[i]),
-                "attacked": bool(cols.attacked[i]),
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    # key -> (column, lowest value, JSON texts from the lowest value up)
+    lookups = {
+        "assigned_g": (cols.assigned_g, *_int_json(cols.assigned_g)),
+        "attacked": (cols.attacked, 0, _BOOL_JSON),
+        "basis": (cols.basis, *_int_json(cols.basis)),
+        "clicked": (cols.clicked, 0, _BOOL_JSON),
+        "g": (cols.g, *_int_json(cols.g)),
+        "loss_leg": (cols.loss_leg, *_int_json(cols.loss_leg)),
+        "loss_site": (cols.loss_site, 0, _SITE_JSON),
+        "message_bit": (cols.message_bit, *_int_json(cols.message_bit)),
+        "prep": (cols.prep, *_int_json(cols.prep)),
+        "secret_flip": (cols.secret_flip, 0, _BOOL_JSON),
+        "seq": (cols.sequence, *_int_json(cols.sequence, '"S%d"')),
+    }
+    with atomic_open(path) as fh:
+        for start in range(0, len(cols), _BLOCK_ROWS):
+            block = slice(start, min(start + _BLOCK_ROWS, len(cols)))
+            texts = {key: table[col[block].astype(np.intp) - lo]
+                     for key, (col, lo, table) in lookups.items()}
+            texts["id"] = list(map(str, range(start, block.stop)))
+            measured = np.where(cols.sequence[block] == 1, 1, 2)
+            texts["measured_at"] = _MEASURED_AT_JSON[np.where(cols.basis[block] >= 0, measured, 0)]
+            texts["rotation"] = _float_json(cols.rotation[block])
+            rows = np.empty((block.stop - start, len(_SEPARATORS) + len(_KEYS)), dtype=object)
+            rows[:, 0::2] = _SEPARATORS
+            for k, key in enumerate(_KEYS):
+                rows[:, 2 * k + 1] = texts[key]
+            fh.write("".join(rows.ravel().tolist()))
         fh.write(json.dumps(summary_record(result), sort_keys=True) + "\n")
 
 

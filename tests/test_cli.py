@@ -6,7 +6,7 @@ import math
 import pytest
 
 from rdiqsdc import verify
-from rdiqsdc.cli import main
+from rdiqsdc.cli import _write_rows, main
 from rdiqsdc.config import ConfigError, load_config, parse_value
 
 
@@ -135,6 +135,18 @@ class TestSimulateCommand:
             assert main(argv + ["--out", str(tmp_path), "--workers", "1"]) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and err.count("\n") == 1
+        # non-finite floats, in scalar keys, the tolerance and grid entries
+        for item in ("physics.delta_theta=inf", "physics.delta_theta=nan",
+                     "physics.distance_km=nan", "protocol.tolerance=nan",
+                     "physics.noise_spread=inf", "analysis.r_rep_hz=nan",
+                     "physics.eta_c=1e400", "analysis.grid=0,nan",
+                     "analysis.p1_list=0.1:inf:3"):
+            assert main(["simulate", "--out", str(tmp_path / "nf"), "--set", item]) == 2
+            err = capsys.readouterr().err
+            key = item.split("=")[0]
+            assert err.startswith(f"config error: bad value for {key}: ")
+            assert err.count("\n") == 1
+        assert not (tmp_path / "nf").exists()
 
 
 # sha256 of the files `simulate --seed 0` writes at r = 2000, with the step
@@ -186,6 +198,17 @@ def test_simulate_golden_bytes(tmp_path, case):
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want
     }
     assert got == want
+
+
+def test_failed_csv_write_leaves_no_file(tmp_path):
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("cannot format")
+
+    path = tmp_path / "sweep.csv"
+    with pytest.raises(RuntimeError):
+        _write_rows(path, ["a"], [[1.0], [Unprintable()]], ",")
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestSweepCommand:

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from rdiqsdc import verify
-from rdiqsdc.devices import ChannelNoiseModel, LinkBudget
+from rdiqsdc.adversary import BlindingAttackParams
+from rdiqsdc.devices import ChannelNoiseModel, LinkBudget, NoiseMode
 from rdiqsdc.protocol import (
     BasisPolicy,
     BasisPolicyMode,
@@ -23,6 +24,7 @@ from rdiqsdc.protocol import (
     _SITE_NAME,
     hoeffding_tolerance,
     run_full_protocol,
+    summary_record,
     write_transcript,
 )
 from rdiqsdc.qstate import BasisConfig
@@ -420,6 +422,42 @@ class TestInformationFlow:
         }
 
 
+def reference_transcript(result) -> bytes:
+    """The per-record writer: one dict and one json.dumps per photon."""
+    cols = result.photons
+    lines = []
+    for i in range(len(cols)):
+        measured_at = ""
+        if cols.basis[i] >= 0:
+            measured_at = "bob" if cols.sequence[i] == 1 else "alice"
+        rec = {
+            "id": i,
+            "seq": f"S{cols.sequence[i]}",
+            "prep": int(cols.prep[i]),
+            "secret_flip": bool(cols.secret_flip[i]),
+            "message_bit": int(cols.message_bit[i]),
+            "basis": int(cols.basis[i]),
+            "measured_at": measured_at,
+            "rotation": float(cols.rotation[i]),
+            "loss_site": _SITE_NAME[int(cols.loss_site[i])],
+            "loss_leg": int(cols.loss_leg[i]),
+            "clicked": bool(cols.clicked[i]),
+            "g": int(cols.g[i]),
+            "assigned_g": int(cols.assigned_g[i]),
+            "attacked": bool(cols.attacked[i]),
+        }
+        lines.append(json.dumps(rec, sort_keys=True) + "\n")
+    lines.append(json.dumps(summary_record(result), sort_keys=True) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+def _hand_rotations():
+    result = run_full_protocol(params_for(r=4, seed=5))
+    special = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 5e-324, 0.1 + 0.2, 1e22]
+    result.photons.rotation[:len(special)] = special
+    return result
+
+
 class TestTranscriptExport:
     def test_schema_and_summary(self, tmp_path):
         result = run_full_protocol(params_for(r=20, seed=2))
@@ -448,6 +486,42 @@ class TestTranscriptExport:
         write_transcript(run_full_protocol(params_for(r=25, seed=3)), p1)
         write_transcript(run_full_protocol(params_for(r=25, seed=3)), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    # the per-record writer is the oracle for every byte
+    @pytest.mark.parametrize("make", [
+        # 9000 rows: several blocks, the last one partial
+        lambda: run_full_protocol(params_for(
+            r=3000, n=5, seed=11, link=LinkBudget(distance_km=5.0, eta_m=0.9, eta_d=0.8),
+            noise=ChannelNoiseModel(mode=NoiseMode.PER_PHOTON, delta_theta=0.05,
+                                    family="uniform-interval", spread=0.02),
+            adversary=BlindingAttackParams(p1=0.1, p2=0.5), continue_on_abort=True,
+        )),
+        # basis, g and assigned_g stay -1 on S2 and S3
+        lambda: run_full_protocol(params_for(
+            r=2000, link=LinkBudget(distance_km=30.0), tolerance=0.001)),
+        lambda: run_full_protocol(params_for(r=1, seed=4, tolerance=1.0)),
+        _hand_rotations,
+    ], ids=["attacked-per-photon-n5", "abort-step3", "r1", "special-rotations"])
+    def test_same_bytes_as_per_record_writer(self, tmp_path, make):
+        result = make()
+        path = tmp_path / "transcript.jsonl"
+        write_transcript(result, path)
+        assert path.read_bytes() == reference_transcript(result)
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path):
+        # a loss-site code with no name fails the second of three blocks
+        result = run_full_protocol(params_for(r=3000, seed=6))
+        result.photons.loss_site[5000] = 99
+        path = tmp_path / "transcript.jsonl"
+        with pytest.raises(LookupError):
+            write_transcript(result, path)
+        assert list(tmp_path.iterdir()) == []
+        # an earlier transcript at the same path is left whole
+        path.write_text("earlier\n")
+        with pytest.raises(LookupError):
+            write_transcript(result, path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == "earlier\n"
 
 
 class TestTracedLayers:

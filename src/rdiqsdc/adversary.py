@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy.stats import binom
-
 
 @dataclass(frozen=True)
 class BlindingAttackParams:
@@ -80,6 +78,10 @@ def detection_power(
     hi_k = min(hi_k, m)
     if lo_k > hi_k:
         return 1.0
+    # imported here: scipy.stats takes about a second to import, which every
+    # CLI call would pay otherwise
+    from scipy.stats import binom
+
     pass_prob = binom.cdf(hi_k, m, q) - (binom.cdf(lo_k - 1, m, q) if lo_k > 0 else 0.0)
     return float(min(max(1.0 - pass_prob, 0.0), 1.0))
 

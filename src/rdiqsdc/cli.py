@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import analysis, verify
 from .adversary import BlindingAttackParams, detection_power, predict_attacked_distribution
-from .config import ConfigError, RunConfig, load_config
+from .config import SCHEMA, ConfigError, RunConfig, load_config
 from .protocol import (
     ProtocolRun, atomic_open, hoeffding_tolerance, run_full_protocol, summary_record,
     write_transcript,
@@ -65,11 +65,16 @@ def _load(args) -> RunConfig:
     return load_config(args.config, overrides)
 
 
-def _require_pi_over_4(cfg: RunConfig, cmd: str) -> None:
-    """The closed forms behind sweep and threshold hold only at theta = pi/4."""
+def _require_closed_form_point(cfg: RunConfig, cmd: str) -> None:
+    """The closed forms behind sweep and threshold hold only at theta = pi/4,
+    and their no-click assignment cost min(P1, 1 - P1) is that of the basis
+    policy at the reference n = 8, not at every n."""
     theta = cfg["protocol.theta"]
     if abs(theta - math.pi / 4) > 1e-12:
         raise ConfigError(f"{cmd} uses the theta = pi/4 closed forms; got protocol.theta={theta}")
+    n, n_ref = cfg["protocol.n"], SCHEMA["protocol.n"][0]
+    if n != n_ref:
+        raise ConfigError(f"{cmd} uses the n = {n_ref} closed forms; got protocol.n={n}")
 
 
 def _delim(args) -> str:
@@ -94,9 +99,10 @@ def _fmt(v) -> str:
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
+    params, message = cfg.protocol_params(), cfg.message_bits()
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    result = run_full_protocol(cfg.protocol_params(), cfg.message_bits())
+    result = run_full_protocol(params, message)
     summary = summary_record(result)
     with atomic_open(outdir / "summary.json") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -123,7 +129,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
-    _require_pi_over_4(cfg, "sweep")
+    _require_closed_form_point(cfg, "sweep")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     axis = cfg["analysis.axis"]
@@ -169,7 +175,7 @@ def _write_gnuplot(path: Path, csv_name: str, axis: str, delim: str) -> None:
 
 
 def cmd_threshold(cfg: RunConfig, args) -> int:
-    _require_pi_over_4(cfg, "threshold")
+    _require_closed_form_point(cfg, "threshold")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     dth = cfg["physics.delta_theta"]

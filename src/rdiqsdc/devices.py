@@ -9,6 +9,7 @@ applies them vectorized over whole photon sequences.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,8 @@ class ChannelNoiseModel:
     each photon's rotation independently: family "constant" degenerates to
     the uniform value, family "uniform-interval" draws from
     [delta_theta - spread, delta_theta + spread] (robustness studies only).
+    A photon's rotation over both legs is bounded by
+    2 * (|delta_theta| + spread), which must be a finite number.
     """
 
     mode: NoiseMode = NoiseMode.UNIFORM
@@ -104,6 +107,11 @@ class ChannelNoiseModel:
             raise ValueError(f"unknown noise family: {self.family}")
         if self.spread < 0:
             raise ValueError("spread must be non-negative")
+        if not math.isfinite(2.0 * (abs(self.delta_theta) + self.spread)):
+            raise ValueError(
+                "two-leg rotation bound 2*(|delta_theta| + spread) is not finite: "
+                f"delta_theta={self.delta_theta}, spread={self.spread}"
+            )
 
     def draw(self, size: int, rng: np.random.Generator) -> np.ndarray:
         if self.mode is NoiseMode.UNIFORM or self.family == "constant":

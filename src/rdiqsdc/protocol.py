@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import functools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -101,9 +102,19 @@ class BasisPolicy:
         )
 
 
-def _ideal_p(theta: float, phase: np.ndarray) -> np.ndarray:
-    """Noise-free P(g=0) for the basis phase offsets `phase`."""
-    return born_p(theta, np.full(len(phase), theta), phase)
+def _ideal_p(theta: float, phases: np.ndarray) -> np.ndarray:
+    """Noise-free P(g=0) for each of the basis phase offsets `phases`."""
+    return born_p(theta, np.full(len(phases), theta), phases, np.arange(len(phases)))
+
+
+def _offset_phases(n: int) -> np.ndarray:
+    """Relative phases 2*pi*k/n of a preparation and a measurement index,
+    k = x - y in 1-n .. n-1; k has its phase at entry k + n - 1."""
+    return 2.0 * math.pi * np.arange(1 - n, n) / n
+
+
+# relative phase of the decoding measurement, indexed by the message bit
+_MESSAGE_PHASES = math.pi * np.arange(2.0)
 
 
 def hoeffding_tolerance(m: int, epsilon: float = 1e-6) -> float:
@@ -194,16 +205,16 @@ class MessageFrame:
         if self.payload.shape != self.decoded.shape:
             raise ValueError("payload and decoded lengths differ")
 
-    @property
+    @functools.cached_property
     def n_lost(self) -> int:
         return int(np.sum(self.decoded < 0))
 
-    @property
+    @functools.cached_property
     def n_flipped(self) -> int:
         ok = self.decoded >= 0
         return int(np.sum(self.decoded[ok] != self.payload[ok]))
 
-    @property
+    @functools.cached_property
     def n_ok(self) -> int:
         return len(self.payload) - self.n_lost - self.n_flipped
 
@@ -335,16 +346,27 @@ _SITE_NAME = {v: k.value for k, v in _SITE_CODE.items()}
 
 @dataclass
 class ProtocolResult:
+    """Outcome of a finished run. The per-photon `photons` columns and the
+    `announcements` are built from the run the first time they are read and
+    cached, so a run whose transcript is not written never allocates them."""
+
     params: ProtocolParams
     ledger: SequenceLedger
-    announcements: Optional[Announcements]
     check1: SecurityCheckReport
     check2: Optional[SecurityCheckReport]
     frame: Optional[MessageFrame]
     aborted_at_step: Optional[int]
     stats: Optional[TranscriptStats]
-    photons: TranscriptColumns
-    attack: Optional[AttackOutcomeStats] = None
+    attack: Optional[AttackOutcomeStats]
+    run: "ProtocolRun" = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def photons(self) -> TranscriptColumns:
+        return self.run._columns()
+
+    @functools.cached_property
+    def announcements(self) -> Announcements:
+        return self.run._announcements()
 
     @property
     def completed(self) -> bool:
@@ -499,9 +521,9 @@ class ProtocolRun:
         if len(led.y1) != len(led.s1_pos):
             raise ProtocolViolation("announcement length mismatch in round 1")
 
-        phase = 2.0 * math.pi * (a - led.y1) / self.n
-        self.p1_ideal = _ideal_p(self.theta, phase)
-        p_noisy = born_p(self.theta, self.theta + self.dth1[led.s1_pos], phase)
+        phases, k = _offset_phases(self.n), a - led.y1 + (self.n - 1)
+        self.p1_ideal = _ideal_p(self.theta, phases)[k]
+        p_noisy = born_p(self.theta, self.theta + self.dth1[led.s1_pos], phases, k)
         self.clicked1, self.g1 = self._detect(
             "check1", led.s1_pos, self.in_qm_bob[led.s1_pos], p_noisy,
             self.forced_g1[led.s1_pos],
@@ -543,11 +565,11 @@ class ProtocolRun:
         else:
             led.y2 = led.x2.copy()  # original order against the shuffled stream
 
-        phase = 2.0 * math.pi * (d - led.y2) / self.n
-        self.p2_ideal = _ideal_p(self.theta, phase)
+        phases, k = _offset_phases(self.n), d - led.y2 + (self.n - 1)
+        self.p2_ideal = _ideal_p(self.theta, phases)[k]
         pos = self.return_pos[slots]
         rot = self.dth1[pos] + self.dth2[slots]
-        p_noisy = born_p(self.theta, self.theta + rot, phase)
+        p_noisy = born_p(self.theta, self.theta + rot, phases, k)
         self.clicked2, self.g2 = self._detect(
             "check2", pos, self.alive_at_alice[slots], p_noisy, self.forced_g2[slots]
         )
@@ -565,9 +587,7 @@ class ProtocolRun:
         rot = self.dth1[pos] + self.dth2[slots]
         # measurement against the exact pre-send state: the secret flip
         # cancels, leaving only the message flip in the relative phase
-        msg = self.payload[order]
-        phase = math.pi * msg.astype(np.float64)
-        p_g0 = born_p(self.theta, self.theta + rot, phase)
+        p_g0 = born_p(self.theta, self.theta + rot, _MESSAGE_PHASES, self.payload[order])
         self.clicked3, self.g3 = self._detect(
             "decode", pos, self.alive_at_alice[slots], p_g0, self.forced_g2[slots]
         )
@@ -710,11 +730,10 @@ class ProtocolRun:
 
     def _result(self, aborted_at_step: Optional[int]) -> ProtocolResult:
         return ProtocolResult(
-            params=self.params, ledger=self.ledger,
-            announcements=self._announcements(), check1=self.check1,
+            params=self.params, ledger=self.ledger, check1=self.check1,
             check2=self.check2, frame=self.frame, aborted_at_step=aborted_at_step,
             stats=self._stats() if aborted_at_step is None else None,
-            photons=self._columns(), attack=self._attack_summary(),
+            attack=self._attack_summary(), run=self,
         )
 
     def run(self) -> ProtocolResult:

@@ -148,16 +148,19 @@ def outcome_probability(state: PureState, m: Measurement) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def born_p(theta: float, angles: np.ndarray, phase_diff: np.ndarray) -> np.ndarray:
+def born_p(theta: float, angles: np.ndarray, phases: np.ndarray,
+           index: np.ndarray) -> np.ndarray:
     """Vectorized outcome_probability for the photon engine.
 
-    P(g=0) when the state at amplitude angle `angles` is measured in the
-    basis at amplitude angle theta whose phase trails the state's by
-    `phase_diff`: |cos(theta)cos(t) + e^{i phase_diff} sin(theta)sin(t)|^2.
+    P(g=0) of photon k when the state at amplitude angle t = angles[k] is
+    measured in the basis at amplitude angle theta whose phase trails the
+    state's by phi = phases[index[k]]:
+    |cos(theta)cos(t) + e^{i phi} sin(theta)sin(t)|^2. The relative phase
+    takes few distinct values, so e^{i phi} sin(theta) is evaluated once per
+    entry of `phases` and gathered per photon.
     """
-    inner = math.cos(theta) * np.cos(angles) + np.exp(1j * phase_diff) * math.sin(
-        theta
-    ) * np.sin(angles)
+    rotor = (np.exp(1j * phases) * math.sin(theta))[index]
+    inner = math.cos(theta) * np.cos(angles) + rotor * np.sin(angles)
     return np.clip(np.abs(inner) ** 2, 0.0, 1.0)
 
 

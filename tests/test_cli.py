@@ -2,12 +2,18 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from rdiqsdc import verify
 from rdiqsdc.cli import _write_rows, main
 from rdiqsdc.config import ConfigError, load_config, parse_value
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestConfig:
@@ -146,13 +152,26 @@ class TestSimulateCommand:
             key = item.split("=")[0]
             assert err.startswith(f"config error: bad value for {key}: ")
             assert err.count("\n") == 1
+        # finite values whose two-leg rotation bound overflows
+        for sets in (["physics.delta_theta=1e308"],
+                     ["physics.noise_mode=per-photon", "physics.noise_family=uniform-interval",
+                      "physics.noise_spread=1e308"]):
+            argv = ["simulate", "--out", str(tmp_path / "nf")]
+            for item in sets:
+                argv += ["--set", item]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: two-leg rotation bound ")
+            assert err.count("\n") == 1
         assert not (tmp_path / "nf").exists()
 
 
 # sha256 of the files `simulate --seed 0` writes at r = 2000, with the step
 # each run stops at. Any change to the random streams, the engine or the
 # writers shows up here first. The abort and original-order cases cover the
-# early returns, the second-leg memory losses and the detector losses.
+# early returns, the second-leg memory losses and the detector losses; the
+# per-photon case covers odd n, theta != pi/4, per-photon angles and the
+# uniform policy, the inputs of the engine's Born-rule tables.
 GOLDEN_RUNS = {
     "clean": ([], None, {
         "summary.json": "3debe6bb629a2165517c137e20fcbef4ce9213b180d743c1f35e345a2e0e0a0d",
@@ -181,6 +200,16 @@ GOLDEN_RUNS = {
     ], None, {
         "summary.json": "321e9432c67c52d639e64967dc7e20f96a5d7065fee7f9d0e589c27a37b8e112",
         "transcript.jsonl": "ed0f4fe67974d1dee57e263fc939bfbb5cfeca0e90bfdc8cf655bf7eaaf783f4",
+    }),
+    "per-photon-n5": ([
+        "protocol.n=5", "protocol.theta=0.6", "protocol.policy=uniform",
+        "physics.noise_mode=per-photon", "physics.noise_family=uniform-interval",
+        "physics.noise_spread=0.05", "physics.delta_theta=0.0785398", "physics.eta_m=0.9",
+        "adversary.enabled=true", "adversary.p1=0.1", "adversary.p2=0.4",
+        "protocol.continue_on_abort=true",
+    ], None, {
+        "summary.json": "cb7781ca11a2217ea77770391988462423d85a1a323373f7e3470e5c63005af8",
+        "transcript.jsonl": "8dcb6a15d467ce56be5b9baef53c0c8bfb1a0b9e2e81d6e72088807b2452fa4d",
     }),
 }
 
@@ -283,6 +312,24 @@ class TestThresholdCommand:
         assert err == ("config error: threshold uses the theta = pi/4 closed forms; "
                        "got protocol.theta=0.3\n")
         assert main(argv) == 0
+
+    @pytest.mark.parametrize("cmd", ["threshold", "sweep"])
+    def test_n_other_than_reference_rejected(self, tmp_path, capsys, cmd):
+        # the closed forms' assignment cost is that of n = 8; another n is refused
+        argv = [cmd, "--out", str(tmp_path), "--set", "analysis.p1_list=0.1",
+                "--set", "analysis.grid=0.5"]
+        assert main(argv + ["--set", "protocol.n=3"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {cmd} uses the n = 8 closed forms; got protocol.n=3\n"
+        assert main(argv) == 0
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats is imported only when the detection power is computed
+    code = "import sys, rdiqsdc.cli; assert 'scipy.stats' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestAttackScanCommand:

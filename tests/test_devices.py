@@ -107,6 +107,16 @@ class TestChannelNoiseModel:
         with pytest.raises(ValueError):
             ChannelNoiseModel(family="gaussian")
 
+    def test_two_leg_rotation_bound_must_be_finite(self):
+        # the largest bound that stays finite is accepted, and its two-leg
+        # sum stays finite too
+        model = ChannelNoiseModel(delta_theta=-8e307)
+        assert np.isfinite(2 * model.draw(1, np.random.default_rng(0))).all()
+        for kw in (dict(delta_theta=1e308), dict(delta_theta=-1e308),
+                   dict(delta_theta=5e307, spread=5e307), dict(delta_theta=math.nan)):
+            with pytest.raises(ValueError, match="two-leg rotation bound"):
+                ChannelNoiseModel(mode=NoiseMode.PER_PHOTON, family="uniform-interval", **kw)
+
 
 class TestTransmit:
     def test_ideal_link_applies_rotation(self):

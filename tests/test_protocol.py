@@ -311,6 +311,24 @@ class TestAbortFlow:
         assert not result.check1.passed
 
 
+class TestLazyResult:
+    def test_columns_and_announcements_built_once_on_first_read(self, monkeypatch):
+        # a run whose transcript is not written never builds the per-photon
+        # columns; a read builds them once and later reads see the same object
+        calls = Counter()
+        for name in ("_columns", "_announcements"):
+            def counted(self, _build=getattr(ProtocolRun, name), _name=name):
+                calls[_name] += 1
+                return _build(self)
+            monkeypatch.setattr(ProtocolRun, name, counted)
+        result = run_full_protocol(params_for(r=50, seed=3))
+        summary_record(result)
+        assert not calls
+        assert result.photons is result.photons
+        assert result.announcements is result.announcements
+        assert calls == {"_columns": 1, "_announcements": 1}
+
+
 class TestAccounting:
     def test_loss_sites_partition_population(self):
         params = params_for(

@@ -221,19 +221,46 @@ class TestOutcomeProbability:
 class TestBornP:
     def test_matches_scalar_oracle(self):
         # the engine's vectorized rule against outcome_probability on every
-        # (x, y) pair, with the phase difference formed as the engine does
+        # (x, y) pair, with the phase table and index formed as the engine does
         for n in (3, 5, 8, 16):
             xs, ys = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1), indexing="ij")
             xs, ys = xs.ravel(), ys.ravel()
-            phase = 2.0 * math.pi * (xs - ys) / n
+            phases = 2.0 * math.pi * np.arange(1 - n, n) / n
             for theta in (math.pi / 4, 0.3, 1.2):
                 config = BasisConfig(n=n, theta=theta)
                 for rot in (0.0, math.pi / 40, 0.3):
-                    got = born_p(theta, np.full(len(xs), theta + rot), phase)
+                    got = born_p(theta, np.full(len(xs), theta + rot), phases, xs - ys + n - 1)
                     for x, y, p in zip(xs, ys, got):
                         state = apply_rotation(prepare(int(x), config), ChannelRotation(rot))
                         want = outcome_probability(state, Measurement(int(y), config))
                         assert abs(p - want) <= 1e-12, (n, theta, rot, x, y)
+
+    def test_gathered_table_is_bit_identical_to_per_photon_phases(self):
+        # evaluating e^{i phi} sin(theta) once per table entry and gathering
+        # it gives the floats of the per-photon evaluation, and so does the
+        # ideal-probability table gathered by offset; the sizes reach the
+        # vector loops of the numpy kernels
+        def per_photon(theta, angles, phase):
+            inner = math.cos(theta) * np.cos(angles) + np.exp(1j * phase) * math.sin(
+                theta
+            ) * np.sin(angles)
+            return np.clip(np.abs(inner) ** 2, 0.0, 1.0)
+
+        rng = np.random.default_rng(7)
+        for n, theta in ((3, 0.3), (5, 0.6), (8, math.pi / 4), (16, 1.2)):
+            phases = 2.0 * math.pi * np.arange(1 - n, n) / n
+            k = rng.integers(0, 2 * n - 1, size=100_003)
+            flat = np.full(len(k), theta)
+            for angles in (theta + rng.uniform(-0.3, 0.3, len(k)), flat):
+                want = per_photon(theta, angles, phases[k])
+                assert np.array_equal(born_p(theta, angles, phases, k), want)
+            ideal = born_p(theta, flat[:len(phases)], phases, np.arange(len(phases)))
+            assert np.array_equal(ideal[k], per_photon(theta, flat, phases[k]))
+        bits = rng.integers(0, 2, size=100_003).astype(np.int8)
+        angles = math.pi / 4 + rng.uniform(-0.3, 0.3, len(bits))
+        want = per_photon(math.pi / 4, angles, math.pi * bits.astype(np.float64))
+        got = born_p(math.pi / 4, angles, math.pi * np.arange(2.0), bits)
+        assert np.array_equal(got, want)
 
 
 class TestSampleOutcome:

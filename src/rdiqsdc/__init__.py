@@ -11,14 +11,15 @@ from .analysis import (
     CapacityPoint,
     EfficiencyParams,
     ErrorBudget,
+    OffsetModel,
     binary_entropy,
     delta_theta_threshold,
     error_budget,
-    error_budget_from_offsets,
     eta_threshold,
     fidelity_pair,
     fidelity_threshold,
     max_distance,
+    offset_model,
     practical_efficiency,
     secrecy_capacity,
     sweep,

@@ -3,31 +3,39 @@
 Computes detection gains, error budgets, secrecy message capacity,
 loss/noise security thresholds, maximum secure distance, and practical
 throughput, plus a sweep generator for curve reproduction. All functions
-are pure; the Monte Carlo protocol engine cross-validates these closed
-forms at the event level.
+are pure; the Monte Carlo protocol engine cross-validates them at the
+event level.
 
-Model summary (theta = pi/4, one uniform rotation delta_theta per trip):
+Every error term comes from one model of the checking rounds: the offsets
+d (weights w, phase phi = 2*pi*d/n) that the target-p1 basis policy draws
+at the operating point (P1, n, theta), under one rotation dth per trip:
 
-  one-way gain      Q1 = eta            round-trip gain  Q2 = eta^2
-  state error       e1 = Q1*|2*P1-1|*(1-cos(2*dth))/2
-                    e2 = Q2*|2*P1-1|*(1-cos(4*dth))/2
-  assignment error  e1' = (1-Q1)*min(P1, 1-P1)
-                    e2' = (1-Q2)*min(P1, 1-P1)
+  mean P(g=0) after rotation t  P(t) = linear in m = E[cos(phi)], P(0) = P1
+  gains             Q1 = eta, Q2 = eta^2 (or those of a full link budget)
+  state error       e1 = Q1*|P(0) - P(dth)|,  e2 = Q2*|P(0) - P(2*dth)|
+  assignment error  e1' = (1-Q1)*A,  e2' = (1-Q2)*A,  A = sum w*min(p, 1-p)
   capacity          C_S = Q2*(1-h(e2+e2')) - Q1*h(e1+e1')
 
-where P1 is the first-round probability of outcome g=0 and h the binary
-entropy. A full link budget can replace the bare-eta gains, and a generic
-path accepts an explicit basis-offset distribution and theta.
+with p the ideal P(g=0) of an offset and h the binary entropy: a no-click
+slot is assigned the more likely ideal outcome, wrong with chance min(p,
+1-p). At theta = pi/4 and n = 8 this is the paper's model, P(t) = 1/2 +
+cos(2t)*(2*P1-1)/2 and A = min(P1, 1-P1).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .devices import LinkBudget
+from .protocol import BasisPolicy, BasisPolicyMode, OffsetDistribution
+from .qstate import BasisConfig
 
 _LN2 = math.log(2.0)
+
+# the paper's operating point: eight phase settings at theta = pi/4
+REFERENCE_CONFIG = BasisConfig(n=8)
 
 
 def binary_entropy(x: float) -> float:
@@ -39,19 +47,70 @@ def binary_entropy(x: float) -> float:
     return -(x * math.log(x) + (1.0 - x) * math.log(1.0 - x)) / _LN2
 
 
+def rotated_outcome_probability(cos_phi: float, theta: float, rotation: float) -> float:
+    """P(g=0) of the state at amplitude angle t = theta + rotation measured in
+    the basis at theta whose phase trails it by phi: |cos(theta)cos(t) +
+    e^{i phi} sin(theta)sin(t)|^2. Linear in cos(phi), so at the mean cosine
+    of an offset distribution it is the distribution's mean P(g=0)."""
+    two_t = 2.0 * (theta + rotation)
+    return 0.5 * (1.0 + math.cos(2.0 * theta) * math.cos(two_t)
+                  + math.sin(2.0 * theta) * math.sin(two_t) * cos_phi)
+
+
+@dataclass(frozen=True)
+class OffsetModel:
+    """Checking-round statistics of one basis-offset distribution: E[cos(phi)],
+    the no-click assignment cost sum w*min(p, 1-p) and the weight sum
+    w*[p > 1/2] of offsets whose no-clicks are assigned g=0, p the ideal P(g=0)."""
+
+    theta: float
+    mean_cos: float
+    assign: float
+    assign_g0: float
+
+    @classmethod
+    def of(cls, offsets: OffsetDistribution, theta: float) -> "OffsetModel":
+        cosines = [(w, math.cos(2.0 * math.pi * d / offsets.n))
+                   for d, w in zip(offsets.deltas, offsets.weights)]
+        ideal = [(w, rotated_outcome_probability(c, theta, 0.0)) for w, c in cosines]
+        return cls(theta, math.fsum(w * c for w, c in cosines),
+                   math.fsum(w * min(p, 1.0 - p) for w, p in ideal),
+                   math.fsum(w for w, p in ideal if p > 0.5))
+
+    def p_g0(self, delta_theta: float, trips: int = 1) -> float:
+        """Mean P(g=0) of a clicked check photon after `trips` one-way
+        trips, each rotating it by delta_theta."""
+        if not math.isfinite(2.0 * (self.theta + trips * delta_theta)):
+            raise ValueError(f"delta_theta={delta_theta} is too large: the {trips}-trip "
+                             f"rotation angle 2*(theta + {trips}*delta_theta) is not finite")
+        return rotated_outcome_probability(self.mean_cos, self.theta, trips * delta_theta)
+
+    def shift(self, delta_theta: float, trips: int = 1) -> float:
+        """Signed state error of a clicked photon: ideal minus rotated P(g=0)."""
+        return self.p_g0(0.0) - self.p_g0(delta_theta, trips)
+
+
+@functools.lru_cache(maxsize=256)
+def offset_model(p1: float, config: BasisConfig = REFERENCE_CONFIG) -> OffsetModel:
+    """Model of the target-p1 policy at P1 = p1, built once per operating
+    point; ValueError when the policy cannot reach p1 at this n and theta."""
+    offsets = BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=p1).offsets(config)
+    return OffsetModel.of(offsets, config.theta)
+
+
 @dataclass(frozen=True)
 class CapacityParams:
     """Operating point of the capacity model.
 
     Exactly one of `eta` (bare total detection efficiency, gains eta and
     eta^2) or `link` (full link budget) must be given. `delta_theta` is
-    the rotation per one-way trip; the second-round target distribution
-    is taken equal to p1.
+    the rotation per one-way trip; both checking rounds target p1 with the
+    target-p1 policy at `config`.
     """
 
     p1: float
     delta_theta: float = 0.0
-    theta: float = math.pi / 4
+    config: BasisConfig = REFERENCE_CONFIG
     eta: Optional[float] = None
     link: Optional[LinkBudget] = None
 
@@ -62,8 +121,6 @@ class CapacityParams:
             raise ValueError("exactly one of eta or link must be set")
         if self.eta is not None and not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if not 0.0 < self.theta < math.pi / 2:
-            raise ValueError(f"theta must lie in (0, pi/2), got {self.theta}")
 
     def gains(self) -> tuple[float, float]:
         """(one-way gain, round-trip gain)."""
@@ -111,93 +168,56 @@ class CapacityPoint:
 
 
 def error_budget(params: CapacityParams) -> ErrorBudget:
-    """Closed-form error budget at theta = pi/4 with uniform rotation.
-
-    The mean basis-offset cosine is pinned by the first-round target:
-    E[cos(2*pi*offset/n)] = 2*p1 - 1. Lost photons are assigned the more
-    likely outcome of their ideal per-photon distribution, so each costs
-    min(p, 1-p); with a single-branch offset distribution that averages
-    to min(p1, 1-p1). These reductions hold only at theta = pi/4; other
-    angles must go through error_budget_from_offsets.
-    """
-    if abs(params.theta - math.pi / 4) > 1e-12:
-        raise ValueError(
-            "closed-form budget requires theta = pi/4; "
-            "use error_budget_from_offsets for generic angles"
-        )
+    """Error budget of the operating point from its offset model."""
+    model = offset_model(params.p1, params.config)
     q_ab, q_aba = params.gains()
-    mean_cos = abs(2.0 * params.p1 - 1.0)
-    assign = min(params.p1, 1.0 - params.p1)
     dth = params.delta_theta
     return ErrorBudget(
-        e_ab=q_ab * mean_cos * (1.0 - math.cos(2.0 * dth)) / 2.0,
-        e_ab_assign=(1.0 - q_ab) * assign,
-        e_aba=q_aba * mean_cos * (1.0 - math.cos(4.0 * dth)) / 2.0,
-        e_aba_assign=(1.0 - q_aba) * assign,
+        e_ab=q_ab * abs(model.shift(dth)),
+        e_ab_assign=(1.0 - q_ab) * model.assign,
+        e_aba=q_aba * abs(model.shift(dth, trips=2)),
+        e_aba_assign=(1.0 - q_aba) * model.assign,
     )
 
 
-def ideal_outcome_probability(delta: int, n: int, theta: float) -> float:
-    """Noise-free per-photon P(g=0) for basis offset delta: |cos^2(t) + e^{i 2 pi d / n} sin^2(t)|^2."""
-    c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
-    ang = 2.0 * math.pi * delta / n
-    return (c2 + s2 * math.cos(ang)) ** 2 + (s2 * math.sin(ang)) ** 2
+def _information(q_ab: float, q_aba: float, e_one_way: float, e_round_trip: float):
+    """(I_AB, I_BE bound) from the gains and the total error fractions."""
+    i_ab = q_aba * (1.0 - binary_entropy(min(e_round_trip, 1.0)))
+    i_be = q_ab * binary_entropy(min(e_one_way, 1.0))
+    return i_ab, i_be
 
 
-def error_budget_from_offsets(
-    params: CapacityParams,
-    deltas: Sequence[int],
-    weights: Sequence[float],
-    n: int,
-) -> ErrorBudget:
-    """Generic-theta error budget from an explicit basis-offset distribution.
-
-    Evaluates the state-error sums and the per-photon assignment rule
-    literally instead of reducing them through p1.
-    """
-    if len(deltas) != len(weights):
-        raise ValueError("deltas and weights must have equal length")
-    total = math.fsum(weights)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"offset weights must sum to 1, got {total}")
-    q_ab, q_aba = params.gains()
-    th, dth = params.theta, params.delta_theta
-    mean_cos = math.fsum(
-        w * math.cos(2.0 * math.pi * d / n) for d, w in zip(deltas, weights)
-    )
-    assign = math.fsum(
-        w * min(p, 1.0 - p)
-        for d, w in zip(deltas, weights)
-        for p in (ideal_outcome_probability(d, n, th),)
-    )
-    return ErrorBudget(
-        e_ab=q_ab * abs(mean_cos) * (1.0 - math.sin(2.0 * th + 2.0 * dth)) / 2.0,
-        e_ab_assign=(1.0 - q_ab) * assign,
-        e_aba=q_aba * abs(mean_cos) * (1.0 - math.sin(2.0 * th + 4.0 * dth)) / 2.0,
-        e_aba_assign=(1.0 - q_aba) * assign,
-    )
-
-
-def secrecy_capacity(params: CapacityParams, budget: Optional[ErrorBudget] = None) -> CapacityPoint:
+def secrecy_capacity(params: CapacityParams) -> CapacityPoint:
     """Secrecy message capacity C_S; negative values are reported as-is."""
     q_ab, q_aba = params.gains()
-    b = budget if budget is not None else error_budget(params)
-    i_ab = q_aba * (1.0 - binary_entropy(min(b.total_round_trip, 1.0)))
-    i_be = q_ab * binary_entropy(min(b.total_one_way, 1.0))
+    b = error_budget(params)
+    i_ab, i_be = _information(q_ab, q_aba, b.total_one_way, b.total_round_trip)
     return CapacityPoint(
         params=params, q_ab=q_ab, q_aba=q_aba, budget=b,
         i_ab=i_ab, i_be_bound=i_be, c_s=i_ab - i_be,
     )
 
 
-def _cs_at_eta(eta: float, p1: float, delta_theta: float) -> float:
-    return secrecy_capacity(CapacityParams(p1=p1, delta_theta=delta_theta, eta=eta)).c_s
+def _cs_of_eta(p1: float, delta_theta: float, config: BasisConfig) -> Callable[[float], float]:
+    """C_S as a function of the bare efficiency eta at one operating point.
+    The rotation terms do not depend on eta, so they are evaluated here once
+    rather than on every step of a scan."""
+    model = offset_model(p1, config)
+    e1, e2, a = abs(model.shift(delta_theta)), abs(model.shift(delta_theta, trips=2)), model.assign
+
+    def cs(eta: float) -> float:
+        q1, q2 = eta, eta**2
+        i_ab, i_be = _information(q1, q2, q1 * e1 + (1.0 - q1) * a, q2 * e2 + (1.0 - q2) * a)
+        return i_ab - i_be
+
+    return cs
 
 
 SCAN_RESOLUTION = 1e-3
 
 
-def eta_threshold(p1: float, delta_theta: float = 0.0, solver_tol: float = 1e-6) -> Optional[float]:
+def eta_threshold(p1: float, delta_theta: float = 0.0, solver_tol: float = 1e-6,
+                  config: BasisConfig = REFERENCE_CONFIG) -> Optional[float]:
     """Largest root of C_S(eta) = 0 on (0, 1], or None when no sign change.
 
     Scans downward from eta = 1 at SCAN_RESOLUTION for the highest
@@ -207,14 +227,13 @@ def eta_threshold(p1: float, delta_theta: float = 0.0, solver_tol: float = 1e-6)
     """
     if not 0.0 < p1 < 1.0:
         raise ValueError(f"p1 must lie in (0, 1), got {p1}")
+    cs = _cs_of_eta(p1, delta_theta, config)
     steps = int(round(1.0 / SCAN_RESOLUTION))
     grid = [k * SCAN_RESOLUTION for k in range(steps, 0, -1)]
     grid += [SCAN_RESOLUTION / 2.0**j for j in range(1, 48)]
-    hi = None
-    hi_val = None
-    lo = None
+    hi = hi_val = lo = None
     for eta in grid:
-        val = _cs_at_eta(eta, p1, delta_theta)
+        val = cs(eta)
         if hi is not None and val <= 0.0 < hi_val:
             lo = eta
             break
@@ -225,7 +244,7 @@ def eta_threshold(p1: float, delta_theta: float = 0.0, solver_tol: float = 1e-6)
     # tiny roots keep enough precision for the distance mapping
     while hi - lo > min(solver_tol, 1e-3 * hi):
         mid = 0.5 * (lo + hi)
-        if _cs_at_eta(mid, p1, delta_theta) > 0.0:
+        if cs(mid) > 0.0:
             hi = mid
         else:
             lo = mid
@@ -239,35 +258,41 @@ def max_distance(
     eta_m: float = 1.0,
     eta_d: float = 1.0,
     alpha_db_per_km: float = 0.2,
+    *, eta_star: Optional[float], config: BasisConfig = REFERENCE_CONFIG,
 ) -> Optional[float]:
     """Maximum secure distance in km, inverting the attenuation law at the
-    eta threshold. None when the link cannot reach the threshold even at
-    zero distance; inf when C_S never changes sign but is positive at 1,
-    or when lossless fiber (alpha = 0) reaches the threshold at all."""
-    star = eta_threshold(p1, delta_theta)
-    if star is None:
-        return math.inf if _cs_at_eta(1.0, p1, delta_theta) > 0.0 else None
+    threshold eta_star = eta_threshold(p1, delta_theta, config=config),
+    which the caller has solved. None when the link cannot reach the
+    threshold even at zero distance; inf when C_S never changes sign but is
+    positive at 1, or when lossless fiber (alpha = 0) reaches the threshold
+    at all."""
+    if eta_star is None:
+        return math.inf if _cs_of_eta(p1, delta_theta, config)(1.0) > 0.0 else None
     budget = eta_c * eta_m * eta_d
-    if star > budget:
+    if eta_star > budget:
         return None
     if alpha_db_per_km == 0.0:
         return math.inf
-    return -(10.0 / alpha_db_per_km) * math.log10(star / budget)
+    return -(10.0 / alpha_db_per_km) * math.log10(eta_star / budget)
 
 
 DTH_SCAN_MAX = 0.3 * math.pi
 
 
-def delta_theta_threshold(p1: float, solver_tol: float = 1e-6) -> Optional[float]:
+def delta_theta_threshold(p1: float, solver_tol: float = 1e-6,
+                          config: BasisConfig = REFERENCE_CONFIG) -> Optional[float]:
     """Smallest root of C_S(delta_theta) = 0 on (0, 0.3*pi) at eta = 1.
 
     None means C_S keeps one sign over the scan range (noise-robust when
     positive)."""
     if not 0.0 < p1 < 1.0:
         raise ValueError(f"p1 must lie in (0, 1), got {p1}")
+    model = offset_model(p1, config)
 
     def cs(dth: float) -> float:
-        return secrecy_capacity(CapacityParams(p1=p1, delta_theta=dth, eta=1.0)).c_s
+        i_ab, i_be = _information(1.0, 1.0, abs(model.shift(dth)),
+                                  abs(model.shift(dth, trips=2)))
+        return i_ab - i_be
 
     steps = int(math.ceil(DTH_SCAN_MAX / SCAN_RESOLUTION))
     prev_x, prev_val = 0.0, cs(0.0)
@@ -331,6 +356,7 @@ def sweep(
     delta_theta: float = 0.0,
     link: Optional[LinkBudget] = None,
     efficiency: Optional[EfficiencyParams] = None,
+    config: BasisConfig = REFERENCE_CONFIG,
 ) -> list[CapacityPoint]:
     """Evaluate one capacity point per grid value.
 
@@ -341,21 +367,15 @@ def sweep(
     if axis not in ("eta", "L", "delta_theta"):
         raise ValueError(f"unknown sweep axis: {axis}")
     pts = []
-    for v in values:
+    for v in map(float, values):
         if axis == "eta":
-            params = CapacityParams(p1=p1, delta_theta=delta_theta, eta=float(v))
+            gain = {"eta": v}
         elif axis == "L":
-            base = link if link is not None else LinkBudget()
-            params = CapacityParams(
-                p1=p1, delta_theta=delta_theta,
-                link=replace(base, distance_km=float(v)),
-            )
+            gain = {"link": replace(link or LinkBudget(), distance_km=v)}
         else:
-            if link is not None:
-                params = CapacityParams(p1=p1, delta_theta=float(v), link=link)
-            else:
-                params = CapacityParams(p1=p1, delta_theta=float(v), eta=1.0)
-        point = secrecy_capacity(params)
+            gain = {"eta": 1.0} if link is None else {"link": link}
+        dth = v if axis == "delta_theta" else delta_theta
+        point = secrecy_capacity(CapacityParams(p1=p1, delta_theta=dth, config=config, **gain))
         e_s = practical_efficiency(point.c_s, efficiency) if efficiency else None
-        pts.append(replace(point, e_s=e_s, axis_value=float(v)))
+        pts.append(replace(point, e_s=e_s, axis_value=v))
     return pts

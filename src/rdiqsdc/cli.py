@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import analysis, verify
 from .adversary import BlindingAttackParams, detection_power, predict_attacked_distribution
-from .config import SCHEMA, ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config
 from .protocol import (
     ProtocolRun, atomic_open, hoeffding_tolerance, run_full_protocol, summary_record,
     write_transcript,
@@ -65,23 +65,12 @@ def _load(args) -> RunConfig:
     return load_config(args.config, overrides)
 
 
-def _require_closed_form_point(cfg: RunConfig, cmd: str) -> None:
-    """The closed forms behind sweep and threshold hold only at theta = pi/4,
-    and their no-click assignment cost min(P1, 1 - P1) is that of the basis
-    policy at the reference n = 8, not at every n."""
-    theta = cfg["protocol.theta"]
-    if abs(theta - math.pi / 4) > 1e-12:
-        raise ConfigError(f"{cmd} uses the theta = pi/4 closed forms; got protocol.theta={theta}")
-    n, n_ref = cfg["protocol.n"], SCHEMA["protocol.n"][0]
-    if n != n_ref:
-        raise ConfigError(f"{cmd} uses the n = {n_ref} closed forms; got protocol.n={n}")
-
-
 def _delim(args) -> str:
     return "\t" if args.format == "tsv" else ","
 
 
 def _write_rows(path: Path, header: list[str], rows: list[list], delim: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_open(path) as fh:
         fh.write(delim.join(header) + "\n")
         for row in rows:
@@ -101,23 +90,19 @@ def _fmt(v) -> str:
 def cmd_simulate(cfg: RunConfig, args) -> int:
     params, message = cfg.protocol_params(), cfg.message_bits()
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     result = run_full_protocol(params, message)
     summary = summary_record(result)
+    outdir.mkdir(parents=True, exist_ok=True)
     with atomic_open(outdir / "summary.json") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if cfg["output.transcript"]:
         write_transcript(result, outdir / "transcript.jsonl")
-    c1 = result.check1
-    print(f"round 1 check: theoretical {c1.theoretical_p_g0:.6f}, "
-          f"empirical {c1.empirical_p_g0:.6f}, "
-          f"{'pass' if c1.passed else 'ABORT'} (tol {c1.tolerance:.4f})")
-    if result.check2 is not None:
-        c2 = result.check2
-        print(f"round 2 check: theoretical {c2.theoretical_p_g0:.6f}, "
-              f"empirical {c2.empirical_p_g0:.6f}, "
-              f"{'pass' if c2.passed else 'ABORT'} (tol {c2.tolerance:.4f})")
+    for c in (result.check1, result.check2):
+        if c is not None:
+            print(f"round {c.round_index} check: theoretical {c.theoretical_p_g0:.6f}, "
+                  f"empirical {c.empirical_p_g0:.6f}, "
+                  f"{'pass' if c.passed else 'ABORT'} (tol {c.tolerance:.4f})")
     if result.aborted_at_step is not None:
         print(f"run terminated by the step-{result.aborted_at_step} check")
     elif result.frame is not None:
@@ -129,20 +114,20 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
-    _require_closed_form_point(cfg, "sweep")
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     axis = cfg["analysis.axis"]
     grid = cfg["analysis.grid"]
     if not grid:
         raise ConfigError("analysis.grid is empty; set analysis.grid")
     dth = cfg["physics.delta_theta"]
     eff = cfg.efficiency()
+    config = cfg.basis_config()
     rows = []
     for p1 in cfg["analysis.p1_list"]:
         link = cfg.link() if axis == "L" else None
         points = analysis.sweep(
-            axis, grid, p1=float(p1), delta_theta=dth, link=link, efficiency=eff
+            axis, grid, p1=float(p1), delta_theta=dth, link=link, efficiency=eff,
+            config=config,
         )
         for pt in points:
             rows.append([
@@ -175,26 +160,26 @@ def _write_gnuplot(path: Path, csv_name: str, axis: str, delim: str) -> None:
 
 
 def cmd_threshold(cfg: RunConfig, args) -> int:
-    _require_closed_form_point(cfg, "threshold")
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     dth = cfg["physics.delta_theta"]
     eta_c, eta_m, eta_d = cfg["physics.eta_c"], cfg["physics.eta_m"], cfg["physics.eta_d"]
     alpha = cfg["physics.alpha_db_per_km"]
+    config = cfg.basis_config()
     rows = []
     for p1 in cfg["analysis.p1_list"]:
         p1 = float(p1)
-        eta_star = analysis.eta_threshold(p1, dth)
-        eta_star0 = analysis.eta_threshold(p1, 0.0)
-        l_max = analysis.max_distance(p1, dth, eta_c, eta_m, eta_d, alpha)
-        l_max0 = analysis.max_distance(p1, 0.0, eta_c, eta_m, eta_d, alpha)
-        dth_star = analysis.delta_theta_threshold(p1)
+        eta_star = analysis.eta_threshold(p1, dth, config=config)
+        eta_star0 = analysis.eta_threshold(p1, 0.0, config=config)
+        l_max, l_max0 = (
+            analysis.max_distance(p1, d, eta_c, eta_m, eta_d, alpha, eta_star=star, config=config)
+            for d, star in ((dth, eta_star), (0.0, eta_star0))
+        )
+        dth_star = analysis.delta_theta_threshold(p1, config=config)
         fid = analysis.fidelity_pair(dth_star) if dth_star is not None else (None, None)
         rows.append([p1, eta_star, eta_star0, l_max, l_max0, dth_star, fid[0], fid[1]])
     header = ["p1", "eta_star", "eta_star_noiseless", "l_max_km",
               "l_max_noiseless_km", "dth_star", "fidelity_one_trip",
               "fidelity_two_trip"]
-    path = outdir / f"thresholds.{args.format}"
+    path = Path(args.out) / f"thresholds.{args.format}"
     _write_rows(path, header, rows, _delim(args))
 
     print(f"{'p1':>8} {'eta*':>10} {'eta*(0)':>10} {'L_max km':>10} "
@@ -222,8 +207,6 @@ def _attack_point(job) -> list:
 
 
 def cmd_attack_scan(cfg: RunConfig, args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     base = cfg.protocol_params()
     target = cfg["protocol.p1_target"] if cfg["protocol.policy"] == "target-p1" else 0.5
     r = cfg["attack.r"]
@@ -246,7 +229,7 @@ def cmd_attack_scan(cfg: RunConfig, args) -> int:
         rows = [_attack_point(job) for job in jobs]
     header = ["p1_attack", "p2_attack", "predicted_p_g0", "empirical_p_g0",
               "abort_probability", "aborted"]
-    path = outdir / f"attack_scan.{args.format}"
+    path = Path(args.out) / f"attack_scan.{args.format}"
     _write_rows(path, header, rows, _delim(args))
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
@@ -266,18 +249,9 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load(args)
-        if args.cmd == "simulate":
-            return cmd_simulate(cfg, args)
-        if args.cmd == "sweep":
-            return cmd_sweep(cfg, args)
-        if args.cmd == "threshold":
-            return cmd_threshold(cfg, args)
-        if args.cmd == "attack-scan":
-            return cmd_attack_scan(cfg, args)
-        if args.cmd == "verify":
-            return cmd_verify(cfg, args)
-        raise ConfigError(f"unknown command {args.cmd!r}")
+        command = {"simulate": cmd_simulate, "sweep": cmd_sweep, "threshold": cmd_threshold,
+                   "attack-scan": cmd_attack_scan, "verify": cmd_verify}[args.cmd]
+        return command(_load(args), args)
     except ValueError as exc:  # ConfigError and the domain objects' own checks
         print(f"config error: {exc}", file=sys.stderr)
         return 2

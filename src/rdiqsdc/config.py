@@ -20,7 +20,7 @@ import numpy as np
 from .adversary import BlindingAttackParams
 from .analysis import EfficiencyParams
 from .devices import ChannelNoiseModel, LinkBudget, NoiseMode, memory_efficiency
-from .protocol import BasisPolicy, BasisPolicyMode, ProtocolParams, Round2Mode
+from .protocol import BasisPolicy, BasisPolicyMode, ProtocolParams, Round2Mode, hoeffding_tolerance
 from .qstate import BasisConfig
 
 ENV_CONFIG = "RDIQSDC_CONFIG"
@@ -65,6 +65,12 @@ def _parse_tolerance(s: str):
     return _parse_float(s)
 
 
+def _parse_epsilon(s: str) -> float:
+    eps = _parse_float(s)
+    hoeffding_tolerance(1, eps)  # rejects a budget that leaves no finite tolerance
+    return eps
+
+
 def _identity(s: str) -> str:
     return s.strip()
 
@@ -77,7 +83,7 @@ SCHEMA: dict[str, tuple] = {
     "protocol.policy": ("target-p1", _identity, "basis policy: uniform | target-p1"),
     "protocol.p1_target": (0.1, _parse_float, "first-round P(g=0) target for target-p1"),
     "protocol.tolerance": (None, _parse_tolerance, "check tolerance: hoeffding | float"),
-    "protocol.epsilon": (1e-6, _parse_float, "failure budget for the hoeffding tolerance"),
+    "protocol.epsilon": (1e-6, _parse_epsilon, "failure budget for the hoeffding tolerance"),
     "protocol.message": ("random", _identity, "payload: random | bit string"),
     "protocol.seed": (0, int, "master seed"),
     "protocol.round2_mode": ("policy", _identity, "second-round bases: policy | original-order"),

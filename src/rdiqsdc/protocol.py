@@ -50,6 +50,10 @@ class OffsetDistribution:
     deltas: tuple[int, ...]
     weights: tuple[float, ...]
 
+    def __post_init__(self) -> None:
+        if len(self.deltas) != len(self.weights) or abs(math.fsum(self.weights) - 1.0) > 1e-9:
+            raise ValueError("offset weights must pair with the deltas and sum to 1")
+
     def expected_p_g0(self, theta: float = math.pi / 4) -> float:
         probs = _ideal_p(theta, 2.0 * math.pi * np.asarray(self.deltas) / self.n)
         return math.fsum(w * float(p) for w, p in zip(self.weights, probs))
@@ -64,10 +68,9 @@ class BasisPolicy:
     """How measurement bases relate to preparation bases in the checks.
 
     UNIFORM draws the offset uniformly (expected first-round P(g=0) = 0.5
-    for every n); TARGET_P1 mixes the two offsets whose ideal outcome
+    for every n at theta = pi/4); TARGET_P1 mixes the two offsets whose ideal outcome
     probabilities bracket the requested target, hitting it exactly in
-    expectation. A target of exactly 0.5 degenerates to the uniform
-    distribution, which realizes it for every n.
+    expectation, or the one offset that realizes it alone.
     """
 
     mode: BasisPolicyMode = BasisPolicyMode.UNIFORM
@@ -82,7 +85,7 @@ class BasisPolicy:
 
     def offsets(self, config: BasisConfig) -> OffsetDistribution:
         n = config.n
-        if self.mode is BasisPolicyMode.UNIFORM or self.target == 0.5:
+        if self.mode is BasisPolicyMode.UNIFORM:
             return OffsetDistribution(
                 n=n, deltas=tuple(range(n)), weights=(1.0 / n,) * n
             )
@@ -123,7 +126,10 @@ def hoeffding_tolerance(m: int, epsilon: float = 1e-6) -> float:
         raise ValueError("m must be positive")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    return math.sqrt(math.log(2.0 / epsilon) / (2.0 * m))
+    tol = math.sqrt(math.log(2.0 / epsilon) / (2.0 * m))
+    if not math.isfinite(tol):  # 2/epsilon overflows; an infinite tolerance passes every check
+        raise ValueError(f"epsilon={epsilon} is too small for a finite tolerance")
+    return tol
 
 
 class Round2Mode(enum.Enum):

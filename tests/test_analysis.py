@@ -3,6 +3,7 @@
 Derived expectations are either recomputed here with independent
 arithmetic (mpmath, direct formula chains) or frozen from those oracles.
 """
+import cmath
 import math
 
 import mpmath
@@ -11,20 +12,76 @@ import pytest
 from rdiqsdc.analysis import (
     CapacityParams,
     EfficiencyParams,
+    OffsetModel,
     binary_entropy,
     delta_theta_threshold,
     error_budget,
-    error_budget_from_offsets,
     eta_threshold,
     fidelity_pair,
     fidelity_threshold,
-    ideal_outcome_probability,
     max_distance,
+    offset_model,
     practical_efficiency,
+    rotated_outcome_probability,
     secrecy_capacity,
     sweep,
 )
 from rdiqsdc.devices import LinkBudget
+from rdiqsdc.protocol import BasisPolicy, BasisPolicyMode, OffsetDistribution
+from rdiqsdc.qstate import (
+    BasisConfig, ChannelRotation, Measurement, apply_rotation, outcome_probability, prepare,
+)
+
+P1_LIST = (0.001, 0.1, 0.2, 0.3, 0.4, 0.5)
+
+
+def quarter_pi_budget(p1: float, q_ab: float, q_aba: float, dth: float) -> tuple:
+    """The paper's reduction at theta = pi/4 and n = 8: E[cos(phi)] = 2*P1 - 1
+    and the assignment cost min(P1, 1 - P1)."""
+    mean_cos, assign = abs(2.0 * p1 - 1.0), min(p1, 1.0 - p1)
+    return (
+        q_ab * mean_cos * (1.0 - math.cos(2.0 * dth)) / 2.0,
+        (1.0 - q_ab) * assign,
+        q_aba * mean_cos * (1.0 - math.cos(4.0 * dth)) / 2.0,
+        (1.0 - q_aba) * assign,
+    )
+
+
+def brute_mean_p(p1: float, config: BasisConfig, rotation: float) -> float:
+    """Mean P(g=0) of the target-p1 policy's check photons after `rotation`,
+    photon by photon through the scalar state algebra."""
+    offs = BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=p1).offsets(config)
+    n = config.n
+    return math.fsum(
+        w / n * outcome_probability(
+            apply_rotation(prepare(x, config), ChannelRotation(rotation)),
+            Measurement(((x - d - 1) % n) + 1, config),
+        )
+        for d, w in zip(offs.deltas, offs.weights)
+        for x in range(1, n + 1)
+    )
+
+
+def brute_assign(p1: float, config: BasisConfig) -> float:
+    offs = BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=p1).offsets(config)
+    n = config.n
+    ideal = (
+        outcome_probability(prepare(n, config), Measurement(((-d - 1) % n) + 1, config))
+        for d in offs.deltas
+    )
+    return math.fsum(w * min(p, 1.0 - p) for w, p in zip(offs.weights, ideal))
+
+
+def brute_capacity(p1: float, config: BasisConfig, eta: float, dth: float) -> float:
+    q1, q2 = eta, eta * eta
+    p0, assign = brute_mean_p(p1, config, 0.0), brute_assign(p1, config)
+    e1 = q1 * abs(p0 - brute_mean_p(p1, config, dth)) + (1.0 - q1) * assign
+    e2 = q2 * abs(p0 - brute_mean_p(p1, config, 2.0 * dth)) + (1.0 - q2) * assign
+    return q2 * (1.0 - binary_entropy(e2)) - q1 * binary_entropy(e1)
+
+
+def l_max(p1: float, dth: float, **kw):
+    return max_distance(p1, dth, eta_star=eta_threshold(p1, dth), **kw)
 
 
 def mp_entropy(x: str) -> float:
@@ -78,6 +135,9 @@ class TestCapacityParams:
         with pytest.raises(ValueError):
             CapacityParams(p1=1.2, eta=1.0)
 
+    def test_reference_basis_config_by_default(self):
+        assert CapacityParams(p1=0.1, eta=1.0).config == BasisConfig(n=8, theta=math.pi / 4)
+
 
 class TestErrorBudget:
     def test_ideal_point_is_error_free(self):
@@ -110,53 +170,101 @@ class TestErrorBudget:
             assert a.total_round_trip == pytest.approx(b.total_round_trip, abs=1e-12)
 
     def test_generic_offset_path_matches_reduced_form(self):
-        # single-branch offset distribution at theta = pi/4
-        from rdiqsdc.protocol import BasisPolicy, BasisPolicyMode
-        from rdiqsdc.qstate import BasisConfig
-
-        config = BasisConfig(n=8)
-        offs = BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=0.1).offsets(config)
-        params = CapacityParams(p1=0.1, delta_theta=0.05, eta=0.6)
-        reduced = error_budget(params)
-        generic = error_budget_from_offsets(params, offs.deltas, offs.weights, config.n)
-        assert generic.e_ab == pytest.approx(reduced.e_ab, abs=1e-12)
-        assert generic.e_ab_assign == pytest.approx(reduced.e_ab_assign, abs=1e-12)
-        assert generic.e_aba == pytest.approx(reduced.e_aba, abs=1e-12)
+        # at the reference point the offset model reduces to the paper's
+        # closed form, over the reference P1 list and its mirror
+        for p1 in P1_LIST + tuple(1.0 - p for p in P1_LIST):
+            for eta in (0.3, 0.7, 1.0):
+                for dth in (0.0, math.pi / 400, math.pi / 40, 0.3, 1.2):
+                    b = error_budget(CapacityParams(p1=p1, delta_theta=dth, eta=eta))
+                    got = (b.e_ab, b.e_ab_assign, b.e_aba, b.e_aba_assign)
+                    want = quarter_pi_budget(p1, eta, eta**2, dth)
+                    assert got == pytest.approx(want, abs=1e-12)
 
     def test_generic_path_branch_sensitivity(self):
         # n=5 offsets bracketing 0.4 straddle one half: the per-photon
         # assignment rule then costs less than the reduced min(p1, 1-p1)
-        from rdiqsdc.protocol import BasisPolicy, BasisPolicyMode
-        from rdiqsdc.qstate import BasisConfig
-
         config = BasisConfig(n=5)
         offs = BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=0.4).offsets(config)
-        params = CapacityParams(p1=0.4, delta_theta=0.0, eta=0.5)
-        generic = error_budget_from_offsets(params, offs.deltas, offs.weights, config.n)
-        oracle = 0.5 * math.fsum(
+        model = offset_model(0.4, config)
+        oracle = math.fsum(
             w * min(p, 1 - p)
             for d, w in zip(offs.deltas, offs.weights)
             for p in (math.cos(math.pi * d / 5) ** 2,)
         )
-        assert generic.e_ab_assign == pytest.approx(oracle, abs=1e-12)
-        assert generic.e_ab_assign < error_budget(params).e_ab_assign
-
-    def test_weight_validation(self):
-        params = CapacityParams(p1=0.1, eta=1.0)
-        with pytest.raises(ValueError):
-            error_budget_from_offsets(params, [0, 1], [0.7, 0.7], 8)
-        with pytest.raises(ValueError):
-            error_budget_from_offsets(params, [0], [0.5, 0.5], 8)
+        assert model.assign == pytest.approx(oracle, abs=1e-12)
+        assert model.assign < 0.4
+        # the offset above one half is the one whose no-clicks are assigned g=0
+        assert model.assign_g0 == pytest.approx(
+            sum(w for d, w in zip(offs.deltas, offs.weights) if d in (1, 4)), abs=1e-12)
+        b = error_budget(CapacityParams(p1=0.4, config=config, eta=0.5))
+        assert b.e_ab_assign == pytest.approx(0.5 * oracle, abs=1e-12)
 
     def test_reduced_form_requires_quarter_pi(self):
-        # the 2*p1-1 reduction only holds at theta = pi/4
+        # away from pi/4 the phase-independent part of the Born shift no
+        # longer cancels, so the 2*p1-1 reduction misses most of the error
+        config = BasisConfig(n=8, theta=0.6)
+        b = error_budget(CapacityParams(p1=0.3, delta_theta=math.pi / 40, config=config, eta=1.0))
+        brute = brute_mean_p(0.3, config, 0.0) - brute_mean_p(0.3, config, math.pi / 40)
+        assert b.e_ab == pytest.approx(abs(brute), abs=1e-12)
+        assert b.e_ab == pytest.approx(0.0401, abs=1e-4)
+        assert quarter_pi_budget(0.3, 1.0, 1.0, math.pi / 40)[0] < 0.01
+        shift = offset_model(0.3, BasisConfig(n=5, theta=0.6)).shift(0.05)
+        assert shift == pytest.approx(0.0262, abs=1e-4)
+
+    def test_weight_validation(self):
+        # the model takes its offsets and weights from an OffsetDistribution
         with pytest.raises(ValueError):
-            error_budget(CapacityParams(p1=0.1, eta=1.0, theta=0.6))
-        generic = error_budget_from_offsets(
-            CapacityParams(p1=0.1, eta=0.8, theta=0.6, delta_theta=0.05),
-            [0, 3], [0.4, 0.6], 8,
-        )
-        assert generic.total_one_way > 0
+            OffsetDistribution(n=8, deltas=(0, 1), weights=(0.7, 0.7))
+        with pytest.raises(ValueError):
+            OffsetDistribution(n=8, deltas=(0,), weights=(0.5, 0.5))
+
+
+class TestOffsetModel:
+    # (n, theta, P1, delta_theta): away from pi/4 the phase-independent part
+    # of the Born shift no longer cancels
+    POINTS = [(8, 0.6, 0.3, math.pi / 40), (5, 0.6, 0.3, 0.05), (8, 1.0, 0.5, 0.1),
+              (5, 0.6, 0.6, math.pi / 40), (8, math.pi / 4, 0.1, math.pi / 40)]
+
+    @pytest.mark.parametrize("n,theta,p1,dth", POINTS)
+    def test_matches_scalar_state_algebra(self, n, theta, p1, dth):
+        config = BasisConfig(n=n, theta=theta)
+        model = offset_model(p1, config)
+        p0 = brute_mean_p(p1, config, 0.0)
+        assert model.p_g0(0.0) == pytest.approx(p1, abs=1e-12)
+        assert p0 == pytest.approx(p1, abs=1e-12)
+        for trips in (1, 2):
+            rotated = brute_mean_p(p1, config, trips * dth)
+            assert model.p_g0(dth, trips) == pytest.approx(rotated, abs=1e-12)
+            assert model.shift(dth, trips) == pytest.approx(p0 - rotated, abs=1e-12)
+        assert model.assign == pytest.approx(brute_assign(p1, config), abs=1e-12)
+
+    def test_half_is_the_single_offset_at_n8(self):
+        # P1 = 0.5 is realized by one offset with p = 1/2, as the paper assumes
+        model = offset_model(0.5)
+        assert model.assign == pytest.approx(0.5, abs=1e-15)
+        assert model.assign_g0 == 0.0
+        assert abs(model.mean_cos) < 1e-15
+
+    @pytest.mark.parametrize("theta", [math.pi / 4, 0.6])
+    def test_any_offset_distribution(self, theta):
+        # the uniform policy: E[cos(phi)] = 0, so P(g=0) = (1 + cos^2(2*theta)) / 2
+        offs = BasisPolicy(mode=BasisPolicyMode.UNIFORM).offsets(BasisConfig(n=5, theta=theta))
+        model = OffsetModel.of(offs, theta)
+        assert model.p_g0(0.0) == pytest.approx(offs.expected_p_g0(theta), abs=1e-12)
+        assert model.p_g0(0.0) == pytest.approx((1 + math.cos(2 * theta) ** 2) / 2, abs=1e-12)
+
+    def test_unreachable_target(self):
+        # n = 5 at pi/4 cannot go below cos^2(2*pi/5)
+        with pytest.raises(ValueError, match="outside the reachable range"):
+            offset_model(0.001, BasisConfig(n=5))
+
+    @pytest.mark.parametrize("dth", [1e308, 5e307, -1e308])
+    def test_overflowing_rotation_names_delta_theta(self, dth):
+        # 5e307 keeps the one-trip angle finite, but not the round trip's
+        for solve in (lambda: eta_threshold(0.1, dth),
+                      lambda: secrecy_capacity(CapacityParams(p1=0.1, delta_theta=dth, eta=1.0))):
+            with pytest.raises(ValueError, match=r"^delta_theta=.* is too large"):
+                solve()
 
 
 class TestSecrecyCapacity:
@@ -223,7 +331,7 @@ class TestEtaThreshold:
         assert star == pytest.approx(1.8e-4, rel=0.05)
         assert secrecy_capacity(CapacityParams(p1=1e-5, eta=star * 1.01)).c_s > 0
         assert secrecy_capacity(CapacityParams(p1=1e-5, eta=star * 0.99)).c_s < 0
-        assert max_distance(1e-5, 0.0, eta_c=0.95) == pytest.approx(186.1, abs=0.5)
+        assert l_max(1e-5, 0.0, eta_c=0.95) == pytest.approx(186.1, abs=0.5)
 
     def test_p1_validation(self):
         with pytest.raises(ValueError):
@@ -234,21 +342,30 @@ class TestEtaThreshold:
 
 class TestMaxDistance:
     def test_reference_points(self):
-        assert max_distance(0.1, math.pi / 400, eta_c=0.95) == pytest.approx(14.72, abs=0.2)
-        assert max_distance(0.001, 0.0, eta_c=0.95) == pytest.approx(95.8, abs=0.5)
+        assert l_max(0.1, math.pi / 400, eta_c=0.95) == pytest.approx(14.72, abs=0.2)
+        assert l_max(0.001, 0.0, eta_c=0.95) == pytest.approx(95.8, abs=0.5)
 
     def test_unreachable(self):
         # threshold above what the lossless link can deliver
-        assert max_distance(0.5, 0.0, eta_c=0.5) is None
+        assert l_max(0.5, 0.0, eta_c=0.5) is None
 
     def test_never_secure(self):
-        assert max_distance(0.001, math.pi / 4, eta_c=0.95) is None
+        assert l_max(0.001, math.pi / 4, eta_c=0.95) is None
 
     def test_lossless_fiber_has_no_limit(self):
-        assert max_distance(0.1, math.pi / 400, eta_c=0.95, alpha_db_per_km=0.0) == math.inf
-        assert max_distance(0.001, 0.0, alpha_db_per_km=0.0) == math.inf
+        assert l_max(0.1, math.pi / 400, eta_c=0.95, alpha_db_per_km=0.0) == math.inf
+        assert l_max(0.001, 0.0, alpha_db_per_km=0.0) == math.inf
         # lossless fiber cannot lift a link that misses the threshold at L = 0
-        assert max_distance(0.5, 0.0, eta_c=0.5, alpha_db_per_km=0.0) is None
+        assert l_max(0.5, 0.0, eta_c=0.5, alpha_db_per_km=0.0) is None
+
+    def test_no_root_reads_capacity_at_full_efficiency(self):
+        # without a threshold the distance is unlimited iff C_S(eta = 1) > 0
+        assert max_distance(0.1, 0.0, eta_star=None) == math.inf
+        assert max_distance(0.001, math.pi / 4, eta_star=None) is None
+
+    def test_threshold_is_required(self):
+        with pytest.raises(TypeError):
+            max_distance(0.1, 0.0, eta_c=0.95)
 
 
 class TestDeltaThetaThreshold:
@@ -337,8 +454,14 @@ class TestSweep:
 
 
 def test_ideal_outcome_probability_reduces_to_cosine():
+    # the unrotated outcome probability of offset d at pi/4 is cos^2(pi*d/n)
     for n in (3, 5, 8, 16):
         for d in range(n):
-            assert ideal_outcome_probability(d, n, math.pi / 4) == pytest.approx(
-                math.cos(math.pi * d / n) ** 2, abs=1e-12
-            )
+            p = rotated_outcome_probability(math.cos(2 * math.pi * d / n), math.pi / 4, 0.0)
+            assert p == pytest.approx(math.cos(math.pi * d / n) ** 2, abs=1e-12)
+    # and at any angle it is |cos^2(theta) + e^{i phi} sin^2(theta)|^2
+    for theta in (0.3, 0.6, 1.2):
+        for phi in (0.0, 1.0, math.pi / 2, math.pi, 5.0):
+            want = abs(math.cos(theta) ** 2 + cmath.exp(1j * phi) * math.sin(theta) ** 2) ** 2
+            assert rotated_outcome_probability(math.cos(phi), theta, 0.0) == pytest.approx(
+                want, abs=1e-12)

@@ -1,17 +1,24 @@
 """Config parsing and CLI subcommand tests."""
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rdiqsdc import verify
+from rdiqsdc import analysis, verify
 from rdiqsdc.cli import _write_rows, main
-from rdiqsdc.config import ConfigError, load_config, parse_value
+from rdiqsdc.config import SCHEMA, ConfigError, load_config, parse_value
+from rdiqsdc.qstate import BasisConfig
+from test_analysis import brute_capacity
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -163,6 +170,38 @@ class TestSimulateCommand:
             err = capsys.readouterr().err
             assert err.startswith("config error: two-leg rotation bound ")
             assert err.count("\n") == 1
+        # a failure budget so small that 2/epsilon overflows would leave an
+        # infinite tolerance, which passes every check
+        for argv in (["simulate", "--set", "adversary.enabled=true",
+                      "--set", "adversary.p1=1", "--set", "adversary.p2=1"],
+                     ["attack-scan", "--set", "attack.r=100"]):
+            argv += ["--set", "protocol.epsilon=5e-324", "--out", str(tmp_path / "nf"),
+                     "--workers", "1"]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: bad value for protocol.epsilon: '5e-324' (")
+            assert err.count("\n") == 1
+        # rotations whose round-trip angle overflows in the capacity model,
+        # including 5e307, whose two-leg bound is still finite
+        for cmd, sets in (
+            (cmd, [f"physics.delta_theta={dth}", "analysis.grid=0.5"])
+            for cmd in ("threshold", "sweep") for dth in ("1e308", "5e307")
+        ):
+            argv = [cmd, "--out", str(tmp_path / "nf")]
+            for item in sets:
+                argv += ["--set", item]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: delta_theta=")
+            assert "is too large" in err and err.count("\n") == 1
+        # and the same rotation as a grid entry of the delta_theta axis
+        for dth in ("1e308", "5e307"):
+            argv = ["sweep", "--out", str(tmp_path / "nf"), "--set", "analysis.axis=delta_theta",
+                    "--set", f"analysis.grid=0,{dth}"]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: delta_theta=")
+            assert "is too large" in err and err.count("\n") == 1
         assert not (tmp_path / "nf").exists()
 
 
@@ -304,24 +343,78 @@ class TestThresholdCommand:
         out = capsys.readouterr().out
         assert "DI benchmark" in out and "0.926" in out
 
-    def test_theta_other_than_pi_over_4_rejected(self, tmp_path, capsys):
-        # the closed forms assume theta = pi/4; another angle is refused, not ignored
-        argv = ["threshold", "--out", str(tmp_path), "--set", "analysis.p1_list=0.1"]
-        assert main(argv + ["--set", "protocol.theta=0.3"]) == 2
-        err = capsys.readouterr().err
-        assert err == ("config error: threshold uses the theta = pi/4 closed forms; "
-                       "got protocol.theta=0.3\n")
-        assert main(argv) == 0
+
+class TestBasisConfigInAnalysis:
+    # sweep and threshold model the basis policy at the configured n and theta
+    SETS = ["--set", "protocol.n=5", "--set", "protocol.theta=0.6",
+            "--set", "physics.delta_theta=0.0785398", "--set", "analysis.p1_list=0.3,0.6"]
+    CONFIG = BasisConfig(n=5, theta=0.6)
+
+    def test_sweep_matches_state_algebra(self, tmp_path):
+        argv = ["sweep", "--out", str(tmp_path), "--set", "analysis.grid=0.2:1:5"]
+        assert main(argv + self.SETS) == 0
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 10
+        for row in rows:
+            fields = row.split(",")
+            eta, p1, c_s = float(fields[0]), float(fields[1]), float(fields[10])
+            want = brute_capacity(p1, self.CONFIG, eta, 0.0785398)
+            assert c_s == pytest.approx(want, rel=1e-9, abs=1e-12)
+        for p1 in (0.3, 0.6):
+            pts = analysis.sweep("eta", [0.2, 0.6, 1.0], p1=p1, delta_theta=0.0785398,
+                                 config=self.CONFIG)
+            for pt in pts:
+                want = brute_capacity(p1, self.CONFIG, pt.axis_value, 0.0785398)
+                assert pt.c_s == pytest.approx(want, abs=1e-12)
+
+    def test_threshold_roots_are_sign_changes(self, tmp_path):
+        assert main(["threshold", "--out", str(tmp_path)] + self.SETS) == 0
+        rows = (tmp_path / "thresholds.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        for row in rows:
+            p1, eta_star, eta_star0, _, _, dth_star = row.split(",")[:6]
+            p1 = float(p1)
+            for star, dth in ((float(eta_star), 0.0785398), (float(eta_star0), 0.0)):
+                assert brute_capacity(p1, self.CONFIG, star - 1e-5, dth) < 0.0
+                assert brute_capacity(p1, self.CONFIG, star + 1e-5, dth) > 0.0
+            dth_star = float(dth_star)
+            assert brute_capacity(p1, self.CONFIG, 1.0, dth_star - 1e-5) > 0.0
+            assert brute_capacity(p1, self.CONFIG, 1.0, dth_star + 1e-5) < 0.0
 
     @pytest.mark.parametrize("cmd", ["threshold", "sweep"])
-    def test_n_other_than_reference_rejected(self, tmp_path, capsys, cmd):
-        # the closed forms' assignment cost is that of n = 8; another n is refused
-        argv = [cmd, "--out", str(tmp_path), "--set", "analysis.p1_list=0.1",
-                "--set", "analysis.grid=0.5"]
-        assert main(argv + ["--set", "protocol.n=3"]) == 2
+    def test_unreachable_p1_exits_two(self, tmp_path, capsys, cmd):
+        # n = 5 at pi/4 cannot go below cos^2(2*pi/5) = 0.095
+        argv = [cmd, "--out", str(tmp_path), "--set", "protocol.n=5",
+                "--set", "analysis.p1_list=0.3,0.001", "--set", "analysis.grid=0.5"]
+        assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err == f"config error: {cmd} uses the n = 8 closed forms; got protocol.n=3\n"
-        assert main(argv) == 0
+        assert err == "config error: target 0.001 is outside the reachable range for n=5\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+# sha256 of the default `threshold` output and of one sweep per axis over the
+# default P1 list; any change to the capacity model shows up here first.
+ANALYSIS_GOLDEN = {
+    "threshold": ([], "thresholds.csv",
+                  "191e7815eb9a021636fb5b75966d3e4287a2341f31c0efd25ab6fe066e5ab724"),
+    "sweep-eta": (["analysis.axis=eta", "analysis.grid=0.0005:1:200"], "sweep.csv",
+                  "9178cdfef18a3b3e9efb80212c6cb52321050360868b4af050411fe2d4584b06"),
+    "sweep-L": (["analysis.axis=L", "analysis.grid=0:100:200"], "sweep.csv",
+                "7aeac225bc31e7382bc0b40ce5408986939ab6fd525f1759911f81016a02d7b6"),
+    "sweep-delta_theta": (["analysis.axis=delta_theta", "analysis.grid=0:3.14159:200"],
+                          "sweep.csv",
+                          "42e02608a629e930ba83234e606e7e391ff1308e83cce60b0cbaf0636279b137"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ANALYSIS_GOLDEN))
+def test_analysis_golden_bytes(tmp_path, case):
+    sets, name, want = ANALYSIS_GOLDEN[case]
+    argv = [case.split("-")[0], "--out", str(tmp_path)]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want
 
 
 def test_cli_import_leaves_out_scipy_stats():
@@ -362,3 +455,49 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify, "run_all", lambda **kw: failing)
         assert main(["verify", "--out", str(tmp_path)]) == 3
         assert "FAIL" in capsys.readouterr().out
+
+
+# values drawn per key by the type of its default: edge cases in and out of
+# each domain plus junk, none of which asks for a long run
+_JUNK = ("x",)
+FUZZ_VALUES = {
+    int: ("0", "1", "2", "3", "-1", "1.5") + _JUNK,
+    float: ("0", "0.3", "0.5", "0.7", "1", "2", "-0.5", "1e-300", "5e-324", "5e307", "1e308",
+            "-1e308", "inf") + _JUNK,
+    bool: ("true", "false", "1") + _JUNK,
+    tuple: ("0.5", "0.1,0.4", "0,1", "0:1:3", "1:0:2", "-1", "5e-324,0.5", "1e308") + _JUNK,
+    str: ("0110", "random", "uniform", "target-p1", "per-photon", "uniform-interval",
+          "constant", "eta", "L", "delta_theta", "policy", "original-order") + _JUNK,
+    type(None): ("hoeffding", "0.01", "1", "0", "-1") + _JUNK,  # protocol.tolerance
+}
+# small runs unless a draw overrides them: photons, attack points, grid sizes
+FUZZ_BASE = ("protocol.r=20", "attack.r=20", "attack.p1_grid=0,1", "attack.p2_grid=0,1",
+             "analysis.grid=0.5", "analysis.p1_list=0.1,0.4")
+
+
+def _setting(key: str):
+    return st.sampled_from(FUZZ_VALUES[type(SCHEMA[key][0])]).map(lambda v: f"{key}={v}")
+
+
+@given(
+    cmd=st.sampled_from(["simulate", "sweep", "threshold", "attack-scan"]),
+    sets=st.lists(st.sampled_from(sorted(SCHEMA)).flatmap(_setting), max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_settings_exit_cleanly(cmd, sets):
+    # every outcome is a result (exit 0) or one config-error line (exit 2)
+    # that leaves no output file behind
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = [cmd, "--out", str(out), "--workers", "1"]
+        for item in FUZZ_BASE + tuple(sets):
+            argv += ["--set", item]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv)
+        assert rc in (0, 2)
+        assert err.getvalue().count("\n") <= 1
+        files = sorted(p.name for p in out.rglob("*")) if out.exists() else []
+        if rc == 2:
+            assert files == []
+        assert not [name for name in files if name.endswith(".tmp")]

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rdiqsdc import verify
+from rdiqsdc import analysis, verify
 from rdiqsdc.adversary import BlindingAttackParams
 from rdiqsdc.devices import ChannelNoiseModel, LinkBudget, NoiseMode
 from rdiqsdc.protocol import (
@@ -84,16 +84,20 @@ class TestBasisPolicy:
             band = 5.0 * math.sqrt((1 / 3) * (2 / 3) / 100_000)
             assert abs(freq - 1 / 3) <= band
 
-    def test_half_target_degenerates_to_uniform(self):
-        # 0.5 is realized by the uniform offset distribution for every n
+    def test_half_target_is_a_single_offset(self):
+        # at n = 8 one offset has ideal P(g=0) of one half and realizes the
+        # target alone, so no-clicks cost min(P1, 1 - P1) = 0.5 as in the paper
+        offs = BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=0.5).offsets(
+            BasisConfig(n=8)
+        )
+        assert offs.deltas == (6,) and offs.weights == (1.0,)
+        assert offs.expected_p_g0() == pytest.approx(0.5, abs=1e-12)
+        # n = 3 has no such offset and mixes the two that bracket 0.5
         offs = BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=0.5).offsets(
             BasisConfig(n=3)
         )
-        assert offs.deltas == (0, 1, 2)
-        draws = offs.draw(100_000, np.random.default_rng(1))
-        band = 5.0 * math.sqrt((1 / 3) * (2 / 3) / 100_000)
-        for d in range(3):
-            assert abs(np.mean(draws == d) - 1 / 3) <= band
+        assert offs.deltas == (1, 0)
+        assert offs.weights == pytest.approx((2 / 3, 1 / 3), abs=1e-12)
         assert offs.expected_p_g0() == pytest.approx(0.5, abs=1e-12)
 
     def test_policy_validation(self):
@@ -392,9 +396,33 @@ class TestNoClickAssignment:
             (engine[d],) = set(cols.assigned_g[assigned & (offset == d)].tolist())
         assert all(engine[d] == 1 for d in ties)
         # at zero gain the model's observed P(g=0) is its assigned-g=0 fraction
-        model = verify._keystone_closed(0.0, 0.0, 0.5, policy, BasisConfig(n=n))
+        config = BasisConfig(n=n)
+        model = verify._keystone_closed(
+            0.0, 0.0, analysis.OffsetModel.of(policy.offsets(config), config.theta)
+        )
         engine_g0 = sum(engine[d] == 0 for d in range(n)) / n
         assert model["p1_observed"] == pytest.approx(engine_g0, abs=1e-12)
+
+
+class TestEngineMatchesOffsetModel:
+    # the closed-form model the capacity engine evaluates, against the event
+    # engine away from the reference point and at the paper's P1 = 0.5
+    @pytest.mark.parametrize("n,theta,p1,seed", [
+        (5, 0.6, 0.6, 31), (5, 0.6, 0.3, 32), (8, math.pi / 4, 0.5, 33),
+    ])
+    def test_statistics_within_five_sigma(self, n, theta, p1, seed):
+        eta, dth = 0.7, math.pi / 40
+        config = BasisConfig(n=n, theta=theta)
+        params = ProtocolParams(
+            r=100_000, config=config,
+            policy=BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=p1),
+            link=LinkBudget(eta_c=eta), noise=ChannelNoiseModel(delta_theta=dth),
+            continue_on_abort=True, seed=seed,
+        )
+        closed = verify._keystone_closed(eta, dth, analysis.offset_model(p1, config))
+        rows = verify._keystone_rows(run_full_protocol(params).stats, closed)
+        assert len(rows) == 11
+        assert all(z <= 5.0 for _, _, _, z in rows), rows
 
 
 class TestDeterminism:

@@ -42,8 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="config file path (default: $RDIQSDC_CONFIG)")
         cmd.add_argument("--seed", type=int, default=None, help="master seed override")
         cmd.add_argument("--out", type=str, default=".", help="output directory")
-        cmd.add_argument("--workers", type=int, default=os.cpu_count(),
-                         help="parallel workers (results are worker-count independent)")
+        cmd.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                         help="parallel workers, at least 1: threads in simulate, processes "
+                              "in attack-scan and verify (results are worker-count independent)")
         cmd.add_argument("--format", choices=("csv", "tsv"), default="csv")
         cmd.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                          help="override a config key (repeatable)")
@@ -54,6 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> RunConfig:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     overrides = {}
     for item in args.set:
         if "=" not in item:
@@ -90,7 +93,8 @@ def _fmt(v) -> str:
 def cmd_simulate(cfg: RunConfig, args) -> int:
     params, message = cfg.protocol_params(), cfg.message_bits()
     outdir = Path(args.out)
-    result = run_full_protocol(params, message)
+    # threads share one process, so more of them than cores only adds switching
+    result = run_full_protocol(params, message, workers=min(args.workers, os.cpu_count() or 1))
     summary = summary_record(result)
     outdir.mkdir(parents=True, exist_ok=True)
     with atomic_open(outdir / "summary.json") as fh:
@@ -161,8 +165,8 @@ def _write_gnuplot(path: Path, csv_name: str, axis: str, delim: str) -> None:
 
 def cmd_threshold(cfg: RunConfig, args) -> int:
     dth = cfg["physics.delta_theta"]
-    eta_c, eta_m, eta_d = cfg["physics.eta_c"], cfg["physics.eta_m"], cfg["physics.eta_d"]
-    alpha = cfg["physics.alpha_db_per_km"]
+    link = cfg.link()  # eta_m from the memory's round trips when they are set
+    eta_c, eta_m, eta_d, alpha = link.eta_c, link.eta_m, link.eta_d, link.alpha_db_per_km
     config = cfg.basis_config()
     rows = []
     for p1 in cfg["analysis.p1_list"]:
@@ -222,7 +226,7 @@ def cmd_attack_scan(cfg: RunConfig, args) -> int:
                 seed=base.seed + 1_000 + 100 * i + j,
             )
             jobs.append((params, float(target), tol))
-    if args.workers and args.workers > 1:
+    if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_attack_point, jobs))
     else:
@@ -236,7 +240,7 @@ def cmd_attack_scan(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    checks = verify.run_all(workers=args.workers or 1, r_keystone=args.keystone_r)
+    checks = verify.run_all(workers=args.workers, r_keystone=args.keystone_r)
     failures = 0
     for check in checks:
         print(check.line())

@@ -12,7 +12,10 @@ observed distribution.
 The engine is vectorized over photons (columnar numpy state) and draws
 every stochastic input from a named stream derived from the run seed, so
 a transcript is reproducible bit-for-bit and an attack with p1=0 leaves
-the physics draws untouched.
+the physics draws untouched. Each per-photon stage runs over fixed-size
+blocks of its photons, each block drawing from its streams at its own
+start position, so the blocks may run on a thread pool in any order with
+the same result.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ import functools
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -296,20 +300,22 @@ class SequenceLedger:
     def combined_positions(self) -> np.ndarray:
         return np.concatenate([self.s2_pos, self.s3_pos])
 
-    @property
+    # The slot properties read `return_perm`, which step 4 sets once; each is
+    # computed on first read, in the permutation's dtype.
+    @functools.cached_property
     def s2p_slots(self) -> np.ndarray:
-        return np.nonzero(self.return_perm < self.r)[0]
+        return np.flatnonzero(self.return_perm < self.r).astype(self.return_perm.dtype)
 
-    @property
+    @functools.cached_property
     def s3p_slots(self) -> np.ndarray:
-        return np.nonzero(self.return_perm >= self.r)[0]
+        return np.flatnonzero(self.return_perm >= self.r).astype(self.return_perm.dtype)
 
-    @property
+    @functools.cached_property
     def s2_order(self) -> np.ndarray:
         """Original S2 index of each announced check slot."""
         return self.return_perm[self.s2p_slots]
 
-    @property
+    @functools.cached_property
     def s3_order(self) -> np.ndarray:
         return self.return_perm[self.s3p_slots] - self.r
 
@@ -379,6 +385,24 @@ class ProtocolResult:
         return self.aborted_at_step is None
 
 
+# Photons per block of a per-photon stage. Every stream a stage draws from
+# is read from the block's own start position (seeding.positioned), so the
+# size changes how the work is split, never a drawn value.
+_ENGINE_BLOCK = 1 << 16
+
+def _shuffled(rng: np.random.Generator, index: np.ndarray) -> np.ndarray:
+    """`index` shuffled in place: for index = arange(m) of any integer dtype
+    this is the permutation rng.permutation(m) draws."""
+    rng.shuffle(index)
+    return index
+
+
+def _trip_purposes(leg: int) -> tuple[str, ...]:
+    """Streams of one trip: the rotation, then one survival draw per stage."""
+    way, store = ("ab", "bob") if leg == 1 else ("ba", "alice")
+    return (f"noise-{way}", f"loss-fiber-{way}", f"loss-coupling-{way}", f"loss-memory-{store}")
+
+
 class ProtocolRun:
     """One protocol execution; call the step methods in order or use run()."""
 
@@ -389,6 +413,7 @@ class ProtocolRun:
         self.n = params.config.n
         self.theta = params.config.theta
         self._streams: dict[str, np.random.Generator] = {}
+        self._pool: Optional[ThreadPoolExecutor] = None
         self.ledger: Optional[SequenceLedger] = None
         self._message_in = message
         self._stage = 0
@@ -406,53 +431,94 @@ class ProtocolRun:
                 f"protocol step out of order: at stage {self._stage}, need {stage}"
             )
 
-    # -- kernels shared by the steps --------------------------------------------
-    def _trip(self, leg: int, pos: np.ndarray, alive: np.ndarray):
+    # -- block scheduling ---------------------------------------------------------
+    def _submit(self, fn, *args):
+        """A callable returning fn(*args). With a pool, fn starts there now;
+        without one it runs on this thread at the first call, so a result no
+        step asks for is never computed."""
+        if self._pool is not None:
+            return self._pool.submit(fn, *args).result
+        return functools.cache(functools.partial(fn, *args))
+
+    def _blocks(self, size: int, purposes: Sequence[str], kernel) -> list:
+        """kernel(a, b, rng) for each block [a, b) of range(size), in order of a.
+
+        rng(purpose) is that purpose's stream positioned at value a, so a
+        block draws what the whole draw would hold at [a, b). Kernels write
+        disjoint parts of arrays this thread allocated, and cast the block's
+        stored int32 positions to intp once before indexing with them. The
+        streams are made here, on the calling thread; the blocks run on the
+        pool if run() has one. Returns the kernels' results.
+        """
+        streams = {p: self._rng(p) for p in purposes}
+
+        def block(a: int):
+            return kernel(a, min(a + _ENGINE_BLOCK, size),
+                          lambda purpose: seeding.positioned(streams[purpose], a))
+
+        starts = range(0, size, _ENGINE_BLOCK)
+        if self._pool is None:
+            return [block(a) for a in starts]
+        return list(self._pool.map(block, starts))
+
+    # -- kernels shared by the steps, applied to one block of photons -------------
+    def _trip(self, rng, leg: int, pos: np.ndarray, alive: np.ndarray):
         """One trip over fiber and coupling into the receiving party's memory.
 
-        Draws the channel rotation and one survival draw per stage for every
-        slot; a live photon is charged to the first stage it fails. Returns
-        the rotation, the photons alive after coupling and after storage.
+        Draws the channel rotation and one survival draw per lossy stage for
+        every slot; a live photon is charged to the first stage it fails. A
+        stage with efficiency 1 keeps every photon, as a draw of random() < 1
+        would, and leaves its stream undrawn. Returns the rotation, the
+        photons alive after coupling and after storage.
         """
         link, size = self.params.link, len(pos)
-        way, store = ("ab", "bob") if leg == 1 else ("ba", "alice")
-        rotation = self.params.noise.draw(size, self._rng(f"noise-{way}"))
+        noise, *losses = _trip_purposes(leg)
+        rotation = self.params.noise.draw(size, rng(noise))
         after = []
-        for purpose, eta, site in (
-            (f"loss-fiber-{way}", link.eta_t, LossSite.FIBER),
-            (f"loss-coupling-{way}", link.eta_c, LossSite.COUPLING),
-            (f"loss-memory-{store}", link.eta_m, LossSite.MEMORY),
+        for purpose, eta, site in zip(
+            losses, (link.eta_t, link.eta_c, link.eta_m),
+            (LossSite.FIBER, LossSite.COUPLING, LossSite.MEMORY),
         ):
-            survived = self._rng(purpose).random(size) < eta
-            lost = pos[alive & ~survived]
-            self.site[lost] = _SITE_CODE[site]
-            self.leg[lost] = leg
-            alive = alive & survived
+            if eta < 1.0:
+                survived = rng(purpose).random(size) < eta
+                lost = pos[alive & ~survived]
+                self.site[lost] = _SITE_CODE[site]
+                self.leg[lost] = leg
+                alive = alive & survived
             after.append(alive)
         return rotation, after[1], after[2]
 
-    def _detect(self, purpose: str, pos: np.ndarray, alive: np.ndarray,
-                p_g0: np.ndarray, forced: np.ndarray):
-        """Detector event at the photons `pos`; blinded slots click `forced`."""
-        m = len(pos)
-        clicked = alive & (self._rng(f"{purpose}-click").random(m) < self.params.link.eta_d)
-        g = np.where(self._rng(f"{purpose}-born").random(m) < p_g0, 0, 1).astype(np.int8)
-        att = self.attacked[pos]
-        clicked = clicked | att
-        g = np.where(att, forced, g)
-        # no-click at the measuring detector; a forged pulse always clicks
+    def _detect(self, rng, purpose: str, pos: np.ndarray, alive: np.ndarray,
+                p_g0: np.ndarray, forced: Optional[np.ndarray], at: np.ndarray):
+        """Detector event at the photons `pos`; blinded slots click forced[at].
+        `forced` is None in a run without Eve, where no slot is blinded. A
+        detector with efficiency 1 clicks on every live photon and leaves its
+        stream undrawn."""
+        m, eta_d = len(pos), self.params.link.eta_d
+        clicked = alive & (rng(f"{purpose}-click").random(m) < eta_d) if eta_d < 1.0 else alive
+        g = np.where(rng(f"{purpose}-born").random(m) < p_g0, 0, 1).astype(np.int8)
+        if forced is not None:
+            att = self.attacked[pos]
+            clicked = clicked | att
+            g = np.where(att, forced[at], g)
+            # a forged pulse always clicks
+            self.site[pos[att]] = _SITE_CODE[LossSite.NONE]
+            self.leg[pos[att]] = 0
+        # no-click at the measuring detector
         self.site[pos[alive & ~clicked]] = _SITE_CODE[LossSite.DETECTOR]
-        self.site[pos[att]] = _SITE_CODE[LossSite.NONE]
-        self.leg[pos[att]] = 0
         return clicked, g
 
+    def _forced(self, rng, purpose: str, size: int) -> np.ndarray:
+        """Outcome each blinded slot is forced to click."""
+        p2 = self.params.adversary.p2
+        return np.where(rng(purpose).random(size) < p2, 0, 1).astype(np.int8)
+
     def _report(self, round_index: int, p_ideal: np.ndarray, clicked: np.ndarray,
-                g: np.ndarray):
+                g: np.ndarray, assigned: np.ndarray) -> SecurityCheckReport:
         """Check report, with no-clicks assigned the more likely ideal outcome."""
-        assigned = np.where(p_ideal <= 0.5, 1, 0).astype(np.int8)
         n_g0_clicked = int(np.sum(clicked & (g == 0)))
         n_assigned_g0 = int(np.sum(~clicked & (assigned == 0)))
-        report = SecurityCheckReport(
+        return SecurityCheckReport(
             round_index=round_index,
             m=self.r,
             theoretical_p_g0=float(np.mean(p_ideal)),
@@ -462,79 +528,96 @@ class ProtocolRun:
             n_clicked_g0=n_g0_clicked,
             n_assigned_g0=n_assigned_g0,
         )
-        return report, assigned
 
-    def _forced(self, purpose: str, size: int) -> np.ndarray:
-        """Outcome each blinded slot is forced to click (-1 without Eve)."""
-        adv = self.params.adversary
-        if adv is None:
-            return np.full(size, -1, dtype=np.int8)
-        return np.where(self._rng(purpose).random(size) < adv.p2, 0, 1).astype(np.int8)
+    def _round_arrays(self):
+        """Per-photon arrays of a checking round: measurement index, ideal
+        P(g=0), click, outcome and the outcome assigned to a no-click."""
+        r = self.r
+        return (np.empty(r, dtype=np.int64), np.empty(r), np.empty(r, dtype=bool),
+                np.empty(r, dtype=np.int8), np.empty(r, dtype=np.int8))
 
     # -- step 1: preparation ------------------------------------------------
     def step1_prepare(self) -> SequenceLedger:
         self._require_stage(0)
         r, n = self.r, self.n
-        prep = self._rng("prep").integers(1, n + 1, size=3 * r)
-        order = self._rng("partition").permutation(3 * r)
+        # the partition and the return shuffle (read in step 4) are drawn on
+        # the pool, if there is one, while this thread draws the integers
+        index_type = np.int32 if 3 * r <= np.iinfo(np.int32).max else np.int64
+        partition = self._submit(
+            _shuffled, self._rng("partition"), np.arange(3 * r, dtype=index_type)
+        )
+        self._return_perm = self._submit(
+            _shuffled, self._rng("shuffle"), np.arange(2 * r, dtype=index_type)
+        )
+        # drawn as int64 (the stream's bounded-integer algorithm depends on
+        # the dtype), stored in the narrowest type that holds -n..n
+        prep = self._rng("prep").integers(1, n + 1, size=3 * r).astype(np.min_scalar_type(-n))
+        secret = self._rng("secret").integers(0, 2, size=r).astype(bool)
+        if self._message_in is None:
+            self.payload = self._rng("message").integers(0, 2, size=r).astype(np.int8)
+        else:
+            self.payload = np.asarray(self._message_in, dtype=np.int8)
+        order = partition()
+        if self.payload.shape != (r,):
+            raise ProtocolViolation(f"message must hold exactly {r} bits")
+        if not np.all((self.payload == 0) | (self.payload == 1)):
+            raise ProtocolViolation("message bits must be 0 or 1")
         self.ledger = SequenceLedger(
             n=n, r=r, prep=prep,
             s1_pos=order[:r], s2_pos=order[r : 2 * r], s3_pos=order[2 * r :],
         )
         self.secret_flip = np.zeros(3 * r, dtype=bool)
-        self.secret_flip[self.ledger.s3_pos] = (
-            self._rng("secret").integers(0, 2, size=r).astype(bool)
-        )
+        self.secret_flip[self.ledger.s3_pos] = secret
         self.message_bit = np.full(3 * r, -1, dtype=np.int8)
-        if self._message_in is None:
-            self.payload = self._rng("message").integers(0, 2, size=r).astype(np.int8)
-        else:
-            self.payload = np.asarray(self._message_in, dtype=np.int8)
-            if self.payload.shape != (r,):
-                raise ProtocolViolation(f"message must hold exactly {r} bits")
-            if not np.all((self.payload == 0) | (self.payload == 1)):
-                raise ProtocolViolation("message bits must be 0 or 1")
         self._stage = 1
         return self.ledger
 
     # -- step 2: outbound transmission and storage at the encoder ------------
     def step2_transmit_to_bob(self) -> None:
         self._require_stage(1)
-        size = 3 * self.r
+        size, adv = 3 * self.r, self.params.adversary
         self.site = np.zeros(size, dtype=np.int8)
         self.leg = np.zeros(size, dtype=np.int8)
-        self.dth1, self.at_bob, self.in_qm_bob = self._trip(
-            1, np.arange(size), np.ones(size, dtype=bool)
-        )
-        adv = self.params.adversary
-        if adv is not None:
-            self.attacked = self._rng("adv-attack").random(size) < adv.p1
-            self.eve_basis = self._rng("adv-basis").integers(1, self.n + 1, size=size)
-        else:
-            self.attacked = np.zeros(size, dtype=bool)
-            self.eve_basis = np.full(size, -1, dtype=np.int64)
-        self.forced_g1 = self._forced("adv-close-1", size)
+        self.dth1 = np.empty(size)
+        self.at_bob, self.in_qm_bob = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+        self.attacked = np.zeros(size, dtype=bool)
+        self.forced_g1 = np.empty(size, dtype=np.int8) if adv is not None else None
+
+        def kernel(a, b, rng):
+            self.dth1[a:b], self.at_bob[a:b], self.in_qm_bob[a:b] = self._trip(
+                rng, 1, np.arange(a, b), np.ones(b - a, dtype=bool)
+            )
+            if adv is not None:
+                self.attacked[a:b] = rng("adv-attack").random(b - a) < adv.p1
+                self.forced_g1[a:b] = self._forced(rng, "adv-close-1", b - a)
+
+        attack = ("adv-attack", "adv-close-1") if adv is not None else ()
+        self._blocks(size, _trip_purposes(1) + attack, kernel)
         self._stage = 2
 
     # -- step 3: first checking round ----------------------------------------
     def step3_first_check(self) -> SecurityCheckReport:
         self._require_stage(2)
-        r, led = self.r, self.ledger
+        n, theta, led = self.n, self.theta, self.ledger
         offs = self.params.policy.offsets(self.cfg)
-        d1 = offs.draw(r, self._rng("check1-offsets"))
-        a = led.prep[led.s1_pos]
-        led.y1 = ((a - d1 - 1) % self.n) + 1
-        if len(led.y1) != len(led.s1_pos):
-            raise ProtocolViolation("announcement length mismatch in round 1")
+        phases = _offset_phases(n)
+        ideal = _ideal_p(theta, phases)
+        led.y1, self.p1_ideal, self.clicked1, self.g1, self.assigned1 = self._round_arrays()
 
-        phases, k = _offset_phases(self.n), a - led.y1 + (self.n - 1)
-        self.p1_ideal = _ideal_p(self.theta, phases)[k]
-        p_noisy = born_p(self.theta, self.theta + self.dth1[led.s1_pos], phases, k)
-        self.clicked1, self.g1 = self._detect(
-            "check1", led.s1_pos, self.in_qm_bob[led.s1_pos], p_noisy,
-            self.forced_g1[led.s1_pos],
-        )
-        self.check1, self.assigned1 = self._report(1, self.p1_ideal, self.clicked1, self.g1)
+        def kernel(a, b, rng):
+            pos = led.s1_pos[a:b].astype(np.intp)
+            x = led.prep[pos]
+            y = ((x - offs.draw(b - a, rng("check1-offsets")) - 1) % n) + 1
+            k = x - y + (n - 1)
+            led.y1[a:b], self.p1_ideal[a:b] = y, ideal[k]
+            self.assigned1[a:b] = np.where(ideal[k] <= 0.5, 1, 0)
+            p_noisy = born_p(theta, theta + self.dth1[pos], phases, k)
+            self.clicked1[a:b], self.g1[a:b] = self._detect(
+                rng, "check1", pos, self.in_qm_bob[pos], p_noisy, self.forced_g1, pos
+            )
+
+        self._blocks(self.r, ("check1-offsets", "check1-click", "check1-born"), kernel)
+        self.check1 = self._report(1, self.p1_ideal, self.clicked1, self.g1, self.assigned1)
         self._stage = 3
         return self.check1
 
@@ -543,62 +626,89 @@ class ProtocolRun:
         self._require_stage(3)
         led = self.ledger
         self.message_bit[led.s3_pos] = self.payload
-        led.return_perm = self._rng("shuffle").permutation(2 * self.r)
+        led.return_perm = self._return_perm()
         self._stage = 4
 
     # -- step 5: return transmission and second checking round ----------------
     def step5_transmit_to_alice(self) -> None:
         self._require_stage(4)
-        led = self.ledger
-        self.return_pos = led.combined_positions()[led.return_perm]  # sent position per slot
-        self.dth2, _, self.alive_at_alice = self._trip(
-            2, self.return_pos, self.in_qm_bob[self.return_pos]
-        )
-        self.forced_g2 = self._forced("adv-close-2", 2 * self.r)
+        led, size = self.ledger, 2 * self.r
+        combined = led.combined_positions()
+        self.return_pos = np.empty(size, dtype=combined.dtype)  # sent position per slot
+        self.dth2, self.alive_at_alice = np.empty(size), np.empty(size, dtype=bool)
+        adv = self.params.adversary
+        self.forced_g2 = np.empty(size, dtype=np.int8) if adv is not None else None
+
+        def kernel(a, b, rng):
+            pos = combined[led.return_perm[a:b]].astype(np.intp)
+            self.return_pos[a:b] = pos
+            self.dth2[a:b], _, self.alive_at_alice[a:b] = self._trip(
+                rng, 2, pos, self.in_qm_bob[pos]
+            )
+            if adv is not None:
+                self.forced_g2[a:b] = self._forced(rng, "adv-close-2", b - a)
+
+        attack = ("adv-close-2",) if adv is not None else ()
+        self._blocks(size, _trip_purposes(2) + attack, kernel)
         self._stage = 5
 
     def step5_second_check(self) -> SecurityCheckReport:
         self._require_stage(5)
-        r, led = self.r, self.ledger
+        r, n, theta, led = self.r, self.n, self.theta, self.ledger
         slots = led.s2p_slots
         if len(slots) != r:
             raise ProtocolViolation("announcement length mismatch in round 2")
-        d = led.x4
-        if self.params.round2_mode is Round2Mode.POLICY:
-            offs = self.params.policy.offsets(self.cfg)
-            d2 = offs.draw(r, self._rng("check2-offsets"))
-            led.y2 = ((d - d2 - 1) % self.n) + 1
-        else:
-            led.y2 = led.x2.copy()  # original order against the shuffled stream
+        policy = self.params.round2_mode is Round2Mode.POLICY
+        offs = self.params.policy.offsets(self.cfg)
+        phases = _offset_phases(n)
+        ideal = _ideal_p(theta, phases)
+        led.y2, self.p2_ideal, self.clicked2, self.g2, self.assigned2 = self._round_arrays()
 
-        phases, k = _offset_phases(self.n), d - led.y2 + (self.n - 1)
-        self.p2_ideal = _ideal_p(self.theta, phases)[k]
-        pos = self.return_pos[slots]
-        rot = self.dth1[pos] + self.dth2[slots]
-        p_noisy = born_p(self.theta, self.theta + rot, phases, k)
-        self.clicked2, self.g2 = self._detect(
-            "check2", pos, self.alive_at_alice[slots], p_noisy, self.forced_g2[slots]
-        )
-        self.check2, self.assigned2 = self._report(2, self.p2_ideal, self.clicked2, self.g2)
+        def kernel(a, b, rng):
+            sl = slots[a:b].astype(np.intp)
+            pos = self.return_pos[sl].astype(np.intp)
+            x = led.prep[pos]  # preparation index of each check slot (x4)
+            if policy:
+                y = ((x - offs.draw(b - a, rng("check2-offsets")) - 1) % n) + 1
+            else:  # original order against the shuffled stream
+                y = led.prep[led.s2_pos[a:b]].astype(np.int64)
+            k = x - y + (n - 1)
+            led.y2[a:b], self.p2_ideal[a:b] = y, ideal[k]
+            self.assigned2[a:b] = np.where(ideal[k] <= 0.5, 1, 0)
+            rot = self.dth1[pos] + self.dth2[sl]
+            p_noisy = born_p(theta, theta + rot, phases, k)
+            self.clicked2[a:b], self.g2[a:b] = self._detect(
+                rng, "check2", pos, self.alive_at_alice[sl], p_noisy, self.forced_g2, sl
+            )
+
+        offsets = ("check2-offsets",) if policy else ()
+        self._blocks(r, offsets + ("check2-click", "check2-born"), kernel)
+        self.check2 = self._report(2, self.p2_ideal, self.clicked2, self.g2, self.assigned2)
         self._stage = 6
         return self.check2
 
     # -- step 6: decoding ------------------------------------------------------
     def step6_decode(self) -> MessageFrame:
         self._require_stage(6)
-        r, led = self.r, self.ledger
-        slots = led.s3p_slots
-        order = led.s3_order              # original S3 index per slot
-        pos = self.return_pos[slots]
-        rot = self.dth1[pos] + self.dth2[slots]
-        # measurement against the exact pre-send state: the secret flip
-        # cancels, leaving only the message flip in the relative phase
-        p_g0 = born_p(self.theta, self.theta + rot, _MESSAGE_PHASES, self.payload[order])
-        self.clicked3, self.g3 = self._detect(
-            "decode", pos, self.alive_at_alice[slots], p_g0, self.forced_g2[slots]
-        )
+        r, theta, led = self.r, self.theta, self.ledger
+        slots, order = led.s3p_slots, led.s3_order  # original S3 index per slot
+        self.clicked3, self.g3 = np.empty(r, dtype=bool), np.empty(r, dtype=np.int8)
         decoded = np.full(r, -1, dtype=np.int8)
-        decoded[order] = np.where(self.clicked3, self.g3, -1)
+
+        def kernel(a, b, rng):
+            sl, idx = slots[a:b].astype(np.intp), order[a:b].astype(np.intp)
+            pos = self.return_pos[sl].astype(np.intp)
+            rot = self.dth1[pos] + self.dth2[sl]
+            # measurement against the exact pre-send state: the secret flip
+            # cancels, leaving only the message flip in the relative phase
+            p_g0 = born_p(theta, theta + rot, _MESSAGE_PHASES, self.payload[idx])
+            clicked, g = self._detect(
+                rng, "decode", pos, self.alive_at_alice[sl], p_g0, self.forced_g2, sl
+            )
+            self.clicked3[a:b], self.g3[a:b] = clicked, g
+            decoded[idx] = np.where(clicked, g, -1)
+
+        self._blocks(r, ("decode-click", "decode-born"), kernel)
         self.decode_slots = slots
         self.frame = MessageFrame(payload=self.payload.copy(), decoded=decoded)
         self._stage = 7
@@ -606,33 +716,44 @@ class ProtocolRun:
 
     # -- assembly ---------------------------------------------------------------
     def _stats(self) -> TranscriptStats:
-        clicked1 = self.clicked1.astype(np.float64)
-        clicked2 = self.clicked2.astype(np.float64)
-        clicked3 = self.clicked3.astype(np.float64)
+        r = self.r
+        rounds = (
+            (self.clicked1, self.g1, self.p1_ideal, self.assigned1),
+            (self.clicked2, self.g2, self.p2_ideal, self.assigned2),
+        )
+        # per-photon terms of each round, filled a block at a time: the click
+        # indicator, the gain-weighted shift, the assignment weight and the
+        # observed g=0 indicator
+        terms = [[np.empty(r) for _ in range(4)] for _ in rounds]
+        q_decode = self.clicked3.astype(np.float64)
 
-        def assign_weight(p_ideal: np.ndarray) -> np.ndarray:
-            return np.minimum(p_ideal, 1.0 - p_ideal)
+        def kernel(a, b, rng):
+            for (clicked, g, p_ideal, assigned), (q, shift, assign, obs) in zip(rounds, terms):
+                c, g0, p = clicked[a:b].astype(np.float64), g[a:b] == 0, p_ideal[a:b]
+                q[a:b] = c
+                shift[a:b] = c * (p - g0)
+                assign[a:b] = (1.0 - c) * np.minimum(p, 1.0 - p)
+                obs[a:b] = c * g0 + (1.0 - c) * (assigned[a:b] == 0)
 
-        shift1 = clicked1 * (self.p1_ideal - (self.g1 == 0))
-        shift2 = clicked2 * (self.p2_ideal - (self.g2 == 0))
-        assign1 = (1.0 - clicked1) * assign_weight(self.p1_ideal)
-        assign2 = (1.0 - clicked2) * assign_weight(self.p2_ideal)
+        def tally(a, b, rng):
+            # one bin per (site, leg); the none and detector sites carry no leg
+            return np.bincount(3 * self.site[a:b] + self.leg[a:b], minlength=3 * len(_SITE_CODE))
 
-        obs1 = clicked1 * (self.g1 == 0) + (1.0 - clicked1) * (self.assigned1 == 0)
-        obs2 = clicked2 * (self.g2 == 0) + (1.0 - clicked2) * (self.assigned2 == 0)
-
-        # one bin per (site, leg); the none and detector sites carry no leg
-        tally = np.bincount(3 * self.site + self.leg)
+        self._blocks(r, (), kernel)
+        bins = np.sum(self._blocks(3 * r, (), tally), axis=0)
         counts = {}
-        for idx in np.flatnonzero(tally):
+        for idx in np.flatnonzero(bins):
             code, leg = divmod(int(idx), 3)
             name = _SITE_NAME[code]
-            counts[name if leg == 0 else f"{name}-leg{leg}"] = int(tally[idx])
+            counts[name if leg == 0 else f"{name}-leg{leg}"] = int(bins[idx])
 
+        # the means run over whole arrays on this thread: numpy's pairwise
+        # summation order makes them depend on the array, not on the blocks
+        (q1, shift1, assign1, obs1), (q2, shift2, assign2, obs2) = terms
         return TranscriptStats(
-            q_ab=_est(clicked1),
-            q_aba=_est(clicked2),
-            q_aba_decode=_est(clicked3),
+            q_ab=_est(q1),
+            q_aba=_est(q2),
+            q_aba_decode=_est(q_decode),
             p1_theoretical=float(np.mean(self.p1_ideal)),
             p2_theoretical=float(np.mean(self.p2_ideal)),
             p1_observed=_est(obs1),
@@ -724,6 +845,9 @@ class ProtocolRun:
         led = self.ledger
         att3 = self.attacked[led.s3_pos]
         if att3.any():
+            # the interceptor's measurement basis per photon, drawn only
+            # when an S3 photon was intercepted (only S3's are read)
+            self.eve_basis = self._rng("adv-basis").integers(1, self.n + 1, size=3 * self.r)
             known = self.eve_basis[led.s3_pos] == led.prep[led.s3_pos]
             guess = self._rng("adv-guess").integers(0, 2, size=self.r).astype(np.int8)
             eve_bits = np.where(known, self.payload, guess)
@@ -742,7 +866,21 @@ class ProtocolRun:
             attack=self._attack_summary(), run=self,
         )
 
-    def run(self) -> ProtocolResult:
+    def run(self, workers: int = 1) -> ProtocolResult:
+        """All six steps. With workers > 1 the blocks of each per-photon stage
+        run on a pool of that many threads, owned by this call and joined
+        before it returns; the result is the same for every worker count."""
+        if workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
+        self._pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+        try:
+            return self._run_steps()
+        finally:
+            if self._pool is not None:
+                self._pool.shutdown()
+                self._pool = None
+
+    def _run_steps(self) -> ProtocolResult:
         self.step1_prepare()
         self.step2_transmit_to_bob()
         enforce = not self.params.continue_on_abort
@@ -757,11 +895,11 @@ class ProtocolRun:
 
 
 def run_full_protocol(
-    params: ProtocolParams, message: Optional[Sequence[int]] = None
+    params: ProtocolParams, message: Optional[Sequence[int]] = None, workers: int = 1
 ) -> ProtocolResult:
     """Execute all six steps; check aborts terminate the run with a report,
     they are not errors."""
-    return ProtocolRun(params, message).run()
+    return ProtocolRun(params, message).run(workers)
 
 
 # The transcript writer builds its records a block of photons at a time;

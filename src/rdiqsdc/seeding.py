@@ -30,3 +30,19 @@ def seed_sequence(master: int, purpose: str, index: int = 0) -> np.random.SeedSe
 def stream(master: int, purpose: str, index: int = 0) -> np.random.Generator:
     """Dedicated PCG64 generator for (master, purpose, index)."""
     return np.random.Generator(np.random.PCG64(seed_sequence(master, purpose, index)))
+
+
+def positioned(gen: np.random.Generator, start: int) -> np.random.Generator:
+    """A new generator for the stream `gen` was made for by `stream`, moved
+    to that stream's 64-bit output number `start`, whatever `gen` has drawn.
+
+    `random`, `uniform` and `choice(p=...)` take exactly one output per
+    value, so values `[a, b)` of one such draw over the whole stream are the
+    `b - a` values drawn from `positioned(gen, a)`: a draw split into blocks
+    gives the same values in any block order and on any thread. `integers`
+    (buffered and rejection-sampled) and `shuffle`/`permutation` take a
+    varying number of outputs and are drawn whole.
+    """
+    bits = np.random.PCG64(gen.bit_generator.seed_seq)
+    bits.advance(start)
+    return np.random.Generator(bits)

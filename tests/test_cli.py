@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdiqsdc import analysis, verify
+from rdiqsdc import analysis, protocol, verify
 from rdiqsdc.cli import _write_rows, main
 from rdiqsdc.config import SCHEMA, ConfigError, load_config, parse_value
 from rdiqsdc.qstate import BasisConfig
@@ -202,6 +202,12 @@ class TestSimulateCommand:
             err = capsys.readouterr().err
             assert err.startswith("config error: delta_theta=")
             assert "is too large" in err and err.count("\n") == 1
+        # a worker count below one, for every command
+        for cmd in ("simulate", "sweep", "threshold", "attack-scan", "verify"):
+            for workers in ("0", "-3"):
+                assert main([cmd, "--out", str(tmp_path / "nf"), "--workers", workers]) == 2
+                err = capsys.readouterr().err
+                assert err == f"config error: --workers must be at least 1, got {workers}\n"
         assert not (tmp_path / "nf").exists()
 
 
@@ -253,10 +259,17 @@ GOLDEN_RUNS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN_RUNS))
-def test_simulate_golden_bytes(tmp_path, case):
+@pytest.mark.parametrize("case, workers", [
+    *(pytest.param(case, 1, id=case) for case in sorted(GOLDEN_RUNS)),
+    *(pytest.param(case, 3, id=f"{case}-workers3") for case in sorted(GOLDEN_RUNS)),
+])
+def test_simulate_golden_bytes(tmp_path, monkeypatch, case, workers):
+    # 777-photon blocks: at r = 2000 each stage spans 3 to 8 blocks, the last
+    # one short, so the pinned bytes hold for any block size and worker count
+    monkeypatch.setattr(protocol, "_ENGINE_BLOCK", 777)
     sets, aborted_at_step, want = GOLDEN_RUNS[case]
-    argv = ["simulate", "--out", str(tmp_path), "--seed", "0", "--set", "protocol.r=2000"]
+    argv = ["simulate", "--out", str(tmp_path), "--seed", "0", "--set", "protocol.r=2000",
+            "--workers", str(workers)]
     for item in sets:
         argv += ["--set", item]
     assert main(argv) == 0
@@ -342,6 +355,20 @@ class TestThresholdCommand:
         assert rows[2].split(",")[5] == "none"
         out = capsys.readouterr().out
         assert "DI benchmark" in out and "0.926" in out
+
+    def test_memory_round_trips_set_eta_m(self, tmp_path):
+        # 11 round trips at 0.9 per trip are the memory efficiency 0.9**11
+        def thresholds(name, *sets):
+            argv = ["threshold", "--out", str(tmp_path / name)]
+            for item in sets:
+                argv += ["--set", item]
+            assert main(argv) == 0
+            return (tmp_path / name / "thresholds.csv").read_bytes()
+
+        trips = thresholds("trips", "physics.qm_round_trips=11",
+                           "physics.qm_per_trip_efficiency=0.9")
+        assert trips == thresholds("eta_m", f"physics.eta_m={0.9 ** 11!r}")
+        assert trips != thresholds("default")
 
 
 class TestBasisConfigInAnalysis:

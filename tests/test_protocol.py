@@ -5,13 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rdiqsdc import analysis, verify
+from rdiqsdc import analysis, protocol, verify
 from rdiqsdc.adversary import BlindingAttackParams
 from rdiqsdc.devices import ChannelNoiseModel, LinkBudget, NoiseMode
 from rdiqsdc.protocol import (
@@ -331,6 +332,47 @@ class TestLazyResult:
         assert result.photons is result.photons
         assert result.announcements is result.announcements
         assert calls == {"_columns": 1, "_announcements": 1}
+
+
+class TestThreadPool:
+    def test_run_joins_its_threads(self, monkeypatch):
+        # verify forks its pool processes after simulate in the same process,
+        # so run() leaves no thread behind, also when a step raises
+        monkeypatch.setattr(protocol, "_ENGINE_BLOCK", 1000)
+        before = threading.active_count()
+        assert ProtocolRun(params_for(r=5000, seed=3)).run(workers=2).completed
+        assert threading.active_count() == before
+        with pytest.raises(ProtocolViolation):
+            ProtocolRun(params_for(r=2, seed=3), message=[0, 2]).run(workers=2)
+        assert threading.active_count() == before
+
+    def test_more_threads_than_cores_match_one_thread(self, monkeypatch):
+        # 97-photon blocks on 8 threads with a short switch interval: a block
+        # that wrote outside its own part of a shared array would show here
+        monkeypatch.setattr(protocol, "_ENGINE_BLOCK", 97)
+        params = params_for(
+            r=3000, seed=9, noise=ChannelNoiseModel(
+                mode=NoiseMode.PER_PHOTON, delta_theta=0.05,
+                family="uniform-interval", spread=0.02),
+            link=LinkBudget(distance_km=5.0, eta_c=0.9, eta_m=0.95, eta_d=0.8),
+            adversary=BlindingAttackParams(p1=0.3, p2=0.5), continue_on_abort=True,
+        )
+        serial = run_full_protocol(params)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = run_full_protocol(params, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        for name in vars(serial.photons):
+            assert np.array_equal(getattr(pooled.photons, name), getattr(serial.photons, name))
+        assert np.array_equal(pooled.frame.decoded, serial.frame.decoded)
+        assert (pooled.check1, pooled.check2, pooled.stats, pooled.attack) == (
+            serial.check1, serial.check2, serial.stats, serial.attack)
+
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            ProtocolRun(params_for(r=10)).run(workers=0)
 
 
 class TestAccounting:

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from rdiqsdc.seeding import purpose_key, seed_sequence, stream
+from rdiqsdc.seeding import positioned, purpose_key, seed_sequence, stream
 
 
 def test_same_triple_same_stream():
@@ -51,3 +51,26 @@ def test_validation():
         seed_sequence(-1, "x")
     with pytest.raises(ValueError):
         seed_sequence(0, "x", -2)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda g, m: g.random(m),
+    lambda g, m: g.uniform(-0.3, 0.7, m),
+    lambda g, m: g.choice(3, size=m, p=[0.2, 0.5, 0.3]),
+], ids=["random", "uniform", "choice-p"])
+def test_positioned_stream_draws_the_tail_of_the_whole_draw(draw):
+    whole = draw(stream(5, "blocks"), 1000)
+    for start in (0, 1, 777, 999):
+        got = draw(positioned(stream(5, "blocks"), start), 1000 - start)
+        assert np.array_equal(got, whole[start:])
+    # the position counts from the stream's start, whatever was drawn from it
+    used = stream(5, "blocks")
+    used.random(10)
+    assert np.array_equal(draw(positioned(used, 3), 5), whole[3:8])
+
+
+def test_integers_are_not_positionable():
+    # buffered 32-bit draws take two values per output: these stay whole
+    whole = stream(5, "blocks").integers(1, 9, size=1000)
+    assert not np.array_equal(positioned(stream(5, "blocks"), 500).integers(1, 9, size=500),
+                              whole[500:])

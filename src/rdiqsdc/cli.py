@@ -24,6 +24,14 @@ from .protocol import (
 )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one,
+    else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="rdiqsdc",
@@ -42,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="config file path (default: $RDIQSDC_CONFIG)")
         cmd.add_argument("--seed", type=int, default=None, help="master seed override")
         cmd.add_argument("--out", type=str, default=".", help="output directory")
-        cmd.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+        cmd.add_argument("--workers", type=int, default=_usable_cpus(),
                          help="parallel workers, at least 1: threads in simulate, processes "
                               "in attack-scan and verify (results are worker-count independent)")
         cmd.add_argument("--format", choices=("csv", "tsv"), default="csv")
@@ -94,7 +102,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     params, message = cfg.protocol_params(), cfg.message_bits()
     outdir = Path(args.out)
     # threads share one process, so more of them than cores only adds switching
-    result = run_full_protocol(params, message, workers=min(args.workers, os.cpu_count() or 1))
+    result = run_full_protocol(params, message, workers=min(args.workers, _usable_cpus()))
     summary = summary_record(result)
     outdir.mkdir(parents=True, exist_ok=True)
     with atomic_open(outdir / "summary.json") as fh:

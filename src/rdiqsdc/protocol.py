@@ -390,6 +390,12 @@ class ProtocolResult:
 # size changes how the work is split, never a drawn value.
 _ENGINE_BLOCK = 1 << 16
 
+
+def _prep_type(n: int) -> np.dtype:
+    """Narrowest signed integer type holding the preparation indices 1..n."""
+    return np.min_scalar_type(-n - 1)
+
+
 def _shuffled(rng: np.random.Generator, index: np.ndarray) -> np.ndarray:
     """`index` shuffled in place: for index = arange(m) of any integer dtype
     this is the permutation rng.permutation(m) draws."""
@@ -434,11 +440,11 @@ class ProtocolRun:
     # -- block scheduling ---------------------------------------------------------
     def _submit(self, fn, *args):
         """A callable returning fn(*args). With a pool, fn starts there now;
-        without one it runs on this thread at the first call, so a result no
-        step asks for is never computed."""
+        without one it runs on this thread now."""
         if self._pool is not None:
             return self._pool.submit(fn, *args).result
-        return functools.cache(functools.partial(fn, *args))
+        out = fn(*args)
+        return lambda: out
 
     def _blocks(self, size: int, purposes: Sequence[str], kernel) -> list:
         """kernel(a, b, rng) for each block [a, b) of range(size), in order of a.
@@ -465,11 +471,9 @@ class ProtocolRun:
     def _trip(self, rng, leg: int, pos: np.ndarray, alive: np.ndarray):
         """One trip over fiber and coupling into the receiving party's memory.
 
-        Draws the channel rotation and one survival draw per lossy stage for
-        every slot; a live photon is charged to the first stage it fails. A
-        stage with efficiency 1 keeps every photon, as a draw of random() < 1
-        would, and leaves its stream undrawn. Returns the rotation, the
-        photons alive after coupling and after storage.
+        Draws the channel rotation and one survival draw per stage for every
+        slot; a live photon is charged to the first stage it fails. Returns
+        the rotation, the photons alive after coupling and after storage.
         """
         link, size = self.params.link, len(pos)
         noise, *losses = _trip_purposes(leg)
@@ -479,23 +483,20 @@ class ProtocolRun:
             losses, (link.eta_t, link.eta_c, link.eta_m),
             (LossSite.FIBER, LossSite.COUPLING, LossSite.MEMORY),
         ):
-            if eta < 1.0:
-                survived = rng(purpose).random(size) < eta
-                lost = pos[alive & ~survived]
-                self.site[lost] = _SITE_CODE[site]
-                self.leg[lost] = leg
-                alive = alive & survived
+            survived = rng(purpose).random(size) < eta
+            lost = pos[alive & ~survived]
+            self.site[lost] = _SITE_CODE[site]
+            self.leg[lost] = leg
+            alive = alive & survived
             after.append(alive)
         return rotation, after[1], after[2]
 
     def _detect(self, rng, purpose: str, pos: np.ndarray, alive: np.ndarray,
                 p_g0: np.ndarray, forced: Optional[np.ndarray], at: np.ndarray):
         """Detector event at the photons `pos`; blinded slots click forced[at].
-        `forced` is None in a run without Eve, where no slot is blinded. A
-        detector with efficiency 1 clicks on every live photon and leaves its
-        stream undrawn."""
-        m, eta_d = len(pos), self.params.link.eta_d
-        clicked = alive & (rng(f"{purpose}-click").random(m) < eta_d) if eta_d < 1.0 else alive
+        `forced` is None in a run without Eve, where no slot is blinded."""
+        m = len(pos)
+        clicked = alive & (rng(f"{purpose}-click").random(m) < self.params.link.eta_d)
         g = np.where(rng(f"{purpose}-born").random(m) < p_g0, 0, 1).astype(np.int8)
         if forced is not None:
             att = self.attacked[pos]
@@ -550,8 +551,8 @@ class ProtocolRun:
             _shuffled, self._rng("shuffle"), np.arange(2 * r, dtype=index_type)
         )
         # drawn as int64 (the stream's bounded-integer algorithm depends on
-        # the dtype), stored in the narrowest type that holds -n..n
-        prep = self._rng("prep").integers(1, n + 1, size=3 * r).astype(np.min_scalar_type(-n))
+        # the dtype), stored in the narrowest signed type that holds 1..n
+        prep = self._rng("prep").integers(1, n + 1, size=3 * r).astype(_prep_type(n))
         secret = self._rng("secret").integers(0, 2, size=r).astype(bool)
         if self._message_in is None:
             self.payload = self._rng("message").integers(0, 2, size=r).astype(np.int8)
@@ -716,44 +717,33 @@ class ProtocolRun:
 
     # -- assembly ---------------------------------------------------------------
     def _stats(self) -> TranscriptStats:
-        r = self.r
-        rounds = (
-            (self.clicked1, self.g1, self.p1_ideal, self.assigned1),
-            (self.clicked2, self.g2, self.p2_ideal, self.assigned2),
-        )
-        # per-photon terms of each round, filled a block at a time: the click
-        # indicator, the gain-weighted shift, the assignment weight and the
-        # observed g=0 indicator
-        terms = [[np.empty(r) for _ in range(4)] for _ in rounds]
-        q_decode = self.clicked3.astype(np.float64)
+        clicked1 = self.clicked1.astype(np.float64)
+        clicked2 = self.clicked2.astype(np.float64)
+        clicked3 = self.clicked3.astype(np.float64)
 
-        def kernel(a, b, rng):
-            for (clicked, g, p_ideal, assigned), (q, shift, assign, obs) in zip(rounds, terms):
-                c, g0, p = clicked[a:b].astype(np.float64), g[a:b] == 0, p_ideal[a:b]
-                q[a:b] = c
-                shift[a:b] = c * (p - g0)
-                assign[a:b] = (1.0 - c) * np.minimum(p, 1.0 - p)
-                obs[a:b] = c * g0 + (1.0 - c) * (assigned[a:b] == 0)
+        def assign_weight(p_ideal: np.ndarray) -> np.ndarray:
+            return np.minimum(p_ideal, 1.0 - p_ideal)
 
-        def tally(a, b, rng):
-            # one bin per (site, leg); the none and detector sites carry no leg
-            return np.bincount(3 * self.site[a:b] + self.leg[a:b], minlength=3 * len(_SITE_CODE))
+        shift1 = clicked1 * (self.p1_ideal - (self.g1 == 0))
+        shift2 = clicked2 * (self.p2_ideal - (self.g2 == 0))
+        assign1 = (1.0 - clicked1) * assign_weight(self.p1_ideal)
+        assign2 = (1.0 - clicked2) * assign_weight(self.p2_ideal)
 
-        self._blocks(r, (), kernel)
-        bins = np.sum(self._blocks(3 * r, (), tally), axis=0)
+        obs1 = clicked1 * (self.g1 == 0) + (1.0 - clicked1) * (self.assigned1 == 0)
+        obs2 = clicked2 * (self.g2 == 0) + (1.0 - clicked2) * (self.assigned2 == 0)
+
+        # one bin per (site, leg); the none and detector sites carry no leg
+        tally = np.bincount(3 * self.site + self.leg)
         counts = {}
-        for idx in np.flatnonzero(bins):
+        for idx in np.flatnonzero(tally):
             code, leg = divmod(int(idx), 3)
             name = _SITE_NAME[code]
-            counts[name if leg == 0 else f"{name}-leg{leg}"] = int(bins[idx])
+            counts[name if leg == 0 else f"{name}-leg{leg}"] = int(tally[idx])
 
-        # the means run over whole arrays on this thread: numpy's pairwise
-        # summation order makes them depend on the array, not on the blocks
-        (q1, shift1, assign1, obs1), (q2, shift2, assign2, obs2) = terms
         return TranscriptStats(
-            q_ab=_est(q1),
-            q_aba=_est(q2),
-            q_aba_decode=_est(q_decode),
+            q_ab=_est(clicked1),
+            q_aba=_est(clicked2),
+            q_aba_decode=_est(clicked3),
             p1_theoretical=float(np.mean(self.p1_ideal)),
             p2_theoretical=float(np.mean(self.p2_ideal)),
             p1_observed=_est(obs1),

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdiqsdc import analysis, protocol, verify
+from rdiqsdc import analysis, cli, protocol, verify
 from rdiqsdc.cli import _write_rows, main
 from rdiqsdc.config import SCHEMA, ConfigError, load_config, parse_value
 from rdiqsdc.qstate import BasisConfig
@@ -279,6 +279,20 @@ def test_simulate_golden_bytes(tmp_path, monkeypatch, case, workers):
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want
     }
     assert got == want
+
+
+def test_simulate_threads_capped_at_usable_cpus(tmp_path, monkeypatch):
+    # simulate runs on at most as many threads as the process may use, for
+    # the default and for a larger --workers
+    seen = []
+    run = cli.run_full_protocol
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(cli, "run_full_protocol",
+                        lambda *args, workers: seen.append(workers) or run(*args, workers=workers))
+    for extra in ([], ["--workers", "8"]):
+        argv = ["simulate", "--out", str(tmp_path), "--set", "protocol.r=100"]
+        assert main(argv + extra) == 0
+    assert seen == [1, 1]
 
 
 def test_failed_csv_write_leaves_no_file(tmp_path):

@@ -375,6 +375,26 @@ class TestThreadPool:
             ProtocolRun(params_for(r=10)).run(workers=0)
 
 
+class TestPrepType:
+    @pytest.mark.parametrize("n", [127, 128, 255, 256])
+    def test_narrow_prep_writes_the_int64_bytes(self, tmp_path, monkeypatch, n):
+        # prep is stored in the narrowest signed type that holds 1..n; at the
+        # edges of int8 the run writes what a run with an int64 prep writes
+        params = params_for(r=2000, n=n, target=None, seed=5,
+                            adversary=BlindingAttackParams(p1=0.3, p2=0.5),
+                            continue_on_abort=True)
+        narrow = run_full_protocol(params)
+        prep = narrow.ledger.prep
+        assert prep.dtype.itemsize < 8
+        assert prep.min() == 1 and prep.max() == n
+        write_transcript(narrow, tmp_path / "narrow.jsonl")
+        monkeypatch.setattr(protocol, "_prep_type", lambda n: np.dtype(np.int64))
+        wide = run_full_protocol(params)
+        assert wide.ledger.prep.dtype == np.int64
+        write_transcript(wide, tmp_path / "wide.jsonl")
+        assert (tmp_path / "narrow.jsonl").read_bytes() == (tmp_path / "wide.jsonl").read_bytes()
+
+
 class TestAccounting:
     def test_loss_sites_partition_population(self):
         params = params_for(

@@ -24,7 +24,7 @@ from .analysis import (
     secrecy_capacity,
     sweep,
 )
-from .devices import ChannelNoiseModel, LinkBudget, LossSite, NoiseMode, memory_efficiency
+from .devices import ChannelNoiseModel, LinkBudget, LossSite, memory_efficiency
 from .protocol import (
     Announcements,
     BasisPolicy,

@@ -19,8 +19,8 @@ from . import analysis, verify
 from .adversary import BlindingAttackParams, detection_power, predict_attacked_distribution
 from .config import ConfigError, RunConfig, load_config
 from .protocol import (
-    ProtocolRun, atomic_open, hoeffding_tolerance, run_full_protocol, summary_record,
-    write_transcript,
+    BasisPolicyMode, ProtocolRun, atomic_open, hoeffding_tolerance, run_full_protocol,
+    summary_record, write_transcript,
 )
 
 
@@ -125,21 +125,29 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _one_rotation_per_trip(cfg: RunConfig) -> float:
+    """delta_theta for the closed forms, which model one rotation per trip."""
+    if cfg["physics.noise_spread"] != 0.0:
+        raise ConfigError("physics.noise_spread must be 0 for sweep and threshold: "
+                          "their closed forms model one rotation per trip")
+    return cfg["physics.delta_theta"]
+
+
 def cmd_sweep(cfg: RunConfig, args) -> int:
     outdir = Path(args.out)
     axis = cfg["analysis.axis"]
     grid = cfg["analysis.grid"]
     if not grid:
         raise ConfigError("analysis.grid is empty; set analysis.grid")
-    dth = cfg["physics.delta_theta"]
+    dth = _one_rotation_per_trip(cfg)
+    link = cfg.link()  # checked on every axis, used on the distance axis
     eff = cfg.efficiency()
     config = cfg.basis_config()
     rows = []
     for p1 in cfg["analysis.p1_list"]:
-        link = cfg.link() if axis == "L" else None
         points = analysis.sweep(
-            axis, grid, p1=float(p1), delta_theta=dth, link=link, efficiency=eff,
-            config=config,
+            axis, grid, p1=float(p1), delta_theta=dth, link=link if axis == "L" else None,
+            efficiency=eff, config=config,
         )
         for pt in points:
             rows.append([
@@ -172,7 +180,7 @@ def _write_gnuplot(path: Path, csv_name: str, axis: str, delim: str) -> None:
 
 
 def cmd_threshold(cfg: RunConfig, args) -> int:
-    dth = cfg["physics.delta_theta"]
+    dth = _one_rotation_per_trip(cfg)
     link = cfg.link()  # eta_m from the memory's round trips when they are set
     eta_c, eta_m, eta_d, alpha = link.eta_c, link.eta_m, link.eta_d, link.alpha_db_per_km
     config = cfg.basis_config()
@@ -220,7 +228,10 @@ def _attack_point(job) -> list:
 
 def cmd_attack_scan(cfg: RunConfig, args) -> int:
     base = cfg.protocol_params()
-    target = cfg["protocol.p1_target"] if cfg["protocol.policy"] == "target-p1" else 0.5
+    if base.policy.mode is BasisPolicyMode.TARGET_P1:
+        target = base.policy.target
+    else:
+        target = base.policy.offsets(base.config).expected_p_g0(base.config.theta)
     r = cfg["attack.r"]
     tol = base.tolerance if base.tolerance is not None else hoeffding_tolerance(r, base.epsilon)
     jobs = []

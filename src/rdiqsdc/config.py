@@ -19,7 +19,7 @@ import numpy as np
 
 from .adversary import BlindingAttackParams
 from .analysis import EfficiencyParams
-from .devices import ChannelNoiseModel, LinkBudget, NoiseMode, memory_efficiency
+from .devices import ChannelNoiseModel, LinkBudget, memory_efficiency
 from .protocol import BasisPolicy, BasisPolicyMode, ProtocolParams, Round2Mode, hoeffding_tolerance
 from .qstate import BasisConfig
 
@@ -36,7 +36,7 @@ def _parse_bool(s: str) -> bool:
         return True
     if v in ("false", "no", "off", "0"):
         return False
-    raise ConfigError(f"expected a boolean, got {s!r}")
+    raise ValueError("expected a boolean")
 
 
 def _parse_float(s: str) -> float:
@@ -51,10 +51,10 @@ def _parse_grid(s: str) -> tuple[float, ...]:
     if ":" in s:
         parts = s.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"grid must be start:stop:count, got {s!r}")
+            raise ValueError("grid must be start:stop:count")
         start, stop, count = _parse_float(parts[0]), _parse_float(parts[1]), int(parts[2])
         if count < 1:
-            raise ConfigError("grid count must be positive")
+            raise ValueError("grid count must be positive")
         return tuple(float(x) for x in np.linspace(start, stop, count))
     return tuple(_parse_float(x) for x in s.split(","))
 
@@ -71,8 +71,20 @@ def _parse_epsilon(s: str) -> float:
     return eps
 
 
-def _identity(s: str) -> str:
-    return s.strip()
+def _choice(*choices: str):
+    def parse(s: str) -> str:
+        v = s.strip()
+        if v not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}")
+        return v
+    return parse
+
+
+def _parse_message(s: str) -> str:
+    v = s.strip()
+    if v != "random" and not set(v) <= {"0", "1"}:
+        raise ValueError("expected 'random' or a 0/1 string")
+    return v
 
 
 # key -> (default, parser, help)
@@ -80,13 +92,13 @@ SCHEMA: dict[str, tuple] = {
     "protocol.r": (10_000, int, "photons per sequence"),
     "protocol.n": (8, int, "number of phase settings (>=3, !=4)"),
     "protocol.theta": (math.pi / 4, _parse_float, "amplitude angle in radians"),
-    "protocol.policy": ("target-p1", _identity, "basis policy: uniform | target-p1"),
+    "protocol.policy": ("target-p1", _choice("uniform", "target-p1"), "basis policy"),
     "protocol.p1_target": (0.1, _parse_float, "first-round P(g=0) target for target-p1"),
     "protocol.tolerance": (None, _parse_tolerance, "check tolerance: hoeffding | float"),
     "protocol.epsilon": (1e-6, _parse_epsilon, "failure budget for the hoeffding tolerance"),
-    "protocol.message": ("random", _identity, "payload: random | bit string"),
+    "protocol.message": ("random", _parse_message, "payload, as long as protocol.r"),
     "protocol.seed": (0, int, "master seed"),
-    "protocol.round2_mode": ("policy", _identity, "second-round bases: policy | original-order"),
+    "protocol.round2_mode": ("policy", _choice("policy", "original-order"), "second-round bases"),
     "protocol.continue_on_abort": (False, _parse_bool, "keep running after a failed check"),
     "physics.distance_km": (0.0, _parse_float, "one-way fiber length"),
     "physics.alpha_db_per_km": (0.2, _parse_float, "fiber attenuation"),
@@ -94,15 +106,13 @@ SCHEMA: dict[str, tuple] = {
     "physics.eta_m": (1.0, _parse_float, "memory efficiency per storage episode"),
     "physics.eta_d": (1.0, _parse_float, "detector efficiency"),
     "physics.qm_per_trip_efficiency": (1.0, _parse_float, "storage-loop survival per round trip"),
-    "physics.qm_round_trips": (0, int, "round trips consumed per storage episode; overrides eta_m when > 0"),
+    "physics.qm_round_trips": (0, int, "round trips per storage episode; set this or eta_m"),
     "physics.delta_theta": (0.0, _parse_float, "rotation per one-way trip, radians"),
-    "physics.noise_mode": ("uniform", _identity, "uniform | per-photon"),
-    "physics.noise_family": ("constant", _identity, "constant | uniform-interval"),
-    "physics.noise_spread": (0.0, _parse_float, "halfwidth for uniform-interval"),
+    "physics.noise_spread": (0.0, _parse_float, "half-width of each photon's rotation per trip"),
     "adversary.enabled": (False, _parse_bool, "interpose the blinding attack"),
     "adversary.p1": (0.0, _parse_float, "per-slot attack probability"),
     "adversary.p2": (0.0, _parse_float, "forced-click closeness probability"),
-    "analysis.axis": ("eta", _identity, "sweep axis: eta | L | delta_theta"),
+    "analysis.axis": ("eta", _choice("eta", "L", "delta_theta"), "sweep axis"),
     "analysis.grid": ((), _parse_grid, "sweep grid: start:stop:count or comma list"),
     "analysis.p1_list": ((0.001, 0.1, 0.2, 0.3, 0.4, 0.5), _parse_grid, "P1 operating points"),
     "analysis.r_rep_hz": (1e7, _parse_float, "source repetition rate"),
@@ -127,18 +137,15 @@ class RunConfig:
         return BasisConfig(n=self["protocol.n"], theta=self["protocol.theta"])
 
     def policy(self) -> BasisPolicy:
-        mode = self["protocol.policy"]
-        if mode == "uniform":
+        if self["protocol.policy"] == "uniform":
             return BasisPolicy(mode=BasisPolicyMode.UNIFORM)
-        if mode == "target-p1":
-            return BasisPolicy(
-                mode=BasisPolicyMode.TARGET_P1, target=self["protocol.p1_target"]
-            )
-        raise ConfigError(f"unknown protocol.policy: {mode!r}")
+        return BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=self["protocol.p1_target"])
 
     def link(self) -> LinkBudget:
         eta_m = self["physics.eta_m"]
         if self["physics.qm_round_trips"] > 0:
+            if eta_m != 1.0:
+                raise ConfigError("set physics.eta_m or physics.qm_round_trips, not both")
             eta_m = memory_efficiency(
                 self["physics.qm_per_trip_efficiency"], self["physics.qm_round_trips"]
             )
@@ -151,27 +158,14 @@ class RunConfig:
         )
 
     def noise(self) -> ChannelNoiseModel:
-        mode = self["physics.noise_mode"]
-        if mode not in ("uniform", "per-photon"):
-            raise ConfigError(f"unknown physics.noise_mode: {mode!r}")
         return ChannelNoiseModel(
-            mode=NoiseMode(mode),
-            delta_theta=self["physics.delta_theta"],
-            family=self["physics.noise_family"],
-            spread=self["physics.noise_spread"],
+            delta_theta=self["physics.delta_theta"], spread=self["physics.noise_spread"]
         )
 
     def adversary(self) -> Optional[BlindingAttackParams]:
         if not self["adversary.enabled"]:
             return None
         return BlindingAttackParams(p1=self["adversary.p1"], p2=self["adversary.p2"])
-
-    def round2_mode(self) -> Round2Mode:
-        mode = self["protocol.round2_mode"]
-        try:
-            return Round2Mode(mode)
-        except ValueError:
-            raise ConfigError(f"unknown protocol.round2_mode: {mode!r}") from None
 
     def protocol_params(self) -> ProtocolParams:
         try:
@@ -184,7 +178,7 @@ class RunConfig:
                 adversary=self.adversary(),
                 tolerance=self["protocol.tolerance"],
                 epsilon=self["protocol.epsilon"],
-                round2_mode=self.round2_mode(),
+                round2_mode=Round2Mode(self["protocol.round2_mode"]),
                 continue_on_abort=self["protocol.continue_on_abort"],
                 seed=self["protocol.seed"],
             )
@@ -195,12 +189,9 @@ class RunConfig:
         raw = self["protocol.message"]
         if raw == "random":
             return None
-        if set(raw) <= {"0", "1"}:
-            bits = [int(c) for c in raw]
-            if len(bits) != self["protocol.r"]:
-                raise ConfigError("protocol.message length must equal protocol.r")
-            return bits
-        raise ConfigError("protocol.message must be 'random' or a 0/1 string")
+        if len(raw) != self["protocol.r"]:
+            raise ConfigError("protocol.message length must equal protocol.r")
+        return [int(c) for c in raw]
 
     def efficiency(self) -> EfficiencyParams:
         return EfficiencyParams(
@@ -215,8 +206,6 @@ def parse_value(key: str, raw: str):
     _, parser, _ = SCHEMA[key]
     try:
         return parser(raw)
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
 

@@ -80,31 +80,21 @@ def memory_efficiency(per_trip_efficiency: float, round_trips: int) -> float:
     return per_trip_efficiency**round_trips
 
 
-class NoiseMode(enum.Enum):
-    UNIFORM = "uniform"
-    PER_PHOTON = "per-photon"
-
-
 @dataclass(frozen=True)
 class ChannelNoiseModel:
     """Per-trip amplitude-angle rotation.
 
-    UNIFORM applies the same delta_theta to every photon. PER_PHOTON draws
-    each photon's rotation independently: family "constant" degenerates to
-    the uniform value, family "uniform-interval" draws from
-    [delta_theta - spread, delta_theta + spread] (robustness studies only).
-    A photon's rotation over both legs is bounded by
+    At spread 0 every photon takes delta_theta on each trip and nothing is
+    drawn. At spread > 0 each photon's rotation per trip is drawn uniformly
+    from [delta_theta - spread, delta_theta + spread] (robustness studies
+    only). A photon's rotation over both legs is bounded by
     2 * (|delta_theta| + spread), which must be a finite number.
     """
 
-    mode: NoiseMode = NoiseMode.UNIFORM
     delta_theta: float = 0.0
-    family: str = "constant"
     spread: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.family not in ("constant", "uniform-interval"):
-            raise ValueError(f"unknown noise family: {self.family}")
         if self.spread < 0:
             raise ValueError("spread must be non-negative")
         if not math.isfinite(2.0 * (abs(self.delta_theta) + self.spread)):
@@ -114,6 +104,6 @@ class ChannelNoiseModel:
             )
 
     def draw(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        if self.mode is NoiseMode.UNIFORM or self.family == "constant":
+        if self.spread == 0.0:
             return np.full(size, self.delta_theta)
         return rng.uniform(self.delta_theta - self.spread, self.delta_theta + self.spread, size)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from rdiqsdc import analysis, cli, protocol, verify
 from rdiqsdc.cli import _write_rows, main
 from rdiqsdc.config import SCHEMA, ConfigError, load_config, parse_value
-from rdiqsdc.qstate import BasisConfig
+from rdiqsdc.qstate import BasisConfig, Measurement, outcome_probability, prepare
 from test_analysis import brute_capacity
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -131,7 +132,8 @@ class TestSimulateCommand:
 
     def test_config_error_exits_two(self, tmp_path, capsys):
         # removed keys are rejected like any other unknown key
-        for item in ("bogus.key=1", "adversary.closeness_angle=0.5", "analysis.p_e=7"):
+        for item in ("bogus.key=1", "adversary.closeness_angle=0.5", "analysis.p_e=7",
+                     "physics.noise_mode=per-photon", "physics.noise_family=uniform-interval"):
             rc = main(["simulate", "--out", str(tmp_path), "--set", item])
             assert rc == 2
             err = capsys.readouterr().err
@@ -160,9 +162,7 @@ class TestSimulateCommand:
             assert err.startswith(f"config error: bad value for {key}: ")
             assert err.count("\n") == 1
         # finite values whose two-leg rotation bound overflows
-        for sets in (["physics.delta_theta=1e308"],
-                     ["physics.noise_mode=per-photon", "physics.noise_family=uniform-interval",
-                      "physics.noise_spread=1e308"]):
+        for sets in (["physics.delta_theta=1e308"], ["physics.noise_spread=1e308"]):
             argv = ["simulate", "--out", str(tmp_path / "nf")]
             for item in sets:
                 argv += ["--set", item]
@@ -211,6 +211,103 @@ class TestSimulateCommand:
         assert not (tmp_path / "nf").exists()
 
 
+COMMANDS = ("simulate", "sweep", "threshold", "attack-scan")
+# small runs unless a later setting overrides them: photons, attack points,
+# grid sizes
+SMALL_RUN = ("protocol.r=20", "attack.r=20", "attack.p1_grid=0,1", "attack.p2_grid=0,1",
+             "analysis.grid=0.5", "analysis.p1_list=0.1,0.4")
+
+
+def _run(out: Path, cmd: str, *sets: str) -> int:
+    argv = [cmd, "--out", str(out), "--workers", "1"]
+    for item in SMALL_RUN + sets:
+        argv += ["--set", item]
+    return main(argv)
+
+
+class TestConfigContracts:
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    @pytest.mark.parametrize("item", [
+        "protocol.policy=bogus", "protocol.round2_mode=bogus", "analysis.axis=bogus",
+        "protocol.message=0120", "output.transcript=maybe",
+    ])
+    def test_bad_value_names_its_key(self, tmp_path, capsys, cmd, item):
+        # every value is checked when the config is read, whether or not the
+        # command uses the key
+        assert _run(tmp_path / "out", cmd, item) == 2
+        key, raw = item.split("=")
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: bad value for {key}: {raw!r} (")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_eta_m_and_memory_round_trips_exclude_each_other(self, tmp_path, capsys, cmd):
+        assert _run(tmp_path, cmd, "physics.eta_m=0.5", "physics.qm_round_trips=1") == 2
+        err = capsys.readouterr().err
+        assert err == "config error: set physics.eta_m or physics.qm_round_trips, not both\n"
+
+    @pytest.mark.parametrize("cmd", ["sweep", "threshold"])
+    def test_closed_forms_reject_rotation_spread(self, tmp_path, capsys, cmd):
+        # the closed forms model one rotation per trip
+        assert _run(tmp_path / "out", cmd, "physics.noise_spread=0.5") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: physics.noise_spread must be 0 ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_noise_spread_alone_draws_per_photon_rotations(self, tmp_path):
+        def rotations(name, *sets):
+            assert _run(tmp_path / name, "simulate", "physics.delta_theta=0.05", *sets) == 0
+            lines = (tmp_path / name / "transcript.jsonl").read_text().splitlines()[:-1]
+            return [json.loads(line)["rotation"] for line in lines]
+
+        # one trip or two at delta_theta each
+        assert set(rotations("constant")) == {0.05, 0.1}
+        drawn = rotations("drawn", "physics.noise_spread=0.02")
+        assert len(set(drawn)) == len(drawn) == 60
+        assert all(0.03 <= rot <= 0.14 for rot in drawn)
+
+    def test_attack_scan_predicts_uniform_policy_at_any_theta(self, tmp_path, monkeypatch):
+        # the unrounded rows, before the CSV prints them to 10 digits
+        rows = []
+        write = cli._write_rows
+
+        def keep_rows(path, header, got, delim):
+            rows.extend(got)
+            write(path, header, got, delim)
+
+        monkeypatch.setattr(cli, "_write_rows", keep_rows)
+        argv = ["attack-scan", "--out", str(tmp_path), "--workers", "1",
+                "--set", "protocol.policy=uniform", "--set", "protocol.theta=0.6",
+                "--set", "attack.p1_grid=0", "--set", "attack.p2_grid=0",
+                "--set", "attack.r=20000"]
+        assert main(argv) == 0
+        # the uniform policy pairs every preparation with every basis alike
+        config = BasisConfig(n=8, theta=0.6)
+        want = math.fsum(
+            outcome_probability(prepare(x, config), Measurement(y, config))
+            for x in range(1, 9) for y in range(1, 9)
+        ) / 64
+        assert want == pytest.approx(0.5657, abs=1e-4)
+        [(_, _, predicted, empirical, _, _)] = rows
+        assert predicted == pytest.approx(want, abs=1e-12)
+        assert abs(empirical - want) <= 5 * math.sqrt(want * (1 - want) / 20_000)
+
+
+def test_readme_config_table_lists_every_schema_key():
+    # a row such as `physics.eta_c` / `eta_m` / `eta_d` names three keys
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    documented = []
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            first, *rest = re.findall(r"`([^`]+)`", line.split("|")[1])
+            prefix = first.rsplit(".", 1)[0]
+            documented += [first] + [f"{prefix}.{name}" for name in rest]
+    assert sorted(documented) == sorted(SCHEMA)
+
+
 # sha256 of the files `simulate --seed 0` writes at r = 2000, with the step
 # each run stops at. Any change to the random streams, the engine or the
 # writers shows up here first. The abort and original-order cases cover the
@@ -248,7 +345,6 @@ GOLDEN_RUNS = {
     }),
     "per-photon-n5": ([
         "protocol.n=5", "protocol.theta=0.6", "protocol.policy=uniform",
-        "physics.noise_mode=per-photon", "physics.noise_family=uniform-interval",
         "physics.noise_spread=0.05", "physics.delta_theta=0.0785398", "physics.eta_m=0.9",
         "adversary.enabled=true", "adversary.p1=0.1", "adversary.p2=0.4",
         "protocol.continue_on_abort=true",
@@ -507,13 +603,10 @@ FUZZ_VALUES = {
             "-1e308", "inf") + _JUNK,
     bool: ("true", "false", "1") + _JUNK,
     tuple: ("0.5", "0.1,0.4", "0,1", "0:1:3", "1:0:2", "-1", "5e-324,0.5", "1e308") + _JUNK,
-    str: ("0110", "random", "uniform", "target-p1", "per-photon", "uniform-interval",
-          "constant", "eta", "L", "delta_theta", "policy", "original-order") + _JUNK,
+    str: ("0110", "random", "uniform", "target-p1", "eta", "L", "delta_theta", "policy",
+          "original-order") + _JUNK,
     type(None): ("hoeffding", "0.01", "1", "0", "-1") + _JUNK,  # protocol.tolerance
 }
-# small runs unless a draw overrides them: photons, attack points, grid sizes
-FUZZ_BASE = ("protocol.r=20", "attack.r=20", "attack.p1_grid=0,1", "attack.p2_grid=0,1",
-             "analysis.grid=0.5", "analysis.p1_list=0.1,0.4")
 
 
 def _setting(key: str):
@@ -521,7 +614,7 @@ def _setting(key: str):
 
 
 @given(
-    cmd=st.sampled_from(["simulate", "sweep", "threshold", "attack-scan"]),
+    cmd=st.sampled_from(COMMANDS),
     sets=st.lists(st.sampled_from(sorted(SCHEMA)).flatmap(_setting), max_size=4),
 )
 @settings(max_examples=150, deadline=None)
@@ -530,12 +623,9 @@ def test_fuzzed_settings_exit_cleanly(cmd, sets):
     # that leaves no output file behind
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        argv = [cmd, "--out", str(out), "--workers", "1"]
-        for item in FUZZ_BASE + tuple(sets):
-            argv += ["--set", item]
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            rc = main(argv)
+            rc = _run(out, cmd, *sets)
         assert rc in (0, 2)
         assert err.getvalue().count("\n") <= 1
         files = sorted(p.name for p in out.rglob("*")) if out.exists() else []

@@ -12,7 +12,6 @@ from rdiqsdc.devices import (
     ChannelNoiseModel,
     LinkBudget,
     LossSite,
-    NoiseMode,
     memory_efficiency,
 )
 from rdiqsdc.protocol import (
@@ -90,22 +89,18 @@ def test_memory_efficiency_eleven_trips():
 
 class TestChannelNoiseModel:
     def test_uniform_mode_constant(self):
+        # at spread 0 every photon takes delta_theta and nothing is drawn
         model = ChannelNoiseModel(delta_theta=0.05)
-        draws = model.draw(100, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        draws = model.draw(100, rng)
         assert np.all(draws == 0.05)
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_interval_family_bounds(self):
-        model = ChannelNoiseModel(
-            mode=NoiseMode.PER_PHOTON, delta_theta=0.1, family="uniform-interval",
-            spread=0.02,
-        )
+        model = ChannelNoiseModel(delta_theta=0.1, spread=0.02)
         draws = model.draw(10_000, np.random.default_rng(1))
         assert np.all(draws >= 0.08) and np.all(draws <= 0.12)
         assert np.std(draws) > 0
-
-    def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            ChannelNoiseModel(family="gaussian")
 
     def test_two_leg_rotation_bound_must_be_finite(self):
         # the largest bound that stays finite is accepted, and its two-leg
@@ -115,7 +110,7 @@ class TestChannelNoiseModel:
         for kw in (dict(delta_theta=1e308), dict(delta_theta=-1e308),
                    dict(delta_theta=5e307, spread=5e307), dict(delta_theta=math.nan)):
             with pytest.raises(ValueError, match="two-leg rotation bound"):
-                ChannelNoiseModel(mode=NoiseMode.PER_PHOTON, family="uniform-interval", **kw)
+                ChannelNoiseModel(**kw)
 
 
 class TestTransmit:

@@ -14,7 +14,7 @@ import pytest
 
 from rdiqsdc import analysis, protocol, verify
 from rdiqsdc.adversary import BlindingAttackParams
-from rdiqsdc.devices import ChannelNoiseModel, LinkBudget, NoiseMode
+from rdiqsdc.devices import ChannelNoiseModel, LinkBudget
 from rdiqsdc.protocol import (
     BasisPolicy,
     BasisPolicyMode,
@@ -351,9 +351,7 @@ class TestThreadPool:
         # that wrote outside its own part of a shared array would show here
         monkeypatch.setattr(protocol, "_ENGINE_BLOCK", 97)
         params = params_for(
-            r=3000, seed=9, noise=ChannelNoiseModel(
-                mode=NoiseMode.PER_PHOTON, delta_theta=0.05,
-                family="uniform-interval", spread=0.02),
+            r=3000, seed=9, noise=ChannelNoiseModel(delta_theta=0.05, spread=0.02),
             link=LinkBudget(distance_km=5.0, eta_c=0.9, eta_m=0.95, eta_d=0.8),
             adversary=BlindingAttackParams(p1=0.3, p2=0.5), continue_on_abort=True,
         )
@@ -600,8 +598,7 @@ class TestTranscriptExport:
         # 9000 rows: several blocks, the last one partial
         lambda: run_full_protocol(params_for(
             r=3000, n=5, seed=11, link=LinkBudget(distance_km=5.0, eta_m=0.9, eta_d=0.8),
-            noise=ChannelNoiseModel(mode=NoiseMode.PER_PHOTON, delta_theta=0.05,
-                                    family="uniform-interval", spread=0.02),
+            noise=ChannelNoiseModel(delta_theta=0.05, spread=0.02),
             adversary=BlindingAttackParams(p1=0.1, p2=0.5), continue_on_abort=True,
         )),
         # basis, g and assigned_g stay -1 on S2 and S3

@@ -12,6 +12,7 @@ from .analysis import (
     EfficiencyParams,
     ErrorBudget,
     OffsetModel,
+    SweepColumns,
     binary_entropy,
     delta_theta_threshold,
     error_budget,

@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .devices import LinkBudget
 from .protocol import BasisPolicy, BasisPolicyMode, OffsetDistribution
 from .qstate import BasisConfig
@@ -53,8 +55,29 @@ def rotated_outcome_probability(cos_phi: float, theta: float, rotation: float) -
     e^{i phi} sin(theta)sin(t)|^2. Linear in cos(phi), so at the mean cosine
     of an offset distribution it is the distribution's mean P(g=0)."""
     two_t = 2.0 * (theta + rotation)
-    return 0.5 * (1.0 + math.cos(2.0 * theta) * math.cos(two_t)
-                  + math.sin(2.0 * theta) * math.sin(two_t) * cos_phi)
+    return _outcome_probability(cos_phi, theta, math.cos(two_t), math.sin(two_t))
+
+
+def _outcome_probability(cos_phi: float, theta: float, cos_two_t, sin_two_t):
+    """rotated_outcome_probability from the cosine and sine of its doubled
+    angle 2t; elementwise, in the same order of operations, over arrays of them."""
+    return 0.5 * (1.0 + math.cos(2.0 * theta) * cos_two_t
+                  + math.sin(2.0 * theta) * sin_two_t * cos_phi)
+
+
+def _rotated_angle(theta: float, delta_theta: float, trips: int) -> float:
+    """The doubled amplitude angle 2*(theta + trips*delta_theta) after
+    `trips` one-way trips; ValueError when it is not a finite number."""
+    two_t = 2.0 * (theta + trips * delta_theta)
+    if not math.isfinite(two_t):
+        raise ValueError(f"delta_theta={delta_theta} is too large: the {trips}-trip "
+                         f"rotation angle 2*(theta + {trips}*delta_theta) is not finite")
+    return two_t
+
+
+def _check_unit(name: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
 @dataclass(frozen=True)
@@ -80,10 +103,8 @@ class OffsetModel:
     def p_g0(self, delta_theta: float, trips: int = 1) -> float:
         """Mean P(g=0) of a clicked check photon after `trips` one-way
         trips, each rotating it by delta_theta."""
-        if not math.isfinite(2.0 * (self.theta + trips * delta_theta)):
-            raise ValueError(f"delta_theta={delta_theta} is too large: the {trips}-trip "
-                             f"rotation angle 2*(theta + {trips}*delta_theta) is not finite")
-        return rotated_outcome_probability(self.mean_cos, self.theta, trips * delta_theta)
+        two_t = _rotated_angle(self.theta, delta_theta, trips)
+        return _outcome_probability(self.mean_cos, self.theta, math.cos(two_t), math.sin(two_t))
 
     def shift(self, delta_theta: float, trips: int = 1) -> float:
         """Signed state error of a clicked photon: ideal minus rotated P(g=0)."""
@@ -115,12 +136,11 @@ class CapacityParams:
     link: Optional[LinkBudget] = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p1 <= 1.0:
-            raise ValueError(f"p1 must lie in [0, 1], got {self.p1}")
+        _check_unit("p1", self.p1)
         if (self.eta is None) == (self.link is None):
             raise ValueError("exactly one of eta or link must be set")
-        if self.eta is not None and not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
+        if self.eta is not None:
+            _check_unit("eta", self.eta)
 
     def gains(self) -> tuple[float, float]:
         """(one-way gain, round-trip gain)."""
@@ -163,8 +183,6 @@ class CapacityPoint:
     i_ab: float
     i_be_bound: float
     c_s: float
-    e_s: Optional[float] = None
-    axis_value: Optional[float] = None
 
 
 def error_budget(params: CapacityParams) -> ErrorBudget:
@@ -349,33 +367,96 @@ def practical_efficiency(c_s: float, eff: EfficiencyParams) -> float:
     return 0.25 * eff.r_rep_hz * eff.p_s * max(c_s, 0.0)
 
 
+@dataclass(frozen=True)
+class SweepColumns:
+    """Capacity over a grid at each P1, one list per quantity. Rows run P1
+    major: row k is grid value k % len(grid) at the (k // len(grid))-th P1.
+    The bare efficiency eta of a point is its q_ab on every axis."""
+
+    axis: list[float]
+    p1: list[float]
+    delta_theta: list[float]
+    q_ab: list[float]
+    q_aba: list[float]
+    e_ab: list[float]   # one-way error fraction, state plus assignment
+    e_aba: list[float]  # round-trip error fraction, state plus assignment
+    i_ab: list[float]
+    i_be: list[float]
+    c_s: list[float]
+    e_s: list[Optional[float]]
+
+
 def sweep(
     axis: str,
     values: Sequence[float],
-    p1: float,
+    p1s: Sequence[float],
     delta_theta: float = 0.0,
     link: Optional[LinkBudget] = None,
     efficiency: Optional[EfficiencyParams] = None,
     config: BasisConfig = REFERENCE_CONFIG,
-) -> list[CapacityPoint]:
-    """Evaluate one capacity point per grid value.
+) -> SweepColumns:
+    """Evaluate the capacity at every grid value for each P1 in p1s.
 
     axis "eta" varies the bare efficiency, "L" the link distance in km
     (template `link` supplies the other budget factors), "delta_theta"
-    the per-trip rotation at eta = 1 unless a link is given.
+    the per-trip rotation at eta = 1 unless a link is given. e_s is None
+    without `efficiency`.
+
+    Each column equals the value secrecy_capacity gives at its point. The
+    gains and the rotation terms, which do not depend on P1, are computed
+    once per grid. Every cos, sin, power and log (in binary_entropy) is the
+    scalar path's own libm call on a Python float; only + - * / and abs run
+    elementwise in numpy, in the scalar path's order.
     """
     if axis not in ("eta", "L", "delta_theta"):
         raise ValueError(f"unknown sweep axis: {axis}")
-    pts = []
-    for v in map(float, values):
-        if axis == "eta":
-            gain = {"eta": v}
-        elif axis == "L":
-            gain = {"link": replace(link or LinkBudget(), distance_km=v)}
+    grid = [float(v) for v in values]
+    p1s = [float(p1) for p1 in p1s]
+    for p1 in p1s:
+        _check_unit("p1", p1)
+    n = len(grid)
+    if axis == "eta":
+        for eta in grid:
+            _check_unit("eta", eta)
+        q_ab, q_aba = grid, [eta**2 for eta in grid]
+    elif axis == "L":
+        links = [replace(link or LinkBudget(), distance_km=v) for v in grid]
+        q_ab, q_aba = [b.q_ab for b in links], [b.q_aba for b in links]
+    else:
+        gains = (1.0, 1.0) if link is None else (link.q_ab, link.q_aba)
+        q_ab, q_aba = [gains[0]] * n, [gains[1]] * n
+        angles = [(_rotated_angle(config.theta, v, 1), _rotated_angle(config.theta, v, 2))
+                  for v in grid]
+        # (cos, sin) of the doubled angle after one trip and after two
+        trig = [(np.array([math.cos(a[k]) for a in angles]),
+                 np.array([math.sin(a[k]) for a in angles])) for k in (0, 1)]
+    dths = grid if axis == "delta_theta" else [delta_theta] * n
+    q1, q2 = np.array(q_ab), np.array(q_aba)
+    e_ab, e_aba, i_ab, i_be, c_s = [], [], [], [], []
+    for p1 in p1s:
+        model = offset_model(p1, config)
+        if axis == "delta_theta":
+            p0 = model.p_g0(0.0)
+            s1, s2 = (np.abs(p0 - _outcome_probability(model.mean_cos, model.theta, cos, sin))
+                      for cos, sin in trig)
         else:
-            gain = {"eta": 1.0} if link is None else {"link": link}
-        dth = v if axis == "delta_theta" else delta_theta
-        point = secrecy_capacity(CapacityParams(p1=p1, delta_theta=dth, config=config, **gain))
-        e_s = practical_efficiency(point.c_s, efficiency) if efficiency else None
-        pts.append(replace(point, e_s=e_s, axis_value=v))
-    return pts
+            s1, s2 = abs(model.shift(delta_theta)), abs(model.shift(delta_theta, trips=2))
+        # error_budget's totals and _information's terms
+        e1 = (q1 * s1 + (1.0 - q1) * model.assign).tolist()
+        e2 = (q2 * s2 + (1.0 - q2) * model.assign).tolist()
+        h2 = np.array([binary_entropy(min(e, 1.0)) for e in e2])
+        h1 = np.array([binary_entropy(min(e, 1.0)) for e in e1])
+        i1, i2 = q2 * (1.0 - h2), q1 * h1
+        e_ab += e1
+        e_aba += e2
+        i_ab += i1.tolist()
+        i_be += i2.tolist()
+        c_s += (i1 - i2).tolist()
+    e_s = ([practical_efficiency(c, efficiency) for c in c_s] if efficiency
+           else [None] * len(c_s))
+    blocks = len(p1s)
+    return SweepColumns(
+        axis=grid * blocks, p1=[p1 for p1 in p1s for _ in range(n)], delta_theta=dths * blocks,
+        q_ab=q_ab * blocks, q_aba=q_aba * blocks, e_ab=e_ab, e_aba=e_aba, i_ab=i_ab, i_be=i_be,
+        c_s=c_s, e_s=e_s,
+    )

@@ -13,7 +13,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from . import analysis, verify
 from .adversary import BlindingAttackParams, detection_power, predict_attacked_distribution
@@ -80,12 +80,21 @@ def _delim(args) -> str:
     return "\t" if args.format == "tsv" else ","
 
 
-def _write_rows(path: Path, header: list[str], rows: list[list], delim: str) -> None:
+def _write_rows(path: Path, header: list[str], rows: Iterable[Sequence], delim: str) -> None:
+    """One line per row, each value as _fmt prints it. A full row of finite
+    floats, which _fmt prints as "%.10g", is formatted with one `%`."""
+    width = len(header)
+    floats = delim.join(["%.10g"] * width) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_open(path) as fh:
         fh.write(delim.join(header) + "\n")
         for row in rows:
-            fh.write(delim.join(_fmt(v) for v in row) + "\n")
+            # a sum of floats is finite only when every term is
+            if (len(row) == width and all(type(v) is float for v in row)
+                    and math.isfinite(sum(row))):
+                fh.write(floats % tuple(row))
+            else:
+                fh.write(delim.join(_fmt(v) for v in row) + "\n")
 
 
 def _fmt(v) -> str:
@@ -143,27 +152,20 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     link = cfg.link()  # checked on every axis, used on the distance axis
     eff = cfg.efficiency()
     config = cfg.basis_config()
-    rows = []
-    for p1 in cfg["analysis.p1_list"]:
-        points = analysis.sweep(
-            axis, grid, p1=float(p1), delta_theta=dth, link=link if axis == "L" else None,
-            efficiency=eff, config=config,
-        )
-        for pt in points:
-            rows.append([
-                pt.axis_value, p1, pt.params.delta_theta,
-                pt.q_ab if pt.params.eta is None else pt.params.eta,
-                pt.q_ab, pt.q_aba,
-                pt.budget.total_one_way, pt.budget.total_round_trip,
-                pt.i_ab, pt.i_be_bound, pt.c_s, pt.e_s,
-            ])
+    cols = analysis.sweep(
+        axis, grid, cfg["analysis.p1_list"], delta_theta=dth,
+        link=link if axis == "L" else None, efficiency=eff, config=config,
+    )
     header = ["axis", "p1", "delta_theta", "eta", "q_ab", "q_aba",
               "e_ab", "e_aba", "i_ab", "i_be", "c_s", "e_s"]
+    # eta is the bare efficiency, which is q_ab on every axis
+    rows = zip(cols.axis, cols.p1, cols.delta_theta, cols.q_ab, cols.q_ab, cols.q_aba,
+               cols.e_ab, cols.e_aba, cols.i_ab, cols.i_be, cols.c_s, cols.e_s)
     path = outdir / f"sweep.{args.format}"
     _write_rows(path, header, rows, _delim(args))
     if cfg["output.gnuplot"]:
         _write_gnuplot(outdir / "sweep.gp", path.name, axis, _delim(args))
-    print(f"wrote {path} ({len(rows)} rows)")
+    print(f"wrote {path} ({len(cols.c_s)} rows)")
     return 0
 
 

@@ -46,6 +46,13 @@ def _parse_float(s: str) -> float:
     return v
 
 
+def _parse_probability(s: str) -> float:
+    v = _parse_float(s)
+    if not 0.0 <= v <= 1.0:
+        raise ValueError("must lie in [0, 1]")
+    return v
+
+
 def _parse_grid(s: str) -> tuple[float, ...]:
     s = s.strip()
     if ":" in s:
@@ -105,13 +112,14 @@ SCHEMA: dict[str, tuple] = {
     "physics.eta_c": (0.95, _parse_float, "coupling efficiency"),
     "physics.eta_m": (1.0, _parse_float, "memory efficiency per storage episode"),
     "physics.eta_d": (1.0, _parse_float, "detector efficiency"),
-    "physics.qm_per_trip_efficiency": (1.0, _parse_float, "storage-loop survival per round trip"),
+    "physics.qm_per_trip_efficiency": (1.0, _parse_probability,
+                                       "storage-loop survival per round trip"),
     "physics.qm_round_trips": (0, int, "round trips per storage episode; set this or eta_m"),
     "physics.delta_theta": (0.0, _parse_float, "rotation per one-way trip, radians"),
     "physics.noise_spread": (0.0, _parse_float, "half-width of each photon's rotation per trip"),
     "adversary.enabled": (False, _parse_bool, "interpose the blinding attack"),
-    "adversary.p1": (0.0, _parse_float, "per-slot attack probability"),
-    "adversary.p2": (0.0, _parse_float, "forced-click closeness probability"),
+    "adversary.p1": (0.0, _parse_probability, "per-slot attack probability"),
+    "adversary.p2": (0.0, _parse_probability, "forced-click closeness probability"),
     "analysis.axis": ("eta", _choice("eta", "L", "delta_theta"), "sweep axis"),
     "analysis.grid": ((), _parse_grid, "sweep grid: start:stop:count or comma list"),
     "analysis.p1_list": ((0.001, 0.1, 0.2, 0.3, 0.4, 0.5), _parse_grid, "P1 operating points"),

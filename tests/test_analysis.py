@@ -5,11 +5,15 @@ arithmetic (mpmath, direct formula chains) or frozen from those oracles.
 """
 import cmath
 import math
+from dataclasses import replace
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdiqsdc.analysis import (
+    REFERENCE_CONFIG,
     CapacityParams,
     EfficiencyParams,
     OffsetModel,
@@ -427,30 +431,130 @@ class TestPracticalEfficiency:
 
 class TestSweep:
     def test_eta_axis(self):
-        pts = sweep("eta", [0.3, 0.6, 0.9], p1=0.1)
-        assert [p.axis_value for p in pts] == [0.3, 0.6, 0.9]
-        assert all(p.e_s is None for p in pts)
+        cols = sweep("eta", [0.3, 0.6, 0.9], [0.1])
+        assert cols.axis == cols.q_ab == [0.3, 0.6, 0.9]
+        assert cols.e_s == [None] * 3
 
     def test_distance_axis_maps_gains(self):
         link = LinkBudget(eta_c=0.95)
-        pts = sweep("L", [0.0, 10.0, 20.0], p1=0.1, link=link,
-                    efficiency=EfficiencyParams())
-        assert pts[0].q_ab == pytest.approx(0.95)
-        assert pts[0].q_ab > pts[1].q_ab > pts[2].q_ab
-        assert all(p.e_s is not None for p in pts)
+        cols = sweep("L", [0.0, 10.0, 20.0], [0.1], link=link, efficiency=EfficiencyParams())
+        assert cols.q_ab[0] == pytest.approx(0.95)
+        assert cols.q_ab[0] > cols.q_ab[1] > cols.q_ab[2]
+        assert all(e_s is not None for e_s in cols.e_s)
 
     def test_delta_theta_axis_runs_lossless(self):
-        pts = sweep("delta_theta", [0.0, 0.1], p1=0.2)
-        assert pts[0].q_ab == 1.0
-        assert pts[0].c_s == pytest.approx(1.0, abs=1e-12)
+        cols = sweep("delta_theta", [0.0, 0.1], [0.2])
+        assert cols.q_ab[0] == 1.0
+        assert cols.c_s[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown_axis(self):
         with pytest.raises(ValueError):
-            sweep("loss", [1.0], p1=0.1)
+            sweep("loss", [1.0], [0.1])
 
     def test_efficiency_floor_in_sweep(self):
-        pts = sweep("eta", [0.05], p1=0.1, efficiency=EfficiencyParams())
-        assert pts[0].c_s < 0 and pts[0].e_s == 0.0
+        cols = sweep("eta", [0.05], [0.1], efficiency=EfficiencyParams())
+        assert cols.c_s[0] < 0 and cols.e_s == [0.0]
+
+
+def scalar_params(axis: str, v: float, p1: float, dth: float = 0.0,
+                  link: LinkBudget = None, config: BasisConfig = REFERENCE_CONFIG):
+    """The operating point of one sweep row, built as a scalar evaluation."""
+    if axis == "eta":
+        return CapacityParams(p1=p1, delta_theta=dth, config=config, eta=v)
+    if axis == "L":
+        return CapacityParams(p1=p1, delta_theta=dth, config=config,
+                              link=replace(link or LinkBudget(), distance_km=v))
+    gain = {"eta": 1.0} if link is None else {"link": link}
+    return CapacityParams(p1=p1, delta_theta=v, config=config, **gain)
+
+
+def _bits(values) -> list:
+    """Values with the sign of each zero, which the CSV prints as 0 or -0."""
+    return [(v, math.copysign(1.0, v)) if isinstance(v, float) else v for v in values]
+
+
+def assert_sweep_equals_scalar(axis, grid, p1s, dth=0.0, link=None, efficiency=None,
+                               config=REFERENCE_CONFIG):
+    """Every column of the sweep equals secrecy_capacity at its point, bit for
+    bit, in P1-major order; returns the c_s column."""
+    cols = sweep(axis, grid, p1s, delta_theta=dth, link=link, efficiency=efficiency,
+                 config=config)
+    got = list(zip(cols.axis, cols.p1, cols.delta_theta, cols.q_ab, cols.q_aba, cols.e_ab,
+                   cols.e_aba, cols.i_ab, cols.i_be, cols.c_s, cols.e_s))
+    want = []
+    for p1 in p1s:
+        for v in grid:
+            params = scalar_params(axis, v, p1, dth, link, config)
+            pt = secrecy_capacity(params)
+            e_s = practical_efficiency(pt.c_s, efficiency) if efficiency else None
+            want.append((v, p1, params.delta_theta, pt.q_ab, pt.q_aba,
+                         pt.budget.total_one_way, pt.budget.total_round_trip,
+                         pt.i_ab, pt.i_be_bound, pt.c_s, e_s))
+    assert got == want
+    assert [_bits(row) for row in got] == [_bits(row) for row in want]
+    return cols.c_s
+
+
+@given(
+    axis=st.sampled_from(("eta", "L", "delta_theta")),
+    n=st.sampled_from((3, 5, 8, 16)),
+    theta=st.one_of(st.just(math.pi / 4), st.floats(0.1, 1.4)),
+    p1_fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+    grid=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+    dth=st.one_of(st.just(0.0), st.floats(-0.4, 0.4)),
+    factors=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+    with_link=st.booleans(),
+    with_efficiency=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_sweep_columns_equal_scalar_capacity(axis, n, theta, p1_fractions, grid, dth, factors,
+                                            with_link, with_efficiency):
+    config = BasisConfig(n=n, theta=theta)
+    ideal = [rotated_outcome_probability(math.cos(2 * math.pi * d / n), theta, 0.0)
+             for d in range(n)]
+    lo, hi = min(ideal), max(ideal)
+    p1s = [min(max(lo + f * (hi - lo), lo), hi) for f in p1_fractions]
+    eta_c, eta_m, eta_d, alpha = factors
+    link = LinkBudget(alpha_db_per_km=alpha, eta_c=eta_c, eta_m=eta_m, eta_d=eta_d)
+    scale = {"eta": 1.0, "L": 200.0, "delta_theta": 1.0}[axis]
+    grid = [scale * v for v in grid]
+    link = link if with_link or axis == "L" else None
+    # and on both sides of a root, where C_S changes sign: the solvers
+    # return it to within 1e-3 of itself (eta*) or 1e-6 (dth*)
+    p1, root = p1s[0], None
+    if 0.0 < p1 < 1.0 and axis == "eta":
+        root = eta_threshold(p1, dth, config=config)
+    elif 0.0 < p1 < 1.0 and axis == "delta_theta" and link is None:
+        root = delta_theta_threshold(p1, config=config)
+    if root is not None:
+        d = 2e-3 * root if axis == "eta" else 2e-6
+        grid += [root - d, root, min(root + d, 1.0)]
+    efficiency = EfficiencyParams() if with_efficiency else None
+    c_s = assert_sweep_equals_scalar(axis, grid, p1s, dth, link, efficiency, config)
+    if root is not None and root + d <= 1.0:
+        below, _, above = c_s[len(grid) - 3:len(grid)]
+        assert (below > 0.0) != (above > 0.0)
+
+
+@pytest.mark.parametrize("axis, top", [("eta", 1.0), ("L", 200.0), ("delta_theta", 3.0)])
+def test_dense_sweep_equals_scalar_capacity(axis, top):
+    # a libm call swapped for its numpy version can differ on a few inputs in
+    # a thousand (numpy's x**2 and pow(x, 2) do), which only a dense grid shows
+    grid = [top * k / 10_000 for k in range(10_001)]
+    assert_sweep_equals_scalar(axis, grid, [0.1], dth=0.0785398, efficiency=EfficiencyParams())
+
+
+@pytest.mark.parametrize("axis, bad", [
+    ("eta", 1.5), ("eta", -0.1), ("eta", math.nan), ("L", -1.0), ("L", math.nan),
+    ("delta_theta", 1e308), ("delta_theta", 5e307),
+])
+def test_sweep_raises_the_scalar_error(axis, bad):
+    # an out-of-domain grid value fails with the message of its scalar point
+    with pytest.raises(ValueError) as scalar:
+        secrecy_capacity(scalar_params(axis, bad, 0.1))
+    with pytest.raises(ValueError) as columns:
+        sweep(axis, [0.5, bad], [0.1, 0.4])
+    assert str(columns.value) == str(scalar.value)
 
 
 def test_ideal_outcome_probability_reduces_to_cosine():

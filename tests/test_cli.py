@@ -11,6 +11,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -202,6 +203,16 @@ class TestSimulateCommand:
             err = capsys.readouterr().err
             assert err.startswith("config error: delta_theta=")
             assert "is too large" in err and err.count("\n") == 1
+        # probabilities are checked when the config is read, for every command,
+        # whether or not the command uses them
+        for cmd in ("simulate", "sweep", "threshold", "attack-scan", "verify"):
+            for item in ("physics.qm_per_trip_efficiency=2", "physics.qm_per_trip_efficiency=-0.1",
+                         "adversary.p1=2", "adversary.p2=-0.5"):
+                argv = [cmd, "--out", str(tmp_path / "nf"), "--workers", "1", "--set", item]
+                assert main(argv) == 2
+                err = capsys.readouterr().err
+                key, raw = item.split("=")
+                assert err == f"config error: bad value for {key}: {raw!r} (must lie in [0, 1])\n"
         # a worker count below one, for every command
         for cmd in ("simulate", "sweep", "threshold", "attack-scan", "verify"):
             for workers in ("0", "-3"):
@@ -402,6 +413,18 @@ def test_failed_csv_write_leaves_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_write_rows_prints_each_value_as_fmt(tmp_path):
+    # the one-`%` path for rows of finite floats gives _fmt's text, and every
+    # other row keeps it
+    path = tmp_path / "rows.csv"
+    rows = [[0.1, -0.0, 1e300, 5e-324, 123456789012.0], [0.5, -math.inf, math.inf, math.nan, 1.0],
+            [1e308, 1e308, 0.0, 2.0, 3.0], [0.5, None, 7, True, "x"], [np.float64(0.3), 0.1]]
+    _write_rows(path, list("abcde"), rows, ",")
+    lines = path.read_text().splitlines()
+    assert lines[1:] == [",".join(cli._fmt(v) for v in row) for row in rows]
+    assert lines[2] == "0.5,inf,inf,nan,1"
+
+
 class TestSweepCommand:
     def test_csv_columns_and_determinism(self, tmp_path):
         args = [
@@ -497,12 +520,12 @@ class TestBasisConfigInAnalysis:
             eta, p1, c_s = float(fields[0]), float(fields[1]), float(fields[10])
             want = brute_capacity(p1, self.CONFIG, eta, 0.0785398)
             assert c_s == pytest.approx(want, rel=1e-9, abs=1e-12)
-        for p1 in (0.3, 0.6):
-            pts = analysis.sweep("eta", [0.2, 0.6, 1.0], p1=p1, delta_theta=0.0785398,
-                                 config=self.CONFIG)
-            for pt in pts:
-                want = brute_capacity(p1, self.CONFIG, pt.axis_value, 0.0785398)
-                assert pt.c_s == pytest.approx(want, abs=1e-12)
+        cols = analysis.sweep("eta", [0.2, 0.6, 1.0], [0.3, 0.6], delta_theta=0.0785398,
+                              config=self.CONFIG)
+        assert cols.p1 == [0.3] * 3 + [0.6] * 3
+        for p1, eta, c_s in zip(cols.p1, cols.axis, cols.c_s):
+            want = brute_capacity(p1, self.CONFIG, eta, 0.0785398)
+            assert c_s == pytest.approx(want, abs=1e-12)
 
     def test_threshold_roots_are_sign_changes(self, tmp_path):
         assert main(["threshold", "--out", str(tmp_path)] + self.SETS) == 0
@@ -530,7 +553,8 @@ class TestBasisConfigInAnalysis:
 
 
 # sha256 of the default `threshold` output and of one sweep per axis over the
-# default P1 list; any change to the capacity model shows up here first.
+# default P1 list, at 200 points and at the benchmark's 2000; any change to
+# the capacity model shows up here first.
 ANALYSIS_GOLDEN = {
     "threshold": ([], "thresholds.csv",
                   "191e7815eb9a021636fb5b75966d3e4287a2341f31c0efd25ab6fe066e5ab724"),
@@ -541,6 +565,13 @@ ANALYSIS_GOLDEN = {
     "sweep-delta_theta": (["analysis.axis=delta_theta", "analysis.grid=0:3.14159:200"],
                           "sweep.csv",
                           "42e02608a629e930ba83234e606e7e391ff1308e83cce60b0cbaf0636279b137"),
+    "sweep-eta-2000": (["analysis.axis=eta", "analysis.grid=0.0005:1:2000"], "sweep.csv",
+                       "a022efecd049af2695607e5c298795f454838044ebf6df818f007ce05eeb5f70"),
+    "sweep-L-2000": (["analysis.axis=L", "analysis.grid=0:100:2000"], "sweep.csv",
+                     "9714454224fa9188c67a36aeb361c022142239526727b2074c42bdcbc2b661ac"),
+    "sweep-delta_theta-2000": (["analysis.axis=delta_theta", "analysis.grid=0:3.14159:2000"],
+                               "sweep.csv",
+                               "b6c597abbb41cfec74cff01656962ed8853fb8d6fff369442bf2b2c65dc38aa5"),
 }
 
 
@@ -551,7 +582,12 @@ def test_analysis_golden_bytes(tmp_path, case):
     for item in sets:
         argv += ["--set", item]
     assert main(argv) == 0
-    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want
+    body = (tmp_path / name).read_bytes()
+    assert hashlib.sha256(body).hexdigest() == want
+    # the tab-separated file is the same text with tabs for commas
+    assert main(argv + ["--format", "tsv"]) == 0
+    tsv = (tmp_path / name).with_suffix(".tsv").read_bytes()
+    assert tsv == body.replace(b",", b"\t")
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -52,7 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", type=str, default=".", help="output directory")
         cmd.add_argument("--workers", type=int, default=_usable_cpus(),
                          help="parallel workers, at least 1: threads in simulate, processes "
-                              "in attack-scan and verify (results are worker-count independent)")
+                              "in attack-scan and verify (verify: one pool shared by criteria "
+                              "7, 9 and 10; 1 runs everything serially in this process); the "
+                              "output is the same for any worker count")
         cmd.add_argument("--format", choices=("csv", "tsv"), default="csv")
         cmd.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                          help="override a config key (repeatable)")

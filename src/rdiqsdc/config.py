@@ -87,6 +87,15 @@ def _choice(*choices: str):
     return parse
 
 
+def _int_at_least(low: int):
+    def parse(s: str) -> int:
+        v = int(s)
+        if v < low:
+            raise ValueError(f"must be an integer >= {low}")
+        return v
+    return parse
+
+
 def _parse_message(s: str) -> str:
     v = s.strip()
     if v != "random" and not set(v) <= {"0", "1"}:
@@ -96,7 +105,7 @@ def _parse_message(s: str) -> str:
 
 # key -> (default, parser, help)
 SCHEMA: dict[str, tuple] = {
-    "protocol.r": (10_000, int, "photons per sequence"),
+    "protocol.r": (10_000, _int_at_least(1), "photons per sequence"),
     "protocol.n": (8, int, "number of phase settings (>=3, !=4)"),
     "protocol.theta": (math.pi / 4, _parse_float, "amplitude angle in radians"),
     "protocol.policy": ("target-p1", _choice("uniform", "target-p1"), "basis policy"),
@@ -104,7 +113,7 @@ SCHEMA: dict[str, tuple] = {
     "protocol.tolerance": (None, _parse_tolerance, "check tolerance: hoeffding | float"),
     "protocol.epsilon": (1e-6, _parse_epsilon, "failure budget for the hoeffding tolerance"),
     "protocol.message": ("random", _parse_message, "payload, as long as protocol.r"),
-    "protocol.seed": (0, int, "master seed"),
+    "protocol.seed": (0, _int_at_least(0), "master seed"),
     "protocol.round2_mode": ("policy", _choice("policy", "original-order"), "second-round bases"),
     "protocol.continue_on_abort": (False, _parse_bool, "keep running after a failed check"),
     "physics.distance_km": (0.0, _parse_float, "one-way fiber length"),
@@ -114,7 +123,7 @@ SCHEMA: dict[str, tuple] = {
     "physics.eta_d": (1.0, _parse_float, "detector efficiency"),
     "physics.qm_per_trip_efficiency": (1.0, _parse_probability,
                                        "storage-loop survival per round trip"),
-    "physics.qm_round_trips": (0, int, "round trips per storage episode; set this or eta_m"),
+    "physics.qm_round_trips": (0, _int_at_least(0), "round trips per storage episode; set this or eta_m"),
     "physics.delta_theta": (0.0, _parse_float, "rotation per one-way trip, radians"),
     "physics.noise_spread": (0.0, _parse_float, "half-width of each photon's rotation per trip"),
     "adversary.enabled": (False, _parse_bool, "interpose the blinding attack"),
@@ -127,7 +136,7 @@ SCHEMA: dict[str, tuple] = {
     "analysis.p_s": (1.0, _parse_float, "single-photon source efficiency"),
     "attack.p1_grid": ((0.0, 0.25, 0.5, 0.75, 1.0), _parse_grid, "attack-scan p1 grid"),
     "attack.p2_grid": ((0.0, 0.25, 0.5, 0.75, 1.0), _parse_grid, "attack-scan p2 grid"),
-    "attack.r": (100_000, int, "photons per attack-scan point"),
+    "attack.r": (100_000, _int_at_least(1), "photons per attack-scan point"),
     "output.transcript": (True, _parse_bool, "write the per-photon transcript"),
     "output.gnuplot": (False, _parse_bool, "emit a gnuplot script next to the CSV"),
 }

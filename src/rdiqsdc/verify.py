@@ -5,12 +5,20 @@ Sources: "reference" rows compare against externally fixed target values,
 "oracle" rows against independently derived frozen constants,
 "simulation" rows cross-validate the Monte Carlo engine against the
 closed-form model at 5-sigma, and "exact" rows are identities.
+
+Criteria 7, 9 and 10 split into pool jobs (protocol runs and the qstate
+walk). Each of them takes its jobs' results as `results`, in job order;
+without them it runs its jobs itself.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterable, Iterator
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain, islice
+from typing import Optional
 
 import numpy as np
 
@@ -22,6 +30,7 @@ from .protocol import (
     BasisPolicyMode,
     ProtocolParams,
     ProtocolRun,
+    SecurityCheckReport,
     hoeffding_tolerance,
     run_full_protocol,
 )
@@ -244,15 +253,15 @@ def _keystone_rows(stats, closed: dict) -> list[tuple]:
     return rows
 
 
-def criterion7(r: int = 1_000_000, workers: int = 1) -> list[CheckResult]:
-    jobs = [
-        (i, eta, dth, p1, r) for i, (eta, dth, p1) in enumerate(KEYSTONE_GRID)
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_criterion7_point, jobs))
-    else:
-        results = [_criterion7_point(job) for job in jobs]
+def _criterion7_jobs(r: int) -> list[tuple]:
+    return [(i, eta, dth, p1, r) for i, (eta, dth, p1) in enumerate(KEYSTONE_GRID)]
+
+
+def criterion7(
+    r: int = 1_000_000, results: Optional[Iterable[dict]] = None
+) -> list[CheckResult]:
+    if results is None:
+        results = map(_criterion7_point, _criterion7_jobs(r))
     out = []
     for res in results:
         worst = max(res["rows"], key=lambda row: row[3])
@@ -328,15 +337,15 @@ def criterion8() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # criterion 9: attack model
 # ---------------------------------------------------------------------------
-def _first_check(params: ProtocolParams):
-    run = ProtocolRun(params)
-    run.step1_prepare()
-    run.step2_transmit_to_bob()
-    return run.step3_first_check()
+ATTACK_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
+REPLICA_M = 10_000
+REPLICAS = 30
 
 
-def _attack_params(r: int, p1a: float, p2a: float, target: float, seed: int) -> ProtocolParams:
-    return ProtocolParams(
+def _first_check(job: tuple) -> SecurityCheckReport:
+    """First checking round of one attacked run: job = (r, p1a, p2a, target, seed)."""
+    r, p1a, p2a, target, seed = job
+    run = ProtocolRun(ProtocolParams(
         r=r,
         config=BasisConfig(n=8),
         policy=BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=target),
@@ -345,25 +354,40 @@ def _attack_params(r: int, p1a: float, p2a: float, target: float, seed: int) -> 
         adversary=BlindingAttackParams(p1=p1a, p2=p2a),
         continue_on_abort=True,
         seed=seed,
-    )
+    ))
+    run.step1_prepare()
+    run.step2_transmit_to_bob()
+    return run.step3_first_check()
 
 
-def criterion9(r_grid: int = 100_000) -> list[CheckResult]:
+def _criterion9_jobs(r_grid: int) -> tuple[list[tuple], list[tuple]]:
+    """The 25 grid runs, then the detectable and the undetectable replicas."""
+    grid = [
+        (r_grid, p1a, p2a, 0.1, 900 + 10 * i + j)
+        for i, p1a in enumerate(ATTACK_LEVELS)
+        for j, p2a in enumerate(ATTACK_LEVELS)
+    ]
+    replicas = [(REPLICA_M, 0.5, 0.5, target, base + k)
+                for target, base in ((0.1, 2_000), (0.5, 3_000)) for k in range(REPLICAS)]
+    return grid, replicas
+
+
+def criterion9(
+    r_grid: int = 100_000, results: Optional[Iterable[SecurityCheckReport]] = None
+) -> list[CheckResult]:
+    grid, replicas = _criterion9_jobs(r_grid)
+    if results is None:
+        results = map(_first_check, grid + replicas)
+    reports = iter(results)
     out = []
-    target = 0.1
     worst_z, worst_at = 0.0, ""
-    levels = (0.0, 0.25, 0.5, 0.75, 1.0)
-    for i, p1a in enumerate(levels):
-        for j, p2a in enumerate(levels):
-            report = _first_check(
-                _attack_params(r_grid, p1a, p2a, target, seed=900 + 10 * i + j)
-            )
-            q = predict_attacked_distribution(target, BlindingAttackParams(p1a, p2a))
-            sigma = math.sqrt(q * (1.0 - q) / r_grid)
-            diff = abs(report.empirical_p_g0 - q)
-            z = diff / sigma if sigma > 0 else (0.0 if diff == 0.0 else math.inf)
-            if z > worst_z:
-                worst_z, worst_at = z, f"p1={p1a}, p2={p2a}"
+    for (_, p1a, p2a, target, _), report in zip(grid, islice(reports, len(grid))):
+        q = predict_attacked_distribution(target, BlindingAttackParams(p1a, p2a))
+        sigma = math.sqrt(q * (1.0 - q) / r_grid)
+        diff = abs(report.empirical_p_g0 - q)
+        z = diff / sigma if sigma > 0 else (0.0 if diff == 0.0 else math.inf)
+        if z > worst_z:
+            worst_z, worst_at = z, f"p1={p1a}, p2={p2a}"
     out.append(
         CheckResult(
             "9", f"attacked P(g=0) matches (1-p1)*P1 + p1*p2 on the 25-point grid (r={r_grid})",
@@ -372,7 +396,7 @@ def criterion9(r_grid: int = 100_000) -> list[CheckResult]:
         )
     )
 
-    m = 10_000
+    m = REPLICA_M
     tol = hoeffding_tolerance(m)
     power = detection_power(0.1, BlindingAttackParams(0.5, 0.5), m, tol)
     out.append(
@@ -381,10 +405,7 @@ def criterion9(r_grid: int = 100_000) -> list[CheckResult]:
             "> 0.999", f"{power:.6f}", "n/a", power > 0.999, "closed-form",
         )
     )
-    aborts = sum(
-        not _first_check(_attack_params(m, 0.5, 0.5, 0.1, seed=2_000 + k)).passed
-        for k in range(30)
-    )
+    aborts = sum(not report.passed for report in islice(reports, REPLICAS))
     out.append(
         CheckResult(
             "9", "check aborts in attacked runs (30 replicas)",
@@ -400,10 +421,7 @@ def criterion9(r_grid: int = 100_000) -> list[CheckResult]:
             power_hidden <= 1e-6, "closed-form",
         )
     )
-    false_aborts = sum(
-        not _first_check(_attack_params(m, 0.5, 0.5, 0.5, seed=3_000 + k)).passed
-        for k in range(30)
-    )
+    false_aborts = sum(not report.passed for report in islice(reports, REPLICAS))
     out.append(
         CheckResult(
             "9", "no aborts at the undetectable point (30 replicas)",
@@ -417,7 +435,27 @@ def criterion9(r_grid: int = 100_000) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # criterion 10: property suites
 # ---------------------------------------------------------------------------
-def criterion10(n_random_ops: int = 100_000) -> list[CheckResult]:
+def _normalization_walk(n_ops: int) -> float:
+    """Worst |norm - 1| over n_ops random qstate operations, from a fixed stream."""
+    rng = np.random.default_rng(12345)
+    config = BasisConfig(n=16)
+    worst = 0.0
+    state = prepare(1, config)
+    for _ in range(n_ops):
+        choice = rng.integers(0, 3)
+        if choice == 0:
+            state = prepare(int(rng.integers(1, 17)), config)
+        elif choice == 1:
+            state = apply_encode(state, EncodeOp.U1 if rng.random() < 0.5 else EncodeOp.U0)
+        else:
+            state = apply_rotation(state, ChannelRotation(float(rng.uniform(-1.5, 1.5))))
+        worst = max(worst, abs(state.norm_sq() - 1.0))
+    return worst
+
+
+def criterion10(
+    n_random_ops: int = 100_000, results: Optional[Iterable[float]] = None
+) -> list[CheckResult]:
     out = []
 
     def params(p1: float, dth: float, eta: float = 1.0) -> analysis.CapacityParams:
@@ -463,19 +501,9 @@ def criterion10(n_random_ops: int = 100_000) -> list[CheckResult]:
         )
     )
 
-    rng = np.random.default_rng(12345)
-    config = BasisConfig(n=16)
-    worst = 0.0
-    state = prepare(1, config)
-    for _ in range(n_random_ops):
-        choice = rng.integers(0, 3)
-        if choice == 0:
-            state = prepare(int(rng.integers(1, 17)), config)
-        elif choice == 1:
-            state = apply_encode(state, EncodeOp.U1 if rng.random() < 0.5 else EncodeOp.U0)
-        else:
-            state = apply_rotation(state, ChannelRotation(float(rng.uniform(-1.5, 1.5))))
-        worst = max(worst, abs(state.norm_sq() - 1.0))
+    if results is None:
+        results = map(_normalization_walk, [n_random_ops])
+    [worst] = results
     out.append(
         CheckResult(
             "10", f"normalization preserved over {n_random_ops} randomized ops",
@@ -486,16 +514,45 @@ def criterion10(n_random_ops: int = 100_000) -> list[CheckResult]:
     return out
 
 
-def run_all(workers: int = 1, r_keystone: int = 1_000_000) -> list[CheckResult]:
-    checks: list[CheckResult] = []
-    checks += criterion1()
-    checks += criterion2()
-    checks += criterion3()
-    checks += criterion4()
-    checks += criterion5()
-    checks += criterion6()
-    checks += criterion7(r=r_keystone, workers=workers)
-    checks += criterion8()
-    checks += criterion9()
-    checks += criterion10()
-    return checks
+def _queue_jobs(
+    pool: Executor, r_keystone: int, r_grid: int, n_random_ops: int
+) -> dict[int, Iterator]:
+    """Queue every job of criteria 10, 7 and 9 on `pool`, in that order, and
+    return each criterion's results iterator, keyed by criterion number.
+
+    `Executor.map` submits all its jobs when it is called, so nothing here
+    waits. The criterion-10 walk is the longest single job, so it starts
+    first rather than running alone at the end; the short replica runs go
+    in chunks of 4.
+    """
+    grid, replicas = _criterion9_jobs(r_grid)
+    return {
+        10: pool.map(_normalization_walk, [n_random_ops]),
+        7: pool.map(_criterion7_point, _criterion7_jobs(r_keystone)),
+        9: chain(pool.map(_first_check, grid), pool.map(_first_check, replicas, chunksize=4)),
+    }
+
+
+def run_all(
+    workers: int = 1,
+    r_keystone: int = 1_000_000,
+    r_grid: int = 100_000,
+    n_random_ops: int = 100_000,
+) -> list[CheckResult]:
+    """Every criterion's rows, in criterion order.
+
+    With more than one worker, one process pool runs the jobs of criteria
+    7, 9 and 10, all queued before anything waits, while this process
+    computes the other criteria; one worker runs everything here, in order.
+    The rows are the same either way.
+    """
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        pending = _queue_jobs(pool, r_keystone, r_grid, n_random_ops) if pool else {}
+        return (
+            criterion1() + criterion2() + criterion3() + criterion4() + criterion5()
+            + criterion6()
+            + criterion7(r_keystone, pending.get(7))
+            + criterion8()
+            + criterion9(r_grid, pending.get(9))
+            + criterion10(n_random_ops, pending.get(10))
+        )

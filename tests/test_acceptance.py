@@ -9,6 +9,7 @@ oracle in this file.
 """
 import math
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import mpmath
 import pytest
@@ -93,8 +94,10 @@ def test_criterion_7_monte_carlo_vs_closed_forms():
     # 12 grid points spanning eta x dth x P1 at r = 1e6: transcript gains,
     # error components, and per-round outcome distributions all within
     # 5 sigma of the closed forms
-    workers = min(os.cpu_count() or 1, 4)
-    _report(verify.criterion7(r=1_000_000, workers=workers))
+    r = 1_000_000
+    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, 4)) as pool:
+        points = pool.map(verify._criterion7_point, verify._criterion7_jobs(r))
+        _report(verify.criterion7(r=r, results=points))
 
 
 def test_criterion_8_protocol_correctness():
@@ -107,3 +110,21 @@ def test_criterion_9_attack_model():
 
 def test_criterion_10_property_suites():
     _report(verify.criterion10())
+
+
+def test_pooled_criteria_print_the_serial_lines():
+    # criteria 7, 9 and 10 print the same lines whether their jobs run here
+    # or on one shared pool, queued up front while the others run
+    sizes = dict(r_keystone=2000, r_grid=5000, n_random_ops=2000)
+    serial = verify.run_all(workers=1, **sizes)
+    pooled = verify.run_all(workers=2, **sizes)
+    assert [c.line() for c in pooled] == [c.line() for c in serial]
+    first = {}
+    for check in serial:
+        first.setdefault(check.criterion, check)
+    assert list(first) == [str(k) for k in range(1, 11)]
+    assert [sum(c.criterion == k for c in serial) for k in ("7", "9", "10")] == [12, 5, 4]
+    # the sizes reach the criteria that take them
+    assert first["7"].name.endswith("(r=2000)")
+    assert first["9"].name.endswith("(r=5000)")
+    assert serial[-1].name == "normalization preserved over 2000 randomized ops"

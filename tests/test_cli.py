@@ -144,7 +144,7 @@ class TestSimulateCommand:
         for argv in (
             ["sweep", "--set", "analysis.p1_list=1.5", "--set", "analysis.grid=0.5"],
             ["threshold", "--set", "analysis.p1_list=0,0.1"],
-            ["attack-scan", "--set", "attack.r=0"],
+            ["simulate", "--set", "protocol.n=4"],
             ["sweep", "--set", "analysis.axis=L", "--set", "physics.eta_c=2",
              "--set", "analysis.grid=1"],
         ):
@@ -250,6 +250,21 @@ class TestConfigContracts:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: bad value for {key}: {raw!r} (")
         assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cmd", COMMANDS + ("verify",))
+    @pytest.mark.parametrize("item, domain", [
+        ("protocol.r=0", ">= 1"), ("protocol.r=-5", ">= 1"),
+        ("attack.r=0", ">= 1"), ("attack.r=-1", ">= 1"),
+        ("protocol.seed=-1", ">= 0"), ("physics.qm_round_trips=-1", ">= 0"),
+    ])
+    def test_integer_out_of_domain_names_its_key(self, tmp_path, capsys, cmd, item, domain):
+        # counts and seeds are checked when the config is read, by every
+        # command, whether or not the command uses the key
+        assert _run(tmp_path / "out", cmd, item) == 2
+        key, raw = item.split("=")
+        err = capsys.readouterr().err
+        assert err == f"config error: bad value for {key}: {raw!r} (must be an integer {domain})\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cmd", COMMANDS)

@@ -66,10 +66,27 @@ def _parse_grid(s: str) -> tuple[float, ...]:
     return tuple(_parse_float(x) for x in s.split(","))
 
 
+def _parse_probability_grid(s: str) -> tuple[float, ...]:
+    grid = _parse_grid(s)
+    if not all(0.0 <= v <= 1.0 for v in grid):
+        raise ValueError("every entry must lie in [0, 1]")
+    return grid
+
+
+def _parse_positive(s: str) -> float:
+    v = _parse_float(s)
+    if v <= 0.0:
+        raise ValueError("must be positive")
+    return v
+
+
 def _parse_tolerance(s: str):
     if s.strip().lower() == "hoeffding":
         return None
-    return _parse_float(s)
+    v = _parse_float(s)
+    if v < 0.0:
+        raise ValueError("must be >= 0")
+    return v
 
 
 def _parse_epsilon(s: str) -> float:
@@ -109,7 +126,7 @@ SCHEMA: dict[str, tuple] = {
     "protocol.n": (8, int, "number of phase settings (>=3, !=4)"),
     "protocol.theta": (math.pi / 4, _parse_float, "amplitude angle in radians"),
     "protocol.policy": ("target-p1", _choice("uniform", "target-p1"), "basis policy"),
-    "protocol.p1_target": (0.1, _parse_float, "first-round P(g=0) target for target-p1"),
+    "protocol.p1_target": (0.1, _parse_probability, "first-round P(g=0) target for target-p1"),
     "protocol.tolerance": (None, _parse_tolerance, "check tolerance: hoeffding | float"),
     "protocol.epsilon": (1e-6, _parse_epsilon, "failure budget for the hoeffding tolerance"),
     "protocol.message": ("random", _parse_message, "payload, as long as protocol.r"),
@@ -131,11 +148,14 @@ SCHEMA: dict[str, tuple] = {
     "adversary.p2": (0.0, _parse_probability, "forced-click closeness probability"),
     "analysis.axis": ("eta", _choice("eta", "L", "delta_theta"), "sweep axis"),
     "analysis.grid": ((), _parse_grid, "sweep grid: start:stop:count or comma list"),
-    "analysis.p1_list": ((0.001, 0.1, 0.2, 0.3, 0.4, 0.5), _parse_grid, "P1 operating points"),
-    "analysis.r_rep_hz": (1e7, _parse_float, "source repetition rate"),
-    "analysis.p_s": (1.0, _parse_float, "single-photon source efficiency"),
-    "attack.p1_grid": ((0.0, 0.25, 0.5, 0.75, 1.0), _parse_grid, "attack-scan p1 grid"),
-    "attack.p2_grid": ((0.0, 0.25, 0.5, 0.75, 1.0), _parse_grid, "attack-scan p2 grid"),
+    "analysis.p1_list": ((0.001, 0.1, 0.2, 0.3, 0.4, 0.5), _parse_probability_grid,
+                         "P1 operating points"),
+    "analysis.r_rep_hz": (1e7, _parse_positive, "source repetition rate"),
+    "analysis.p_s": (1.0, _parse_probability, "single-photon source efficiency"),
+    "attack.p1_grid": ((0.0, 0.25, 0.5, 0.75, 1.0), _parse_probability_grid,
+                       "attack-scan p1 grid"),
+    "attack.p2_grid": ((0.0, 0.25, 0.5, 0.75, 1.0), _parse_probability_grid,
+                       "attack-scan p2 grid"),
     "attack.r": (100_000, _int_at_least(1), "photons per attack-scan point"),
     "output.transcript": (True, _parse_bool, "write the per-photon transcript"),
     "output.gnuplot": (False, _parse_bool, "emit a gnuplot script next to the CSV"),

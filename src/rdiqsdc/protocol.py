@@ -902,18 +902,26 @@ _KEYS = tuple(sorted((
     "rotation", "loss_site", "loss_leg", "clicked", "g", "assigned_g", "attacked",
 )))
 _SEPARATORS = (f'{{"{_KEYS[0]}": ',) + tuple(f', "{k}": ' for k in _KEYS[1:]) + ("}\n",)
-_BOOL_JSON = np.array(["false", "true"], dtype=object)
-_SITE_JSON = np.array([json.dumps(_SITE_NAME[c]) for c in sorted(_SITE_NAME)], dtype=object)
+# Every key but "id" and "rotation" takes few values. In sorted order those
+# keys fall into three runs split by the two, so a record is five pieces:
+# run, id, run, rotation, run.
+_ID, _ROTATION = _KEYS.index("id"), _KEYS.index("rotation")
+_RUNS = (range(0, _ID), range(_ID + 1, _ROTATION), range(_ROTATION + 1, len(_KEYS)))
+_BOOL_JSON = ("false", "true")
+_SITE_JSON = tuple(json.dumps(_SITE_NAME[c]) for c in sorted(_SITE_NAME))
 # indexed by 0 never measured, 1 measured by Bob (S1), 2 measured by Alice
-_MEASURED_AT_JSON = np.array(['""', '"bob"', '"alice"'], dtype=object)
+_MEASURED_AT_JSON = ('""', '"bob"', '"alice"')
 _NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# A block's rotations are memoized by value when this many leading ones hold
+# at most a quarter as many distinct values; otherwise each gets its repr.
+_ROTATION_SAMPLE = 64
 
 
-def _int_json(col: np.ndarray, fmt: str = "%d") -> tuple[int, np.ndarray]:
+def _int_json(col: np.ndarray, fmt: str = "%d") -> tuple[int, list[str]]:
     """(lo, table) with table[v - lo] the JSON text of each value v in col;
     the table spans col's value range (at most n + 1 for prep and basis)."""
     lo, hi = int(col.min()), int(col.max())
-    return lo, np.array([fmt % v for v in range(lo, hi + 1)], dtype=object)
+    return lo, [fmt % v for v in range(lo, hi + 1)]
 
 
 def _float_json(col: np.ndarray) -> list[str]:
@@ -922,6 +930,49 @@ def _float_json(col: np.ndarray) -> list[str]:
     for i in np.flatnonzero(~np.isfinite(col)).tolist():
         texts[i] = _NONFINITE_JSON[texts[i]]
     return texts
+
+
+def _rotation_json(col: np.ndarray) -> list[str]:
+    """`_float_json(col)`; a block of few distinct values formats each once.
+    Values are told apart by their bits, so -0.0 and 0.0 stay apart."""
+    bits = col.view(np.uint64)
+    if len(np.unique(bits[:_ROTATION_SAMPLE])) * 4 > _ROTATION_SAMPLE:
+        return _float_json(col)
+    values, inverse = np.unique(bits, return_inverse=True)
+    return np.array(_float_json(values.view(np.float64)), dtype=object)[inverse].tolist()
+
+
+class _RunTexts:
+    """Texts of one run of keys, each holding the separator before every key
+    of the run and the one after it. A row's values of the run's keys form
+    one mixed-radix code, and the text of each code that occurs is made once."""
+
+    def __init__(self, keys: range, tables: dict[str, Sequence[str]]):
+        self.keys = keys
+        self.names = [_KEYS[k] for k in keys]
+        self.tables = [tables[name] for name in self.names]
+        self.memo: dict[int, str] = {}
+
+    def texts(self, digits: dict[str, np.ndarray]) -> list[str]:
+        """One text per row; digits[key][i] indexes key's table in row i."""
+        code = np.zeros(len(digits[self.names[0]]), dtype=np.int64)
+        for name, table in zip(self.names, self.tables):
+            code = code * len(table) + digits[name]
+        codes, inverse = np.unique(code, return_inverse=True)
+        out = []
+        for c in codes.tolist():
+            text = self.memo.get(c)
+            if text is None:
+                text = self.memo[c] = self._text(c)
+            out.append(text)
+        return np.array(out, dtype=object)[inverse].tolist()
+
+    def _text(self, code: int) -> str:
+        parts = [_SEPARATORS[self.keys.stop]]
+        for k, table in zip(reversed(self.keys), reversed(self.tables)):
+            code, digit = divmod(code, len(table))
+            parts += (table[digit], _SEPARATORS[k])
+        return "".join(reversed(parts))
 
 
 @contextlib.contextmanager
@@ -945,10 +996,10 @@ def write_transcript(result: ProtocolResult, path) -> None:
     """Line-delimited per-photon records plus one trailing summary record.
 
     Each line is exactly `json.dumps(record, sort_keys=True)`. The records
-    are built from the columns a block of photons at a time: each column
-    becomes its JSON texts (a table lookup for the small-range columns),
-    interleaved with the fixed key separators. Field names are stable
-    across versions; see README for the schema.
+    are built from the columns a block of photons at a time, as five pieces
+    each: the texts of the three runs of small-range keys (one memoized
+    lookup per run, separators included), the id and the rotation. Field
+    names are stable across versions; see README for the schema.
     """
     cols = result.photons
     # key -> (column, lowest value, JSON texts from the lowest value up)
@@ -965,20 +1016,28 @@ def write_transcript(result: ProtocolResult, path) -> None:
         "secret_flip": (cols.secret_flip, 0, _BOOL_JSON),
         "seq": (cols.sequence, *_int_json(cols.sequence, '"S%d"')),
     }
+    # a value outside its table would alias a neighbouring digit of its code
+    for key, (col, lo, table) in lookups.items():
+        if col.min() < lo or col.max() >= lo + len(table):
+            raise LookupError(f"transcript {key} holds a value outside "
+                              f"{lo}..{lo + len(table) - 1}")
+    tables = {key: table for key, (_, _, table) in lookups.items()}
+    tables["measured_at"] = _MEASURED_AT_JSON
+    head, middle, tail = (_RunTexts(keys, tables) for keys in _RUNS)
     with atomic_open(path) as fh:
         for start in range(0, len(cols), _BLOCK_ROWS):
             block = slice(start, min(start + _BLOCK_ROWS, len(cols)))
-            texts = {key: table[col[block].astype(np.intp) - lo]
-                     for key, (col, lo, table) in lookups.items()}
-            texts["id"] = list(map(str, range(start, block.stop)))
+            digits = {key: col[block].astype(np.int64) - lo
+                      for key, (col, lo, _) in lookups.items()}
             measured = np.where(cols.sequence[block] == 1, 1, 2)
-            texts["measured_at"] = _MEASURED_AT_JSON[np.where(cols.basis[block] >= 0, measured, 0)]
-            texts["rotation"] = _float_json(cols.rotation[block])
-            rows = np.empty((block.stop - start, len(_SEPARATORS) + len(_KEYS)), dtype=object)
-            rows[:, 0::2] = _SEPARATORS
-            for k, key in enumerate(_KEYS):
-                rows[:, 2 * k + 1] = texts[key]
-            fh.write("".join(rows.ravel().tolist()))
+            digits["measured_at"] = np.where(cols.basis[block] >= 0, measured, 0)
+            pieces = [""] * (5 * (block.stop - start))
+            pieces[0::5] = head.texts(digits)
+            pieces[1::5] = map(str, range(start, block.stop))
+            pieces[2::5] = middle.texts(digits)
+            pieces[3::5] = _rotation_json(cols.rotation[block])
+            pieces[4::5] = tail.texts(digits)
+            fh.write("".join(pieces))
         fh.write(json.dumps(summary_record(result), sort_keys=True) + "\n")
 
 

@@ -268,6 +268,42 @@ class TestConfigContracts:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cmd", COMMANDS)
+    @pytest.mark.parametrize("sets, domain", [
+        (["protocol.p1_target=2"], "must lie in [0, 1]"),
+        (["protocol.policy=uniform", "protocol.p1_target=-0.1"], "must lie in [0, 1]"),
+        (["analysis.p_s=2"], "must lie in [0, 1]"),
+        (["analysis.p_s=-0.5"], "must lie in [0, 1]"),
+        (["attack.p1_grid=5"], "every entry must lie in [0, 1]"),
+        (["attack.p1_grid=0,1.5"], "every entry must lie in [0, 1]"),
+        (["attack.p2_grid=-0.1"], "every entry must lie in [0, 1]"),
+        (["attack.p2_grid=0:2:3"], "every entry must lie in [0, 1]"),
+        (["analysis.p1_list=0.1,1.5"], "every entry must lie in [0, 1]"),
+        (["analysis.r_rep_hz=0"], "must be positive"),
+        (["analysis.r_rep_hz=-1"], "must be positive"),
+        (["protocol.tolerance=-1"], "must be >= 0"),
+        (["protocol.tolerance=-1e-300"], "must be >= 0"),
+    ])
+    def test_float_out_of_domain_names_its_key(self, tmp_path, capsys, cmd, sets, domain):
+        # the domain objects' bounds, checked when the config is read, by
+        # every command, whether or not the command uses the key
+        assert _run(tmp_path / "out", cmd, *sets) == 2
+        key, raw = sets[-1].split("=")
+        err = capsys.readouterr().err
+        assert err == f"config error: bad value for {key}: {raw!r} ({domain})\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    @pytest.mark.parametrize("sets", [
+        ["protocol.p1_target=0", "protocol.policy=uniform"],
+        ["protocol.p1_target=1", "protocol.policy=uniform"],
+        ["analysis.p_s=0"], ["analysis.p_s=1"], ["analysis.r_rep_hz=5e-324"],
+        ["attack.p1_grid=0,1"], ["attack.p2_grid=0:1:3"], ["protocol.tolerance=0"],
+    ])
+    def test_float_domain_edges_accepted(self, tmp_path, cmd, sets):
+        # the edges the domain objects accept are accepted when read
+        assert _run(tmp_path / "out", cmd, *sets) == 0
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
     def test_eta_m_and_memory_round_trips_exclude_each_other(self, tmp_path, capsys, cmd):
         assert _run(tmp_path, cmd, "physics.eta_m=0.5", "physics.qm_round_trips=1") == 2
         err = capsys.readouterr().err

@@ -564,6 +564,29 @@ def _hand_rotations():
     return result
 
 
+def _repeated_rotations():
+    # one block of mostly equal rotations, so each distinct value is
+    # formatted once; -0.0 and 0.0 differ in their text, NaNs do not
+    result = run_full_protocol(params_for(r=1000, seed=7))
+    rotation = result.photons.rotation
+    rotation[:] = 0.05
+    rotation[:2000] = 0.0
+    rotation[[100, 1500, 2500]] = -0.0
+    rotation[[200, 2600]] = math.nan
+    rotation[[300, 2700]] = math.inf
+    rotation[[400, 2800]] = -math.inf
+    rotation[2900] = -math.nan
+    return result
+
+
+def _spread_attacked(r=3000, n=5):
+    return run_full_protocol(params_for(
+        r=r, n=n, seed=11, link=LinkBudget(distance_km=5.0, eta_m=0.9, eta_d=0.8),
+        noise=ChannelNoiseModel(delta_theta=0.05, spread=0.02),
+        adversary=BlindingAttackParams(p1=0.1, p2=0.5), continue_on_abort=True,
+    ))
+
+
 class TestTranscriptExport:
     def test_schema_and_summary(self, tmp_path):
         result = run_full_protocol(params_for(r=20, seed=2))
@@ -596,37 +619,57 @@ class TestTranscriptExport:
     # the per-record writer is the oracle for every byte
     @pytest.mark.parametrize("make", [
         # 9000 rows: several blocks, the last one partial
+        _spread_attacked,
+        # every rotation drawn per photon: each gets its own repr
         lambda: run_full_protocol(params_for(
-            r=3000, n=5, seed=11, link=LinkBudget(distance_km=5.0, eta_m=0.9, eta_d=0.8),
-            noise=ChannelNoiseModel(delta_theta=0.05, spread=0.02),
-            adversary=BlindingAttackParams(p1=0.1, p2=0.5), continue_on_abort=True,
+            r=2000, seed=12, noise=ChannelNoiseModel(delta_theta=0.05, spread=0.02),
+            continue_on_abort=True,
         )),
+        # wide prep and basis tables: hundreds of codes per run of keys
+        lambda: _spread_attacked(r=2000, n=128),
         # basis, g and assigned_g stay -1 on S2 and S3
         lambda: run_full_protocol(params_for(
             r=2000, link=LinkBudget(distance_km=30.0), tolerance=0.001)),
         lambda: run_full_protocol(params_for(r=1, seed=4, tolerance=1.0)),
         _hand_rotations,
-    ], ids=["attacked-per-photon-n5", "abort-step3", "r1", "special-rotations"])
+        _repeated_rotations,
+    ], ids=["attacked-per-photon-n5", "per-photon-spread", "attacked-n128", "abort-step3",
+            "r1", "special-rotations", "repeated-rotations"])
     def test_same_bytes_as_per_record_writer(self, tmp_path, make):
         result = make()
         path = tmp_path / "transcript.jsonl"
         write_transcript(result, path)
         assert path.read_bytes() == reference_transcript(result)
 
-    def test_failed_write_leaves_no_partial_file(self, tmp_path):
-        # a loss-site code with no name fails the second of three blocks
-        result = run_full_protocol(params_for(r=3000, seed=6))
-        result.photons.loss_site[5000] = 99
+    @pytest.mark.parametrize("block_rows", [1, 7, 4096])
+    def test_same_bytes_for_any_block_size(self, tmp_path, monkeypatch, block_rows):
+        # the run texts memoized in one block are reused by the later ones
+        result = _spread_attacked(r=700)
+        result.photons.rotation[:1000] = 0.05
+        result.photons.rotation[[10, 20, 30]] = [-0.0, 0.0, math.nan]
+        monkeypatch.setattr(protocol, "_BLOCK_ROWS", block_rows)
         path = tmp_path / "transcript.jsonl"
-        with pytest.raises(LookupError):
-            write_transcript(result, path)
-        assert list(tmp_path.iterdir()) == []
-        # an earlier transcript at the same path is left whole
-        path.write_text("earlier\n")
-        with pytest.raises(LookupError):
-            write_transcript(result, path)
-        assert list(tmp_path.iterdir()) == [path]
-        assert path.read_text() == "earlier\n"
+        write_transcript(result, path)
+        assert path.read_bytes() == reference_transcript(result)
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path):
+        # a loss-site code with no name fails the write; -1 must not wrap
+        # round to the last name of the table
+        result = run_full_protocol(params_for(r=3000, seed=6))
+        for site in (99, -1):
+            result.photons.loss_site[5000] = site
+            out = tmp_path / str(site)
+            out.mkdir()
+            path = out / "transcript.jsonl"
+            with pytest.raises(LookupError):
+                write_transcript(result, path)
+            assert list(out.iterdir()) == []
+            # an earlier transcript at the same path is left whole
+            path.write_text("earlier\n")
+            with pytest.raises(LookupError):
+                write_transcript(result, path)
+            assert list(out.iterdir()) == [path]
+            assert path.read_text() == "earlier\n"
 
 
 class TestTracedLayers:

@@ -46,11 +46,14 @@ def _parse_float(s: str) -> float:
     return v
 
 
-def _parse_probability(s: str) -> float:
-    v = _parse_float(s)
+def _check_probability(v: float, subject: str = "") -> float:
     if not 0.0 <= v <= 1.0:
-        raise ValueError("must lie in [0, 1]")
+        raise ValueError(f"{subject}must lie in [0, 1]")
     return v
+
+
+def _parse_probability(s: str) -> float:
+    return _check_probability(_parse_float(s))
 
 
 def _parse_grid(s: str) -> tuple[float, ...]:
@@ -67,10 +70,7 @@ def _parse_grid(s: str) -> tuple[float, ...]:
 
 
 def _parse_probability_grid(s: str) -> tuple[float, ...]:
-    grid = _parse_grid(s)
-    if not all(0.0 <= v <= 1.0 for v in grid):
-        raise ValueError("every entry must lie in [0, 1]")
-    return grid
+    return tuple(_check_probability(v, "every entry ") for v in _parse_grid(s))
 
 
 def _parse_positive(s: str) -> float:

@@ -912,9 +912,6 @@ _SITE_JSON = tuple(json.dumps(_SITE_NAME[c]) for c in sorted(_SITE_NAME))
 # indexed by 0 never measured, 1 measured by Bob (S1), 2 measured by Alice
 _MEASURED_AT_JSON = ('""', '"bob"', '"alice"')
 _NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# A block's rotations are memoized by value when this many leading ones hold
-# at most a quarter as many distinct values; otherwise each gets its repr.
-_ROTATION_SAMPLE = 64
 
 
 def _int_json(col: np.ndarray, fmt: str = "%d") -> tuple[int, list[str]]:
@@ -933,12 +930,9 @@ def _float_json(col: np.ndarray) -> list[str]:
 
 
 def _rotation_json(col: np.ndarray) -> list[str]:
-    """`_float_json(col)`; a block of few distinct values formats each once.
-    Values are told apart by their bits, so -0.0 and 0.0 stay apart."""
-    bits = col.view(np.uint64)
-    if len(np.unique(bits[:_ROTATION_SAMPLE])) * 4 > _ROTATION_SAMPLE:
-        return _float_json(col)
-    values, inverse = np.unique(bits, return_inverse=True)
+    """`_float_json(col)`, formatting each distinct value once. Values are
+    told apart by their bits, so -0.0 and 0.0 stay apart."""
+    values, inverse = np.unique(col.view(np.uint64), return_inverse=True)
     return np.array(_float_json(values.view(np.float64)), dtype=object)[inverse].tolist()
 
 

@@ -1,5 +1,6 @@
 """Protocol engine tests: basis policy, the six steps, checking rounds,
 decoding, bookkeeping invariants, and the transcript export."""
+import itertools
 import json
 import math
 import os
@@ -652,24 +653,42 @@ class TestTranscriptExport:
         write_transcript(result, path)
         assert path.read_bytes() == reference_transcript(result)
 
-    def test_failed_write_leaves_no_partial_file(self, tmp_path):
-        # a loss-site code with no name fails the write; -1 must not wrap
-        # round to the last name of the table
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
         result = run_full_protocol(params_for(r=3000, seed=6))
-        for site in (99, -1):
-            result.photons.loss_site[5000] = site
-            out = tmp_path / str(site)
+
+        def fails_whole(out, error):
             out.mkdir()
             path = out / "transcript.jsonl"
-            with pytest.raises(LookupError):
+            with pytest.raises(error):
                 write_transcript(result, path)
             assert list(out.iterdir()) == []
             # an earlier transcript at the same path is left whole
             path.write_text("earlier\n")
-            with pytest.raises(LookupError):
+            with pytest.raises(error):
                 write_transcript(result, path)
             assert list(out.iterdir()) == [path]
             assert path.read_text() == "earlier\n"
+
+        # a loss-site code with no name fails the write; -1 must not wrap
+        # round to the last name of the table
+        for site in (99, -1):
+            result.photons.loss_site[5000] = site
+            fails_whole(tmp_path / str(site), LookupError)
+        result.photons.loss_site[5000] = 0
+
+        # a failure in the second of three blocks, after the first block's
+        # records have reached the temporary file
+        rotation_json, calls, partial = protocol._rotation_json, itertools.count(), []
+
+        def second_block_fails(col):
+            if next(calls) % 2:
+                partial.append(sum(f.stat().st_size for f in (tmp_path / "io").iterdir()))
+                raise OSError("no space left on device")
+            return rotation_json(col)
+
+        monkeypatch.setattr(protocol, "_rotation_json", second_block_fails)
+        fails_whole(tmp_path / "io", OSError)
+        assert partial[0] > 0 and partial[1] > len("earlier\n")
 
 
 class TestTracedLayers:

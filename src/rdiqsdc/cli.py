@@ -24,12 +24,43 @@ from .protocol import (
 )
 
 
+def _read_text(path: str) -> Optional[str]:
+    """Contents of a small text file, or None where it cannot be read."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            return fh.read()
+    except (OSError, ValueError):
+        return None
+
+
+def _cgroup_cpu_quota() -> Optional[int]:
+    """CPUs granted by the cgroup v2 `cpu.max` quota of this process's own
+    cgroup, as ceil(quota / period); None for `max`, or where the files are
+    absent or unreadable (no cgroup v2, another OS)."""
+    cgroup = _read_text("/proc/self/cgroup")
+    # the cgroup v2 entry is the line "0::PATH"
+    path = next((line[3:] for line in (cgroup or "").splitlines() if line.startswith("0::")), None)
+    if path is None:
+        return None
+    cpu_max = _read_text(f"/sys/fs/cgroup{path.rstrip('/')}/cpu.max")
+    try:
+        quota, period = (cpu_max or "").split()
+        if quota == "max":
+            return None
+        return max(1, math.ceil(int(quota) / int(period)))
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one,
-    else the machine's CPU count."""
+    else the machine's CPU count, and no more than its cgroup's CPU quota."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    quota = _cgroup_cpu_quota()
+    return cpus if quota is None else min(cpus, quota)
 
 
 def build_parser() -> argparse.ArgumentParser:

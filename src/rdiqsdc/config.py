@@ -169,6 +169,17 @@ class RunConfig:
     def __getitem__(self, key: str):
         return self.values[key]
 
+    def validate(self) -> "RunConfig":
+        """The rules that tie one key to another, checked for every command.
+        Rules that depend on what a command builds (P1 reachability, the
+        sweep grid, the rotation spread of the closed forms) stay with it."""
+        message = self["protocol.message"]
+        if message != "random" and len(message) != self["protocol.r"]:
+            raise ConfigError("protocol.message length must equal protocol.r")
+        if self["physics.qm_round_trips"] > 0 and self["physics.eta_m"] != 1.0:
+            raise ConfigError("set physics.eta_m or physics.qm_round_trips, not both")
+        return self
+
     # ---- domain-object builders -------------------------------------------
     def basis_config(self) -> BasisConfig:
         return BasisConfig(n=self["protocol.n"], theta=self["protocol.theta"])
@@ -181,8 +192,6 @@ class RunConfig:
     def link(self) -> LinkBudget:
         eta_m = self["physics.eta_m"]
         if self["physics.qm_round_trips"] > 0:
-            if eta_m != 1.0:
-                raise ConfigError("set physics.eta_m or physics.qm_round_trips, not both")
             eta_m = memory_efficiency(
                 self["physics.qm_per_trip_efficiency"], self["physics.qm_round_trips"]
             )
@@ -226,8 +235,6 @@ class RunConfig:
         raw = self["protocol.message"]
         if raw == "random":
             return None
-        if len(raw) != self["protocol.r"]:
-            raise ConfigError("protocol.message length must equal protocol.r")
         return [int(c) for c in raw]
 
     def efficiency(self) -> EfficiencyParams:
@@ -250,7 +257,8 @@ def parse_value(key: str, raw: str):
 def load_config(
     path: Optional[str] = None, overrides: Optional[dict[str, str]] = None
 ) -> RunConfig:
-    """Defaults, then the file (or $RDIQSDC_CONFIG), then overrides."""
+    """Defaults, then the file (or $RDIQSDC_CONFIG), then overrides; the
+    result has passed RunConfig.validate()."""
     values = {key: default for key, (default, _, _) in SCHEMA.items()}
     if path is None:
         path = os.environ.get(ENV_CONFIG) or None
@@ -268,4 +276,4 @@ def load_config(
                 values[key] = parse_value(key, raw)
     for key, raw in (overrides or {}).items():
         values[key] = parse_value(key, raw)
-    return RunConfig(values)
+    return RunConfig(values).validate()

@@ -246,6 +246,16 @@ def _est(values: np.ndarray) -> EstStat:
     return EstStat(mean, stderr)
 
 
+def _rate(count: int, n: int) -> EstStat:
+    """`_est` of n values, `count` of them 1 and the rest 0. A sum of 0/1
+    values is exact in any order, so the mean is count / n to the bit; the
+    standard error is sqrt(m(1 - m))/sqrt(n), numpy's np.std up to rounding."""
+    if n == 0:
+        return EstStat(0.0, 0.0)
+    m = count / n
+    return EstStat(m, math.sqrt(m * (1.0 - m)) / math.sqrt(n) if n > 1 else 0.0)
+
+
 @dataclass(frozen=True)
 class TranscriptStats:
     """Event-count statistics in the same terms as the closed-form model."""
@@ -391,6 +401,12 @@ class ProtocolResult:
 _ENGINE_BLOCK = 1 << 16
 
 
+def _check_counts(clicked: np.ndarray, g: np.ndarray, assigned: np.ndarray) -> tuple:
+    """Clicks, clicks with g = 0 and no-clicks assigned g = 0 of one block."""
+    return (int(np.count_nonzero(clicked)), int(np.count_nonzero(clicked & (g == 0))),
+            int(np.count_nonzero(~clicked & (assigned == 0))))
+
+
 def _prep_type(n: int) -> np.dtype:
     """Narrowest signed integer type holding the preparation indices 1..n."""
     return np.min_scalar_type(-n - 1)
@@ -514,18 +530,17 @@ class ProtocolRun:
         p2 = self.params.adversary.p2
         return np.where(rng(purpose).random(size) < p2, 0, 1).astype(np.int8)
 
-    def _report(self, round_index: int, p_ideal: np.ndarray, clicked: np.ndarray,
-                g: np.ndarray, assigned: np.ndarray) -> SecurityCheckReport:
-        """Check report, with no-clicks assigned the more likely ideal outcome."""
-        n_g0_clicked = int(np.sum(clicked & (g == 0)))
-        n_assigned_g0 = int(np.sum(~clicked & (assigned == 0)))
+    def _report(self, round_index: int, p_ideal: np.ndarray, counts: list) -> SecurityCheckReport:
+        """Check report, with no-clicks assigned the more likely ideal outcome;
+        `counts` holds each block's `_check_counts`."""
+        n_clicked, n_g0_clicked, n_assigned_g0 = map(sum, zip(*counts))
         return SecurityCheckReport(
             round_index=round_index,
             m=self.r,
             theoretical_p_g0=float(np.mean(p_ideal)),
             empirical_p_g0=(n_g0_clicked + n_assigned_g0) / self.r,
             tolerance=self.params.check_tolerance(),
-            n_clicked=int(np.sum(clicked)),
+            n_clicked=n_clicked,
             n_clicked_g0=n_g0_clicked,
             n_assigned_g0=n_assigned_g0,
         )
@@ -567,11 +582,16 @@ class ProtocolRun:
             n=n, r=r, prep=prep,
             s1_pos=order[:r], s2_pos=order[r : 2 * r], s3_pos=order[2 * r :],
         )
-        self.secret_flip = np.zeros(3 * r, dtype=bool)
-        self.secret_flip[self.ledger.s3_pos] = secret
-        self.message_bit = np.full(3 * r, -1, dtype=np.int8)
+        self._secret = secret
         self._stage = 1
         return self.ledger
+
+    @functools.cached_property
+    def secret_flip(self) -> np.ndarray:
+        """Per-photon secret flip: step 1's coin on each S3 photon."""
+        flip = np.zeros(3 * self.r, dtype=bool)
+        flip[self.ledger.s3_pos] = self._secret
+        return flip
 
     # -- step 2: outbound transmission and storage at the encoder ------------
     def step2_transmit_to_bob(self) -> None:
@@ -611,14 +631,16 @@ class ProtocolRun:
             y = ((x - offs.draw(b - a, rng("check1-offsets")) - 1) % n) + 1
             k = x - y + (n - 1)
             led.y1[a:b], self.p1_ideal[a:b] = y, ideal[k]
-            self.assigned1[a:b] = np.where(ideal[k] <= 0.5, 1, 0)
+            self.assigned1[a:b] = assigned = np.where(ideal[k] <= 0.5, 1, 0)
             p_noisy = born_p(theta, theta + self.dth1[pos], phases, k)
-            self.clicked1[a:b], self.g1[a:b] = self._detect(
+            clicked, g = self._detect(
                 rng, "check1", pos, self.in_qm_bob[pos], p_noisy, self.forced_g1, pos
             )
+            self.clicked1[a:b], self.g1[a:b] = clicked, g
+            return _check_counts(clicked, g, assigned)
 
-        self._blocks(self.r, ("check1-offsets", "check1-click", "check1-born"), kernel)
-        self.check1 = self._report(1, self.p1_ideal, self.clicked1, self.g1, self.assigned1)
+        counts = self._blocks(self.r, ("check1-offsets", "check1-click", "check1-born"), kernel)
+        self.check1 = self._report(1, self.p1_ideal, counts)
         self._stage = 3
         return self.check1
 
@@ -626,7 +648,6 @@ class ProtocolRun:
     def step4_encode_and_shuffle(self) -> None:
         self._require_stage(3)
         led = self.ledger
-        self.message_bit[led.s3_pos] = self.payload
         led.return_perm = self._return_perm()
         self._stage = 4
 
@@ -675,16 +696,18 @@ class ProtocolRun:
                 y = led.prep[led.s2_pos[a:b]].astype(np.int64)
             k = x - y + (n - 1)
             led.y2[a:b], self.p2_ideal[a:b] = y, ideal[k]
-            self.assigned2[a:b] = np.where(ideal[k] <= 0.5, 1, 0)
+            self.assigned2[a:b] = assigned = np.where(ideal[k] <= 0.5, 1, 0)
             rot = self.dth1[pos] + self.dth2[sl]
             p_noisy = born_p(theta, theta + rot, phases, k)
-            self.clicked2[a:b], self.g2[a:b] = self._detect(
+            clicked, g = self._detect(
                 rng, "check2", pos, self.alive_at_alice[sl], p_noisy, self.forced_g2, sl
             )
+            self.clicked2[a:b], self.g2[a:b] = clicked, g
+            return _check_counts(clicked, g, assigned)
 
         offsets = ("check2-offsets",) if policy else ()
-        self._blocks(r, offsets + ("check2-click", "check2-born"), kernel)
-        self.check2 = self._report(2, self.p2_ideal, self.clicked2, self.g2, self.assigned2)
+        counts = self._blocks(r, offsets + ("check2-click", "check2-born"), kernel)
+        self.check2 = self._report(2, self.p2_ideal, counts)
         self._stage = 6
         return self.check2
 
@@ -708,8 +731,9 @@ class ProtocolRun:
             )
             self.clicked3[a:b], self.g3[a:b] = clicked, g
             decoded[idx] = np.where(clicked, g, -1)
+            return int(np.count_nonzero(clicked))
 
-        self._blocks(r, ("decode-click", "decode-born"), kernel)
+        self.n_decode_clicked = sum(self._blocks(r, ("decode-click", "decode-born"), kernel))
         self.decode_slots = slots
         self.frame = MessageFrame(payload=self.payload.copy(), decoded=decoded)
         self._stage = 7
@@ -717,23 +741,26 @@ class ProtocolRun:
 
     # -- assembly ---------------------------------------------------------------
     def _stats(self) -> TranscriptStats:
-        clicked1 = self.clicked1.astype(np.float64)
-        clicked2 = self.clicked2.astype(np.float64)
-        clicked3 = self.clicked3.astype(np.float64)
+        r, check1, check2 = self.r, self.check1, self.check2
+        # the gain-weighted shift and the assignment cost of each checking
+        # photon, filled a block at a time and averaged over the whole column
+        shift1, assign1, shift2, assign2 = (np.empty(r) for _ in range(4))
+        rounds = ((self.clicked1, self.g1, self.p1_ideal, shift1, assign1),
+                  (self.clicked2, self.g2, self.p2_ideal, shift2, assign2))
 
-        def assign_weight(p_ideal: np.ndarray) -> np.ndarray:
-            return np.minimum(p_ideal, 1.0 - p_ideal)
+        def columns(a, b, rng):
+            for clicked, g, p_ideal, shift, assign in rounds:
+                clicked, p = clicked[a:b].astype(np.float64), p_ideal[a:b]
+                shift[a:b] = clicked * (p - (g[a:b] == 0))
+                assign[a:b] = (1.0 - clicked) * np.minimum(p, 1.0 - p)
 
-        shift1 = clicked1 * (self.p1_ideal - (self.g1 == 0))
-        shift2 = clicked2 * (self.p2_ideal - (self.g2 == 0))
-        assign1 = (1.0 - clicked1) * assign_weight(self.p1_ideal)
-        assign2 = (1.0 - clicked2) * assign_weight(self.p2_ideal)
+        def sites(a, b, rng):
+            # one bin per (site, leg); the none and detector sites carry no leg
+            return np.bincount(3 * self.site[a:b] + self.leg[a:b],
+                               minlength=3 * len(_SITE_CODE))
 
-        obs1 = clicked1 * (self.g1 == 0) + (1.0 - clicked1) * (self.assigned1 == 0)
-        obs2 = clicked2 * (self.g2 == 0) + (1.0 - clicked2) * (self.assigned2 == 0)
-
-        # one bin per (site, leg); the none and detector sites carry no leg
-        tally = np.bincount(3 * self.site + self.leg)
+        self._blocks(r, (), columns)
+        tally = sum(self._blocks(3 * r, (), sites))
         counts = {}
         for idx in np.flatnonzero(tally):
             code, leg = divmod(int(idx), 3)
@@ -741,15 +768,15 @@ class ProtocolRun:
             counts[name if leg == 0 else f"{name}-leg{leg}"] = int(tally[idx])
 
         return TranscriptStats(
-            q_ab=_est(clicked1),
-            q_aba=_est(clicked2),
-            q_aba_decode=_est(clicked3),
-            p1_theoretical=float(np.mean(self.p1_ideal)),
-            p2_theoretical=float(np.mean(self.p2_ideal)),
-            p1_observed=_est(obs1),
-            p2_observed=_est(obs2),
-            p1_clicked=_est((self.g1 == 0)[self.clicked1].astype(np.float64)),
-            p2_clicked=_est((self.g2 == 0)[self.clicked2].astype(np.float64)),
+            q_ab=_rate(check1.n_clicked, r),
+            q_aba=_rate(check2.n_clicked, r),
+            q_aba_decode=_rate(self.n_decode_clicked, r),
+            p1_theoretical=check1.theoretical_p_g0,
+            p2_theoretical=check2.theoretical_p_g0,
+            p1_observed=_rate(check1.n_clicked_g0 + check1.n_assigned_g0, r),
+            p2_observed=_rate(check2.n_clicked_g0 + check2.n_assigned_g0, r),
+            p1_clicked=_rate(check1.n_clicked_g0, check1.n_clicked),
+            p2_clicked=_rate(check2.n_clicked_g0, check2.n_clicked),
             e_ab_signed=_est(shift1),
             e_ab_assign=_est(assign1),
             e_aba_signed=_est(shift2),
@@ -768,6 +795,9 @@ class ProtocolRun:
         clicked = np.zeros(size, dtype=bool)
         g = np.full(size, -1, dtype=np.int8)
         assigned = np.full(size, -1, dtype=np.int8)
+        message_bit = np.full(size, -1, dtype=np.int8)
+        if self._stage >= 4:
+            message_bit[led.s3_pos] = self.payload
         # rotation precedes loss sampling, so every sent photon carries the
         # outbound draw; returned photons add the second-leg draw
         rotation = self.dth1.copy()
@@ -797,7 +827,7 @@ class ProtocolRun:
             sequence=seq,
             prep=led.prep,
             secret_flip=self.secret_flip,
-            message_bit=self.message_bit,
+            message_bit=message_bit,
             basis=basis,
             rotation=rotation,
             loss_site=self.site,

@@ -304,10 +304,27 @@ class TestConfigContracts:
         assert _run(tmp_path / "out", cmd, *sets) == 0
 
     @pytest.mark.parametrize("cmd", COMMANDS)
-    def test_eta_m_and_memory_round_trips_exclude_each_other(self, tmp_path, capsys, cmd):
-        assert _run(tmp_path, cmd, "physics.eta_m=0.5", "physics.qm_round_trips=1") == 2
-        err = capsys.readouterr().err
-        assert err == "config error: set physics.eta_m or physics.qm_round_trips, not both\n"
+    @pytest.mark.parametrize("sets, message", [
+        (["protocol.message=0101"], "protocol.message length must equal protocol.r"),
+        (["protocol.r=3", "protocol.message=0101"],
+         "protocol.message length must equal protocol.r"),
+        (["attack.r=4", "protocol.message=0101"],
+         "protocol.message length must equal protocol.r"),
+        (["physics.eta_m=0.5", "physics.qm_round_trips=1"],
+         "set physics.eta_m or physics.qm_round_trips, not both"),
+        (["physics.qm_round_trips=3", "physics.eta_m=0.999"],
+         "set physics.eta_m or physics.qm_round_trips, not both"),
+    ])
+    def test_cross_key_rules_checked_at_read(self, tmp_path, capsys, cmd, sets, message):
+        # rules tying one key to another are checked when the config is
+        # read, by every command, whether or not the command uses the keys
+        assert _run(tmp_path / "out", cmd, *sets) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_message_of_length_r_accepted(self, tmp_path, cmd):
+        assert _run(tmp_path / "out", cmd, "protocol.message=" + "01" * 10) == 0
 
     @pytest.mark.parametrize("cmd", ["sweep", "threshold"])
     def test_closed_forms_reject_rotation_spread(self, tmp_path, capsys, cmd):
@@ -451,6 +468,35 @@ def test_simulate_threads_capped_at_usable_cpus(tmp_path, monkeypatch):
         argv = ["simulate", "--out", str(tmp_path), "--set", "protocol.r=100"]
         assert main(argv + extra) == 0
     assert seen == [1, 1]
+
+
+@pytest.mark.parametrize("files, quota", [
+    ({"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/cpu.max": "max 100000\n"}, None),
+    ({"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/cpu.max": "150000 100000\n"}, 2),
+    ({"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/cpu.max": "100000 100000\n"}, 1),
+    ({"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/cpu.max": "20000 100000\n"}, 1),
+    ({"/proc/self/cgroup": "4:memory:/a\n0::/jobs/run\n",
+      "/sys/fs/cgroup/jobs/run/cpu.max": "300000 100000\n"}, 3),
+    # the cgroup's own file only, not the root's
+    ({"/proc/self/cgroup": "0::/jobs\n", "/sys/fs/cgroup/cpu.max": "100000 100000\n"}, None),
+    # cgroup v1 only, no cgroup file, a malformed quota
+    ({"/proc/self/cgroup": "3:cpu:/\n", "/sys/fs/cgroup/cpu.max": "100000 100000\n"}, None),
+    ({}, None),
+    ({"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/cpu.max": "100000\n"}, None),
+    ({"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/cpu.max": "100000 0\n"}, None),
+])
+def test_usable_cpus_capped_at_cgroup_quota(monkeypatch, files, quota):
+    # a cgroup v2 `cpu.max` quota lowers the affinity mask's 4 CPUs
+    monkeypatch.setattr(cli, "_read_text", files.get)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert cli._cgroup_cpu_quota() == quota
+    assert cli._usable_cpus() == (4 if quota is None else min(4, quota))
+
+
+def test_read_text_of_a_missing_file_is_none(tmp_path):
+    (tmp_path / "cpu.max").write_text("max 100000\n")
+    assert cli._read_text(str(tmp_path / "cpu.max")) == "max 100000\n"
+    assert cli._read_text(str(tmp_path / "absent")) is None
 
 
 def test_failed_csv_write_leaves_no_file(tmp_path):

@@ -439,6 +439,75 @@ class TestAccounting:
             assert abs(est.value - want) <= band
 
 
+def _oracle_est(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of a float column over the whole array."""
+    n = len(values)
+    if n == 0:
+        return 0.0, 0.0
+    return float(np.mean(values)), float(np.std(values) / math.sqrt(n)) if n > 1 else 0.0
+
+
+def _oracle_stats(run: ProtocolRun) -> dict:
+    """Every TranscriptStats field from whole-array means and deviations of
+    float columns: the 0/1 statistics as float arrays, the loss sites as one
+    tally over all 3r photons."""
+    out = {}
+    for i, (clicked, g, p_ideal, assigned) in enumerate((
+        (run.clicked1, run.g1, run.p1_ideal, run.assigned1),
+        (run.clicked2, run.g2, run.p2_ideal, run.assigned2),
+    ), start=1):
+        c = clicked.astype(np.float64)
+        obs = c * (g == 0) + (1.0 - c) * (assigned == 0)
+        e = "e_ab" if i == 1 else "e_aba"
+        out["q_ab" if i == 1 else "q_aba"] = _oracle_est(c)
+        out[f"p{i}_theoretical"] = float(np.mean(p_ideal))
+        out[f"p{i}_observed"] = _oracle_est(obs)
+        out[f"p{i}_clicked"] = _oracle_est((g == 0)[clicked].astype(np.float64))
+        out[f"{e}_signed"] = _oracle_est(c * (p_ideal - (g == 0)))
+        out[f"{e}_assign"] = _oracle_est((1.0 - c) * np.minimum(p_ideal, 1.0 - p_ideal))
+    out["q_aba_decode"] = _oracle_est(run.clicked3.astype(np.float64))
+    tally = np.bincount(3 * run.site.astype(np.int64) + run.leg)
+    out["loss_counts"] = {
+        _SITE_NAME[k // 3] + (f"-leg{k % 3}" if k % 3 else ""): int(tally[k])
+        for k in np.flatnonzero(tally)
+    }
+    return out
+
+
+_ORACLE_LINK = LinkBudget(distance_km=5.0, eta_c=0.9, eta_m=0.95, eta_d=0.8)
+
+
+class TestStatsMatchWholeArrayOracle:
+    # the counts and the block-filled columns against whole-array float
+    # formulas: values to the bit, the 0/1 statistics' stderr to rounding
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("kw", [
+        dict(),
+        dict(link=LinkBudget(eta_d=0.0)),
+        dict(r=1),
+        dict(r=2),
+        dict(adversary=BlindingAttackParams(p1=0.3, p2=0.5)),
+        dict(noise=ChannelNoiseModel(delta_theta=0.05, spread=0.02)),
+        dict(n=5, target=None, config=BasisConfig(n=5, theta=0.6)),
+    ], ids=["default", "eta_d0", "r1", "r2", "attacked", "spread", "n5-theta0.6"])
+    def test_stats_match(self, monkeypatch, kw, workers):
+        monkeypatch.setattr(protocol, "_ENGINE_BLOCK", 777)
+        kw = dict(dict(r=3000, seed=4, link=_ORACLE_LINK, continue_on_abort=True), **kw)
+        result = run_full_protocol(params_for(**kw), workers=workers)
+        want = _oracle_stats(result.run)
+        assert set(want) == set(vars(result.stats))
+        if kw["link"].eta_d == 0.0:
+            assert want["p1_clicked"] == want["p2_clicked"] == (0.0, 0.0)
+        for name, expected in want.items():
+            got = getattr(result.stats, name)
+            if isinstance(got, protocol.EstStat):
+                value, stderr = expected
+                assert got.value == value, name
+                assert abs(got.stderr - stderr) <= 1e-15 * stderr, name
+            else:
+                assert got == expected, name
+
+
 class TestNoClickAssignment:
     @pytest.mark.parametrize("n,ties", [(8, (2, 6)), (16, (4, 12))], ids=["n8", "n16"])
     def test_exact_ties_assign_g1(self, n, ties):

@@ -80,12 +80,32 @@ def _parse_positive(s: str) -> float:
     return v
 
 
-def _parse_tolerance(s: str):
-    if s.strip().lower() == "hoeffding":
-        return None
+def _parse_non_negative(s: str) -> float:
     v = _parse_float(s)
     if v < 0.0:
         raise ValueError("must be >= 0")
+    return v
+
+
+def _parse_tolerance(s: str):
+    if s.strip().lower() == "hoeffding":
+        return None
+    return _parse_non_negative(s)
+
+
+def _parse_n(s: str) -> int:
+    """BasisConfig's bound on the number of phase settings."""
+    v = int(s)
+    if v < 3 or v == 4:
+        raise ValueError("must be an integer >= 3 and != 4")
+    return v
+
+
+def _parse_theta(s: str) -> float:
+    """BasisConfig's bound on the amplitude angle."""
+    v = _parse_float(s)
+    if not 0.0 < v < math.pi / 2:
+        raise ValueError("must lie in (0, pi/2)")
     return v
 
 
@@ -123,8 +143,8 @@ def _parse_message(s: str) -> str:
 # key -> (default, parser, help)
 SCHEMA: dict[str, tuple] = {
     "protocol.r": (10_000, _int_at_least(1), "photons per sequence"),
-    "protocol.n": (8, int, "number of phase settings (>=3, !=4)"),
-    "protocol.theta": (math.pi / 4, _parse_float, "amplitude angle in radians"),
+    "protocol.n": (8, _parse_n, "number of phase settings (>=3, !=4)"),
+    "protocol.theta": (math.pi / 4, _parse_theta, "amplitude angle in radians"),
     "protocol.policy": ("target-p1", _choice("uniform", "target-p1"), "basis policy"),
     "protocol.p1_target": (0.1, _parse_probability, "first-round P(g=0) target for target-p1"),
     "protocol.tolerance": (None, _parse_tolerance, "check tolerance: hoeffding | float"),
@@ -133,16 +153,16 @@ SCHEMA: dict[str, tuple] = {
     "protocol.seed": (0, _int_at_least(0), "master seed"),
     "protocol.round2_mode": ("policy", _choice("policy", "original-order"), "second-round bases"),
     "protocol.continue_on_abort": (False, _parse_bool, "keep running after a failed check"),
-    "physics.distance_km": (0.0, _parse_float, "one-way fiber length"),
-    "physics.alpha_db_per_km": (0.2, _parse_float, "fiber attenuation"),
-    "physics.eta_c": (0.95, _parse_float, "coupling efficiency"),
-    "physics.eta_m": (1.0, _parse_float, "memory efficiency per storage episode"),
-    "physics.eta_d": (1.0, _parse_float, "detector efficiency"),
+    "physics.distance_km": (0.0, _parse_non_negative, "one-way fiber length"),
+    "physics.alpha_db_per_km": (0.2, _parse_non_negative, "fiber attenuation"),
+    "physics.eta_c": (0.95, _parse_probability, "coupling efficiency"),
+    "physics.eta_m": (1.0, _parse_probability, "memory efficiency per storage episode"),
+    "physics.eta_d": (1.0, _parse_probability, "detector efficiency"),
     "physics.qm_per_trip_efficiency": (1.0, _parse_probability,
                                        "storage-loop survival per round trip"),
     "physics.qm_round_trips": (0, _int_at_least(0), "round trips per storage episode; set this or eta_m"),
     "physics.delta_theta": (0.0, _parse_float, "rotation per one-way trip, radians"),
-    "physics.noise_spread": (0.0, _parse_float, "half-width of each photon's rotation per trip"),
+    "physics.noise_spread": (0.0, _parse_non_negative, "half-width of each photon's rotation per trip"),
     "adversary.enabled": (False, _parse_bool, "interpose the blinding attack"),
     "adversary.p1": (0.0, _parse_probability, "per-slot attack probability"),
     "adversary.p2": (0.0, _parse_probability, "forced-click closeness probability"),

@@ -111,7 +111,7 @@ class BasisPolicy:
 
 def _ideal_p(theta: float, phases: np.ndarray) -> np.ndarray:
     """Noise-free P(g=0) for each of the basis phase offsets `phases`."""
-    return born_p(theta, np.full(len(phases), theta), phases, np.arange(len(phases)))
+    return born_p(theta, theta, phases, np.arange(len(phases)))
 
 
 def _offset_phases(n: int) -> np.ndarray:
@@ -419,10 +419,30 @@ def _shuffled(rng: np.random.Generator, index: np.ndarray) -> np.ndarray:
     return index
 
 
-def _trip_purposes(leg: int) -> tuple[str, ...]:
-    """Streams of one trip: the rotation, then one survival draw per stage."""
+def _trip_purposes(leg: int, rotation) -> tuple[str, ...]:
+    """Streams of one trip: the rotation, if each photon draws its own
+    (`rotation` is then an array), then one survival draw per stage."""
     way, store = ("ab", "bob") if leg == 1 else ("ba", "alice")
-    return (f"noise-{way}", f"loss-fiber-{way}", f"loss-coupling-{way}", f"loss-memory-{store}")
+    noise = (f"noise-{way}",) if isinstance(rotation, np.ndarray) else ()
+    return noise + (f"loss-fiber-{way}", f"loss-coupling-{way}", f"loss-memory-{store}")
+
+
+def _at(rotation, index):
+    """rotation[index], or `rotation` itself where it is one float for every
+    photon of its trip."""
+    return rotation[index] if isinstance(rotation, np.ndarray) else rotation
+
+
+def _outcome(u: np.ndarray, p) -> np.ndarray:
+    """Outcome g per draw u: 0 where u < p, else 1 (also where p is NaN)."""
+    return (~(u < p)).view(np.int8)
+
+
+def _measured_index(x: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
+    """Measurement index ((x - d - 1) mod n) + 1 for preparation indices x
+    in 1..n and offsets d in 0..n-1, so that x - d - 1 lies in 1-n .. n-1."""
+    w = x - d - 1
+    return w + 1 + n * (w < 0)
 
 
 class ProtocolRun:
@@ -484,19 +504,29 @@ class ProtocolRun:
         return list(self._pool.map(block, starts))
 
     # -- kernels shared by the steps, applied to one block of photons -------------
-    def _trip(self, rng, leg: int, pos: np.ndarray, alive: np.ndarray):
-        """One trip over fiber and coupling into the receiving party's memory.
+    def _trip_rotation(self, size: int):
+        """Rotation column of a trip of `size` slots. At spread 0 every photon
+        takes delta_theta, and the column is that one float; otherwise it is
+        an array that the trip's blocks fill with each photon's draw."""
+        noise = self.params.noise
+        return float(noise.delta_theta) if noise.spread == 0.0 else np.empty(size)
 
-        Draws the channel rotation and one survival draw per stage for every
-        slot; a live photon is charged to the first stage it fails. Returns
-        the rotation, the photons alive after coupling and after storage.
+    def _trip(self, rng, leg: int, rotation, a: int, pos: np.ndarray, alive: np.ndarray):
+        """One trip over fiber and coupling into the receiving party's memory,
+        for the trip's slots [a, a + len(pos)).
+
+        Draws each slot's channel rotation into `rotation` when that is an
+        array, and one survival draw per stage for every slot; a live photon
+        is charged to the first stage it fails. Returns the photons alive
+        after coupling and after storage.
         """
         link, size = self.params.link, len(pos)
-        noise, *losses = _trip_purposes(leg)
-        rotation = self.params.noise.draw(size, rng(noise))
+        purposes = _trip_purposes(leg, rotation)
+        if isinstance(rotation, np.ndarray):
+            rotation[a:a + size] = self.params.noise.draw(size, rng(purposes[0]))
         after = []
         for purpose, eta, site in zip(
-            losses, (link.eta_t, link.eta_c, link.eta_m),
+            purposes[-3:], (link.eta_t, link.eta_c, link.eta_m),
             (LossSite.FIBER, LossSite.COUPLING, LossSite.MEMORY),
         ):
             survived = rng(purpose).random(size) < eta
@@ -505,7 +535,7 @@ class ProtocolRun:
             self.leg[lost] = leg
             alive = alive & survived
             after.append(alive)
-        return rotation, after[1], after[2]
+        return after[1], after[2]
 
     def _detect(self, rng, purpose: str, pos: np.ndarray, alive: np.ndarray,
                 p_g0: np.ndarray, forced: Optional[np.ndarray], at: np.ndarray):
@@ -513,7 +543,7 @@ class ProtocolRun:
         `forced` is None in a run without Eve, where no slot is blinded."""
         m = len(pos)
         clicked = alive & (rng(f"{purpose}-click").random(m) < self.params.link.eta_d)
-        g = np.where(rng(f"{purpose}-born").random(m) < p_g0, 0, 1).astype(np.int8)
+        g = _outcome(rng(f"{purpose}-born").random(m), p_g0)
         if forced is not None:
             att = self.attacked[pos]
             clicked = clicked | att
@@ -528,7 +558,7 @@ class ProtocolRun:
     def _forced(self, rng, purpose: str, size: int) -> np.ndarray:
         """Outcome each blinded slot is forced to click."""
         p2 = self.params.adversary.p2
-        return np.where(rng(purpose).random(size) < p2, 0, 1).astype(np.int8)
+        return _outcome(rng(purpose).random(size), p2)
 
     def _report(self, round_index: int, p_ideal: np.ndarray, counts: list) -> SecurityCheckReport:
         """Check report, with no-clicks assigned the more likely ideal outcome;
@@ -599,21 +629,21 @@ class ProtocolRun:
         size, adv = 3 * self.r, self.params.adversary
         self.site = np.zeros(size, dtype=np.int8)
         self.leg = np.zeros(size, dtype=np.int8)
-        self.dth1 = np.empty(size)
+        self.dth1 = self._trip_rotation(size)
         self.at_bob, self.in_qm_bob = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
         self.attacked = np.zeros(size, dtype=bool)
         self.forced_g1 = np.empty(size, dtype=np.int8) if adv is not None else None
 
         def kernel(a, b, rng):
-            self.dth1[a:b], self.at_bob[a:b], self.in_qm_bob[a:b] = self._trip(
-                rng, 1, np.arange(a, b), np.ones(b - a, dtype=bool)
+            self.at_bob[a:b], self.in_qm_bob[a:b] = self._trip(
+                rng, 1, self.dth1, a, np.arange(a, b), np.ones(b - a, dtype=bool)
             )
             if adv is not None:
                 self.attacked[a:b] = rng("adv-attack").random(b - a) < adv.p1
                 self.forced_g1[a:b] = self._forced(rng, "adv-close-1", b - a)
 
         attack = ("adv-attack", "adv-close-1") if adv is not None else ()
-        self._blocks(size, _trip_purposes(1) + attack, kernel)
+        self._blocks(size, _trip_purposes(1, self.dth1) + attack, kernel)
         self._stage = 2
 
     # -- step 3: first checking round ----------------------------------------
@@ -623,16 +653,17 @@ class ProtocolRun:
         offs = self.params.policy.offsets(self.cfg)
         phases = _offset_phases(n)
         ideal = _ideal_p(theta, phases)
+        assign = (ideal <= 0.5).view(np.int8)  # a no-click's assigned outcome
         led.y1, self.p1_ideal, self.clicked1, self.g1, self.assigned1 = self._round_arrays()
 
         def kernel(a, b, rng):
             pos = led.s1_pos[a:b].astype(np.intp)
             x = led.prep[pos]
-            y = ((x - offs.draw(b - a, rng("check1-offsets")) - 1) % n) + 1
+            y = _measured_index(x, offs.draw(b - a, rng("check1-offsets")), n)
             k = x - y + (n - 1)
             led.y1[a:b], self.p1_ideal[a:b] = y, ideal[k]
-            self.assigned1[a:b] = assigned = np.where(ideal[k] <= 0.5, 1, 0)
-            p_noisy = born_p(theta, theta + self.dth1[pos], phases, k)
+            self.assigned1[a:b] = assigned = assign[k]
+            p_noisy = born_p(theta, theta + _at(self.dth1, pos), phases, k)
             clicked, g = self._detect(
                 rng, "check1", pos, self.in_qm_bob[pos], p_noisy, self.forced_g1, pos
             )
@@ -657,21 +688,22 @@ class ProtocolRun:
         led, size = self.ledger, 2 * self.r
         combined = led.combined_positions()
         self.return_pos = np.empty(size, dtype=combined.dtype)  # sent position per slot
-        self.dth2, self.alive_at_alice = np.empty(size), np.empty(size, dtype=bool)
+        self.dth2 = self._trip_rotation(size)
+        self.alive_at_alice = np.empty(size, dtype=bool)
         adv = self.params.adversary
         self.forced_g2 = np.empty(size, dtype=np.int8) if adv is not None else None
 
         def kernel(a, b, rng):
             pos = combined[led.return_perm[a:b]].astype(np.intp)
             self.return_pos[a:b] = pos
-            self.dth2[a:b], _, self.alive_at_alice[a:b] = self._trip(
-                rng, 2, pos, self.in_qm_bob[pos]
+            _, self.alive_at_alice[a:b] = self._trip(
+                rng, 2, self.dth2, a, pos, self.in_qm_bob[pos]
             )
             if adv is not None:
                 self.forced_g2[a:b] = self._forced(rng, "adv-close-2", b - a)
 
         attack = ("adv-close-2",) if adv is not None else ()
-        self._blocks(size, _trip_purposes(2) + attack, kernel)
+        self._blocks(size, _trip_purposes(2, self.dth2) + attack, kernel)
         self._stage = 5
 
     def step5_second_check(self) -> SecurityCheckReport:
@@ -684,6 +716,7 @@ class ProtocolRun:
         offs = self.params.policy.offsets(self.cfg)
         phases = _offset_phases(n)
         ideal = _ideal_p(theta, phases)
+        assign = (ideal <= 0.5).view(np.int8)
         led.y2, self.p2_ideal, self.clicked2, self.g2, self.assigned2 = self._round_arrays()
 
         def kernel(a, b, rng):
@@ -691,13 +724,13 @@ class ProtocolRun:
             pos = self.return_pos[sl].astype(np.intp)
             x = led.prep[pos]  # preparation index of each check slot (x4)
             if policy:
-                y = ((x - offs.draw(b - a, rng("check2-offsets")) - 1) % n) + 1
+                y = _measured_index(x, offs.draw(b - a, rng("check2-offsets")), n)
             else:  # original order against the shuffled stream
                 y = led.prep[led.s2_pos[a:b]].astype(np.int64)
             k = x - y + (n - 1)
             led.y2[a:b], self.p2_ideal[a:b] = y, ideal[k]
-            self.assigned2[a:b] = assigned = np.where(ideal[k] <= 0.5, 1, 0)
-            rot = self.dth1[pos] + self.dth2[sl]
+            self.assigned2[a:b] = assigned = assign[k]
+            rot = _at(self.dth1, pos) + _at(self.dth2, sl)
             p_noisy = born_p(theta, theta + rot, phases, k)
             clicked, g = self._detect(
                 rng, "check2", pos, self.alive_at_alice[sl], p_noisy, self.forced_g2, sl
@@ -722,7 +755,7 @@ class ProtocolRun:
         def kernel(a, b, rng):
             sl, idx = slots[a:b].astype(np.intp), order[a:b].astype(np.intp)
             pos = self.return_pos[sl].astype(np.intp)
-            rot = self.dth1[pos] + self.dth2[sl]
+            rot = _at(self.dth1, pos) + _at(self.dth2, sl)
             # measurement against the exact pre-send state: the secret flip
             # cancels, leaving only the message flip in the relative phase
             p_g0 = born_p(theta, theta + rot, _MESSAGE_PHASES, self.payload[idx])
@@ -800,10 +833,10 @@ class ProtocolRun:
             message_bit[led.s3_pos] = self.payload
         # rotation precedes loss sampling, so every sent photon carries the
         # outbound draw; returned photons add the second-leg draw
-        rotation = self.dth1.copy()
+        rotation = np.full(size, self.dth1, dtype=np.float64)
         if self._stage >= 6:
             ret_mask = self.in_qm_bob[self.return_pos]
-            rotation[self.return_pos[ret_mask]] += self.dth2[ret_mask]
+            rotation[self.return_pos[ret_mask]] += _at(self.dth2, ret_mask)
 
         if self._stage >= 3:
             basis[led.s1_pos] = led.y1

@@ -148,7 +148,7 @@ def outcome_probability(state: PureState, m: Measurement) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def born_p(theta: float, angles: np.ndarray, phases: np.ndarray,
+def born_p(theta: float, angles: float | np.ndarray, phases: np.ndarray,
            index: np.ndarray) -> np.ndarray:
     """Vectorized outcome_probability for the photon engine.
 
@@ -157,8 +157,13 @@ def born_p(theta: float, angles: np.ndarray, phases: np.ndarray,
     state's by phi = phases[index[k]]:
     |cos(theta)cos(t) + e^{i phi} sin(theta)sin(t)|^2. The relative phase
     takes few distinct values, so e^{i phi} sin(theta) is evaluated once per
-    entry of `phases` and gathered per photon.
+    entry of `phases` and gathered per photon. A scalar `angles` is the one
+    angle of every photon: P(g=0) is then evaluated once per entry of
+    `phases`, over an array holding that angle, and gathered per photon.
     """
+    if np.ndim(angles) == 0:
+        table = born_p(theta, np.full(len(phases), angles), phases, np.arange(len(phases)))
+        return table[index]
     rotor = (np.exp(1j * phases) * math.sin(theta))[index]
     inner = math.cos(theta) * np.cos(angles) + rotor * np.sin(angles)
     return np.clip(np.abs(inner) ** 2, 0.0, 1.0)

@@ -282,6 +282,20 @@ class TestConfigContracts:
         (["analysis.r_rep_hz=-1"], "must be positive"),
         (["protocol.tolerance=-1"], "must be >= 0"),
         (["protocol.tolerance=-1e-300"], "must be >= 0"),
+        (["protocol.n=4"], "must be an integer >= 3 and != 4"),
+        (["protocol.n=2"], "must be an integer >= 3 and != 4"),
+        (["protocol.n=-7"], "must be an integer >= 3 and != 4"),
+        (["protocol.theta=0"], "must lie in (0, pi/2)"),
+        (["protocol.theta=1.5707963267948966"], "must lie in (0, pi/2)"),
+        (["protocol.theta=-0.3"], "must lie in (0, pi/2)"),
+        (["physics.eta_c=2"], "must lie in [0, 1]"),
+        (["physics.eta_c=-1e-300"], "must lie in [0, 1]"),
+        (["physics.eta_m=1.0000000000000002"], "must lie in [0, 1]"),
+        (["physics.eta_d=-0.5"], "must lie in [0, 1]"),
+        (["physics.distance_km=-1"], "must be >= 0"),
+        (["physics.alpha_db_per_km=-0.2"], "must be >= 0"),
+        (["physics.noise_spread=-1"], "must be >= 0"),
+        (["physics.noise_spread=-5e-324"], "must be >= 0"),
     ])
     def test_float_out_of_domain_names_its_key(self, tmp_path, capsys, cmd, sets, domain):
         # the domain objects' bounds, checked when the config is read, by
@@ -298,10 +312,22 @@ class TestConfigContracts:
         ["protocol.p1_target=1", "protocol.policy=uniform"],
         ["analysis.p_s=0"], ["analysis.p_s=1"], ["analysis.r_rep_hz=5e-324"],
         ["attack.p1_grid=0,1"], ["attack.p2_grid=0:1:3"], ["protocol.tolerance=0"],
+        # a P1 target the target-p1 policy reaches at n = 3
+        ["protocol.p1_target=0.4", "analysis.p1_list=0.4", "protocol.n=3"],
+        ["physics.eta_c=0"], ["physics.eta_c=1"], ["physics.eta_m=0"], ["physics.eta_d=0"],
+        ["physics.distance_km=0"], ["physics.alpha_db_per_km=0"],
+        ["physics.noise_spread=0"],
     ])
     def test_float_domain_edges_accepted(self, tmp_path, cmd, sets):
         # the edges the domain objects accept are accepted when read
         assert _run(tmp_path / "out", cmd, *sets) == 0
+
+    def test_theta_edges_accepted_when_read(self):
+        # the floats next to theta's open bounds; every basis offset there
+        # gives P(g=0) near 1, which no command's P1 list can target
+        for raw in ("5e-324", repr(math.nextafter(math.pi / 2, 0.0))):
+            cfg = load_config(overrides={"protocol.theta": raw})
+            assert cfg.basis_config().theta == float(raw)
 
     @pytest.mark.parametrize("cmd", COMMANDS)
     @pytest.mark.parametrize("sets, message", [

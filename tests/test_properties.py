@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdiqsdc.analysis import CapacityParams, binary_entropy, error_budget, secrecy_capacity
-from rdiqsdc.protocol import BasisPolicy, BasisPolicyMode
+from rdiqsdc.protocol import _MESSAGE_PHASES, BasisPolicy, BasisPolicyMode, _offset_phases
 from rdiqsdc.qstate import (
     BasisConfig,
     ChannelRotation,
@@ -17,6 +17,7 @@ from rdiqsdc.qstate import (
     Measurement,
     apply_encode,
     apply_rotation,
+    born_p,
     outcome_probability,
     prepare,
     state_fidelity,
@@ -139,3 +140,22 @@ def test_offset_draws_stay_in_support(seed):
     offs = BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=0.3).offsets(BasisConfig(n=8))
     draws = offs.draw(500, np.random.default_rng(seed))
     assert set(np.unique(draws)) <= set(offs.deltas)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    theta=st.floats(min_value=0.0, max_value=math.pi / 2, exclude_min=True, exclude_max=True),
+    angle=st.floats(min_value=-1e3, max_value=1e3),
+    n=st.sampled_from([3, 5, 8, 16, 128, None]),
+    m=st.sampled_from([1, 7, 65, 65537]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_born_p_scalar_angle_is_bitwise_per_photon(theta, angle, n, m, seed):
+    # one angle for every photon evaluates P(g=0) once per phase and gathers
+    # it; the floats must be those of the per-photon evaluation wherever a
+    # photon sits in the array (n = None: the decoding phases)
+    phases = _MESSAGE_PHASES if n is None else _offset_phases(n)
+    index = np.random.default_rng(seed).integers(0, len(phases), size=m)
+    got = born_p(theta, angle, phases, index)
+    want = born_p(theta, np.full(m, angle), phases, index)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

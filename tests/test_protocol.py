@@ -508,6 +508,44 @@ class TestStatsMatchWholeArrayOracle:
                 assert got == expected, name
 
 
+class TestOneRotationPerTrip:
+    # at spread 0 a trip's rotation is one float and the Born rule is
+    # evaluated once per basis offset; with the per-photon rotation arrays
+    # forced on, every report, statistic, frame and byte is the same
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("kw", [
+        dict(),
+        dict(adversary=BlindingAttackParams(p1=0.3, p2=0.5)),
+        dict(link=LinkBudget(eta_c=0.5), tolerance=0.01, continue_on_abort=False),
+        dict(link=_ORACLE_LINK, round2_mode=Round2Mode.ORIGINAL_ORDER),
+        dict(n=5, target=None, config=BasisConfig(n=5, theta=0.6)),
+        dict(n=128, config=BasisConfig(n=128)),
+    ], ids=["default", "attacked", "abort-at-3", "lossy-original-order", "n5-theta0.6",
+            "n128"])
+    def test_same_as_per_photon_rotations(self, tmp_path, monkeypatch, kw, workers):
+        monkeypatch.setattr(protocol, "_ENGINE_BLOCK", 777)
+        params = params_for(**dict(dict(
+            r=3000, seed=4, noise=ChannelNoiseModel(delta_theta=0.0785398),
+            continue_on_abort=True), **kw))
+        one = run_full_protocol(params, workers=workers)
+        monkeypatch.setattr(ProtocolRun, "_trip_rotation", lambda self, size: np.empty(size))
+        per_photon = run_full_protocol(params, workers=workers)
+        assert isinstance(one.run.dth1, float) and isinstance(per_photon.run.dth1, np.ndarray)
+        assert one.aborted_at_step == per_photon.aborted_at_step
+        if "tolerance" in kw:
+            assert one.aborted_at_step == 3
+        assert (one.check1, one.check2, one.stats, one.attack) == (
+            per_photon.check1, per_photon.check2, per_photon.stats, per_photon.attack)
+        assert (one.frame is None) == (per_photon.frame is None)
+        if one.frame is not None:
+            assert np.array_equal(one.frame.payload, per_photon.frame.payload)
+            assert np.array_equal(one.frame.decoded, per_photon.frame.decoded)
+        for name, result in (("one", one), ("per_photon", per_photon)):
+            write_transcript(result, tmp_path / f"{name}.jsonl")
+        assert (tmp_path / "one.jsonl").read_bytes() == (
+            tmp_path / "per_photon.jsonl").read_bytes()
+
+
 class TestNoClickAssignment:
     @pytest.mark.parametrize("n,ties", [(8, (2, 6)), (16, (4, 12))], ids=["n8", "n16"])
     def test_exact_ties_assign_g1(self, n, ties):

@@ -19,7 +19,7 @@ from . import analysis, verify
 from .adversary import BlindingAttackParams, detection_power, predict_attacked_distribution
 from .config import ConfigError, RunConfig, load_config
 from .protocol import (
-    BasisPolicyMode, ProtocolRun, atomic_open, hoeffding_tolerance, run_full_protocol,
+    BasisPolicyMode, ProtocolRun, atomic_open, run_full_protocol,
     summary_record, write_transcript,
 )
 
@@ -215,6 +215,11 @@ def _write_gnuplot(path: Path, csv_name: str, axis: str, delim: str) -> None:
 
 
 def cmd_threshold(cfg: RunConfig, args) -> int:
+    # the threshold solvers need both outcomes possible at each operating point
+    for p1 in cfg["analysis.p1_list"]:
+        if not 0.0 < p1 < 1.0:
+            raise ConfigError(f"analysis.p1_list entries must lie in (0, 1) for threshold, "
+                              f"got {p1!r}")
     dth = _one_rotation_per_trip(cfg)
     link = cfg.link()  # eta_m from the memory's round trips when they are set
     eta_c, eta_m, eta_d, alpha = link.eta_c, link.eta_m, link.eta_d, link.alpha_db_per_km
@@ -268,7 +273,6 @@ def cmd_attack_scan(cfg: RunConfig, args) -> int:
     else:
         target = base.policy.offsets(base.config).expected_p_g0(base.config.theta)
     r = cfg["attack.r"]
-    tol = base.tolerance if base.tolerance is not None else hoeffding_tolerance(r, base.epsilon)
     jobs = []
     for i, p1a in enumerate(cfg["attack.p1_grid"]):
         for j, p2a in enumerate(cfg["attack.p2_grid"]):
@@ -279,7 +283,7 @@ def cmd_attack_scan(cfg: RunConfig, args) -> int:
                 continue_on_abort=True,
                 seed=base.seed + 1_000 + 100 * i + j,
             )
-            jobs.append((params, float(target), tol))
+            jobs.append((params, float(target), params.check_tolerance()))
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_attack_point, jobs))

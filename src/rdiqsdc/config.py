@@ -190,14 +190,22 @@ class RunConfig:
         return self.values[key]
 
     def validate(self) -> "RunConfig":
-        """The rules that tie one key to another, checked for every command.
-        Rules that depend on what a command builds (P1 reachability, the
-        sweep grid, the rotation spread of the closed forms) stay with it."""
+        """The rules that tie one key to another, checked for every command:
+        the message length, eta_m against the memory's round trips, and the
+        two-leg rotation bound of delta_theta and noise_spread. Rules that
+        depend on what a command builds (P1 reachability, the sweep grid,
+        the rotation spread and P1 domain of the closed forms) stay with it."""
         message = self["protocol.message"]
         if message != "random" and len(message) != self["protocol.r"]:
             raise ConfigError("protocol.message length must equal protocol.r")
         if self["physics.qm_round_trips"] > 0 and self["physics.eta_m"] != 1.0:
             raise ConfigError("set physics.eta_m or physics.qm_round_trips, not both")
+        try:
+            self.noise()
+        except ValueError as exc:
+            raise ConfigError(
+                f"bad values for physics.delta_theta and physics.noise_spread ({exc})"
+            ) from exc
         return self
 
     # ---- domain-object builders -------------------------------------------

@@ -286,8 +286,8 @@ class TranscriptStats:
 
 @dataclass
 class SequenceLedger:
-    """Index bookkeeping: preparation settings, sequence membership,
-    measurement settings, and the return-stream shuffle."""
+    """Index bookkeeping: preparation settings, sequence membership and the
+    return-stream shuffle."""
 
     n: int
     r: int
@@ -295,9 +295,7 @@ class SequenceLedger:
     s1_pos: np.ndarray
     s2_pos: np.ndarray
     s3_pos: np.ndarray
-    y1: Optional[np.ndarray] = None
     return_perm: Optional[np.ndarray] = None  # return slot -> combined index
-    y2: Optional[np.ndarray] = None
 
     @property
     def x2(self) -> np.ndarray:
@@ -445,6 +443,35 @@ def _measured_index(x: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
     return w + 1 + n * (w < 0)
 
 
+@dataclass
+class _Trip:
+    """Per-slot state of one trip, slots in the order the photons were sent:
+    the channel rotation (one float at spread 0, else one per slot), whether
+    the photon is alive in the receiving party's memory, the outcome a
+    blinded slot is forced to click (None in a run without Eve) and, on the
+    return trip, the photon each slot carries (on the outbound trip a
+    photon's slot is its position)."""
+
+    leg: int
+    rotation: float | np.ndarray
+    alive: np.ndarray
+    forced: Optional[np.ndarray]
+    pos: Optional[np.ndarray] = None
+
+
+@dataclass
+class _Measured:
+    """Per-photon record of one measuring stage, in measurement order: the
+    measurement index, the ideal P(g=0), click, outcome and the outcome
+    assigned to a no-click. Decoding keeps no ideal or assigned outcome."""
+
+    y: np.ndarray
+    p_ideal: Optional[np.ndarray]
+    clicked: np.ndarray
+    g: np.ndarray
+    assigned: Optional[np.ndarray]
+
+
 class ProtocolRun:
     """One protocol execution; call the step methods in order or use run()."""
 
@@ -459,6 +486,8 @@ class ProtocolRun:
         self.ledger: Optional[SequenceLedger] = None
         self._message_in = message
         self._stage = 0
+        # per-photon state: a _Trip per trip, a _Measured per measuring stage
+        self.trip1 = self.trip2 = self.round1 = self.round2 = self.decoding = None
         self.check2: Optional[SecurityCheckReport] = None
         self.frame: Optional[MessageFrame] = None
 
@@ -511,20 +540,24 @@ class ProtocolRun:
         noise = self.params.noise
         return float(noise.delta_theta) if noise.spread == 0.0 else np.empty(size)
 
-    def _trip(self, rng, leg: int, rotation, a: int, pos: np.ndarray, alive: np.ndarray):
-        """One trip over fiber and coupling into the receiving party's memory,
-        for the trip's slots [a, a + len(pos)).
+    def _open_trip(self, leg: int, size: int) -> _Trip:
+        """Record of a trip of `size` slots, for its blocks to fill."""
+        forced = np.empty(size, dtype=np.int8) if self.params.adversary is not None else None
+        return _Trip(leg, self._trip_rotation(size), np.empty(size, dtype=bool), forced)
 
-        Draws each slot's channel rotation into `rotation` when that is an
-        array, and one survival draw per stage for every slot; a live photon
-        is charged to the first stage it fails. Returns the photons alive
-        after coupling and after storage.
+    def _trip(self, rng, trip: _Trip, a: int, pos: np.ndarray, alive: np.ndarray) -> None:
+        """One trip over fiber and coupling into the receiving party's memory,
+        for the trip's slots [a, a + len(pos)) carrying the photons `pos`.
+
+        Draws each slot's channel rotation when the trip holds one per slot,
+        one survival draw per stage for every slot (a live photon is charged
+        to the first stage it fails) and, with Eve, the outcome each slot is
+        forced to click. Records which photons are alive after storage.
         """
         link, size = self.params.link, len(pos)
-        purposes = _trip_purposes(leg, rotation)
-        if isinstance(rotation, np.ndarray):
-            rotation[a:a + size] = self.params.noise.draw(size, rng(purposes[0]))
-        after = []
+        purposes = _trip_purposes(trip.leg, trip.rotation)
+        if isinstance(trip.rotation, np.ndarray):
+            trip.rotation[a:a + size] = self.params.noise.draw(size, rng(purposes[0]))
         for purpose, eta, site in zip(
             purposes[-3:], (link.eta_t, link.eta_c, link.eta_m),
             (LossSite.FIBER, LossSite.COUPLING, LossSite.MEMORY),
@@ -532,14 +565,30 @@ class ProtocolRun:
             survived = rng(purpose).random(size) < eta
             lost = pos[alive & ~survived]
             self.site[lost] = _SITE_CODE[site]
-            self.leg[lost] = leg
+            self.leg[lost] = trip.leg
             alive = alive & survived
-            after.append(alive)
-        return after[1], after[2]
+        trip.alive[a:a + size] = alive
+        if trip.forced is not None:
+            u = rng(f"adv-close-{trip.leg}").random(size)
+            trip.forced[a:a + size] = _outcome(u, self.params.adversary.p2)
+
+    def _arrival(self, leg: int, slots: np.ndarray):
+        """(photons, angle theta plus their rotation so far, alive, forced
+        outcome or None) at the measured slots of trip `leg`: S1 positions
+        on the outbound trip, return-stream slots on the return trip."""
+        trip1 = self.trip1
+        if leg == 1:
+            trip, pos, rotation = trip1, slots, _at(trip1.rotation, slots)
+        else:
+            trip = self.trip2
+            pos = trip.pos[slots].astype(np.intp)
+            rotation = _at(trip1.rotation, pos) + _at(trip.rotation, slots)
+        forced = trip.forced[slots] if trip.forced is not None else None
+        return pos, self.theta + rotation, trip.alive[slots], forced
 
     def _detect(self, rng, purpose: str, pos: np.ndarray, alive: np.ndarray,
-                p_g0: np.ndarray, forced: Optional[np.ndarray], at: np.ndarray):
-        """Detector event at the photons `pos`; blinded slots click forced[at].
+                p_g0: np.ndarray, forced: Optional[np.ndarray]):
+        """Detector event at the photons `pos`; blinded slots click forced[i].
         `forced` is None in a run without Eve, where no slot is blinded."""
         m = len(pos)
         clicked = alive & (rng(f"{purpose}-click").random(m) < self.params.link.eta_d)
@@ -547,7 +596,7 @@ class ProtocolRun:
         if forced is not None:
             att = self.attacked[pos]
             clicked = clicked | att
-            g = np.where(att, forced[at], g)
+            g = np.where(att, forced, g)
             # a forged pulse always clicks
             self.site[pos[att]] = _SITE_CODE[LossSite.NONE]
             self.leg[pos[att]] = 0
@@ -555,32 +604,47 @@ class ProtocolRun:
         self.site[pos[alive & ~clicked]] = _SITE_CODE[LossSite.DETECTOR]
         return clicked, g
 
-    def _forced(self, rng, purpose: str, size: int) -> np.ndarray:
-        """Outcome each blinded slot is forced to click."""
-        p2 = self.params.adversary.p2
-        return _outcome(rng(purpose).random(size), p2)
+    def _check_round(self, leg: int, slots: np.ndarray, bases: Optional[np.ndarray]
+                     ) -> tuple[_Measured, SecurityCheckReport]:
+        """Checking round on the photons arriving at `slots` of trip `leg`,
+        measured in bases[i] at slot i, or, where `bases` is None, in an
+        index drawn through the policy against the photon's preparation
+        index. No-clicks are assigned the more likely ideal outcome.
+        Returns the round's record and its report."""
+        r, n, theta, prep = self.r, self.n, self.theta, self.ledger.prep
+        offs = self.params.policy.offsets(self.cfg)
+        phases = _offset_phases(n)
+        ideal = _ideal_p(theta, phases)
+        assign = (ideal <= 0.5).view(np.int8)  # a no-click's assigned outcome
+        rec = _Measured(y=np.empty(r, dtype=np.int64), p_ideal=np.empty(r),
+                        clicked=np.empty(r, dtype=bool), g=np.empty(r, dtype=np.int8),
+                        assigned=np.empty(r, dtype=np.int8))
+        purpose = f"check{leg}"
 
-    def _report(self, round_index: int, p_ideal: np.ndarray, counts: list) -> SecurityCheckReport:
-        """Check report, with no-clicks assigned the more likely ideal outcome;
-        `counts` holds each block's `_check_counts`."""
+        def kernel(a, b, rng):
+            pos, angle, alive, forced = self._arrival(leg, slots[a:b].astype(np.intp))
+            x = prep[pos]
+            if bases is None:
+                y = _measured_index(x, offs.draw(b - a, rng(f"{purpose}-offsets")), n)
+            else:
+                y = bases[a:b].astype(np.int64)
+            k = x - y + (n - 1)
+            rec.y[a:b], rec.p_ideal[a:b] = y, ideal[k]
+            rec.assigned[a:b] = assigned = assign[k]
+            p_noisy = born_p(theta, angle, phases, k)
+            clicked, g = self._detect(rng, purpose, pos, alive, p_noisy, forced)
+            rec.clicked[a:b], rec.g[a:b] = clicked, g
+            return _check_counts(clicked, g, assigned)
+
+        offsets = (f"{purpose}-offsets",) if bases is None else ()
+        counts = self._blocks(r, offsets + (f"{purpose}-click", f"{purpose}-born"), kernel)
         n_clicked, n_g0_clicked, n_assigned_g0 = map(sum, zip(*counts))
-        return SecurityCheckReport(
-            round_index=round_index,
-            m=self.r,
-            theoretical_p_g0=float(np.mean(p_ideal)),
-            empirical_p_g0=(n_g0_clicked + n_assigned_g0) / self.r,
-            tolerance=self.params.check_tolerance(),
-            n_clicked=n_clicked,
-            n_clicked_g0=n_g0_clicked,
-            n_assigned_g0=n_assigned_g0,
+        return rec, SecurityCheckReport(
+            round_index=leg, m=r, theoretical_p_g0=float(np.mean(rec.p_ideal)),
+            empirical_p_g0=(n_g0_clicked + n_assigned_g0) / r,
+            tolerance=self.params.check_tolerance(), n_clicked=n_clicked,
+            n_clicked_g0=n_g0_clicked, n_assigned_g0=n_assigned_g0,
         )
-
-    def _round_arrays(self):
-        """Per-photon arrays of a checking round: measurement index, ideal
-        P(g=0), click, outcome and the outcome assigned to a no-click."""
-        r = self.r
-        return (np.empty(r, dtype=np.int64), np.empty(r), np.empty(r, dtype=bool),
-                np.empty(r, dtype=np.int8), np.empty(r, dtype=np.int8))
 
     # -- step 1: preparation ------------------------------------------------
     def step1_prepare(self) -> SequenceLedger:
@@ -629,49 +693,22 @@ class ProtocolRun:
         size, adv = 3 * self.r, self.params.adversary
         self.site = np.zeros(size, dtype=np.int8)
         self.leg = np.zeros(size, dtype=np.int8)
-        self.dth1 = self._trip_rotation(size)
-        self.at_bob, self.in_qm_bob = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
         self.attacked = np.zeros(size, dtype=bool)
-        self.forced_g1 = np.empty(size, dtype=np.int8) if adv is not None else None
+        trip = self.trip1 = self._open_trip(1, size)
 
         def kernel(a, b, rng):
-            self.at_bob[a:b], self.in_qm_bob[a:b] = self._trip(
-                rng, 1, self.dth1, a, np.arange(a, b), np.ones(b - a, dtype=bool)
-            )
+            self._trip(rng, trip, a, np.arange(a, b), np.ones(b - a, dtype=bool))
             if adv is not None:
                 self.attacked[a:b] = rng("adv-attack").random(b - a) < adv.p1
-                self.forced_g1[a:b] = self._forced(rng, "adv-close-1", b - a)
 
         attack = ("adv-attack", "adv-close-1") if adv is not None else ()
-        self._blocks(size, _trip_purposes(1, self.dth1) + attack, kernel)
+        self._blocks(size, _trip_purposes(1, trip.rotation) + attack, kernel)
         self._stage = 2
 
     # -- step 3: first checking round ----------------------------------------
     def step3_first_check(self) -> SecurityCheckReport:
         self._require_stage(2)
-        n, theta, led = self.n, self.theta, self.ledger
-        offs = self.params.policy.offsets(self.cfg)
-        phases = _offset_phases(n)
-        ideal = _ideal_p(theta, phases)
-        assign = (ideal <= 0.5).view(np.int8)  # a no-click's assigned outcome
-        led.y1, self.p1_ideal, self.clicked1, self.g1, self.assigned1 = self._round_arrays()
-
-        def kernel(a, b, rng):
-            pos = led.s1_pos[a:b].astype(np.intp)
-            x = led.prep[pos]
-            y = _measured_index(x, offs.draw(b - a, rng("check1-offsets")), n)
-            k = x - y + (n - 1)
-            led.y1[a:b], self.p1_ideal[a:b] = y, ideal[k]
-            self.assigned1[a:b] = assigned = assign[k]
-            p_noisy = born_p(theta, theta + _at(self.dth1, pos), phases, k)
-            clicked, g = self._detect(
-                rng, "check1", pos, self.in_qm_bob[pos], p_noisy, self.forced_g1, pos
-            )
-            self.clicked1[a:b], self.g1[a:b] = clicked, g
-            return _check_counts(clicked, g, assigned)
-
-        counts = self._blocks(self.r, ("check1-offsets", "check1-click", "check1-born"), kernel)
-        self.check1 = self._report(1, self.p1_ideal, counts)
+        self.round1, self.check1 = self._check_round(1, self.ledger.s1_pos, None)
         self._stage = 3
         return self.check1
 
@@ -687,60 +724,28 @@ class ProtocolRun:
         self._require_stage(4)
         led, size = self.ledger, 2 * self.r
         combined = led.combined_positions()
-        self.return_pos = np.empty(size, dtype=combined.dtype)  # sent position per slot
-        self.dth2 = self._trip_rotation(size)
-        self.alive_at_alice = np.empty(size, dtype=bool)
-        adv = self.params.adversary
-        self.forced_g2 = np.empty(size, dtype=np.int8) if adv is not None else None
+        trip = self.trip2 = self._open_trip(2, size)
+        trip.pos = np.empty(size, dtype=combined.dtype)
 
         def kernel(a, b, rng):
             pos = combined[led.return_perm[a:b]].astype(np.intp)
-            self.return_pos[a:b] = pos
-            _, self.alive_at_alice[a:b] = self._trip(
-                rng, 2, self.dth2, a, pos, self.in_qm_bob[pos]
-            )
-            if adv is not None:
-                self.forced_g2[a:b] = self._forced(rng, "adv-close-2", b - a)
+            trip.pos[a:b] = pos
+            self._trip(rng, trip, a, pos, self.trip1.alive[pos])
 
-        attack = ("adv-close-2",) if adv is not None else ()
-        self._blocks(size, _trip_purposes(2, self.dth2) + attack, kernel)
+        attack = ("adv-close-2",) if self.params.adversary is not None else ()
+        self._blocks(size, _trip_purposes(2, trip.rotation) + attack, kernel)
         self._stage = 5
 
     def step5_second_check(self) -> SecurityCheckReport:
         self._require_stage(5)
-        r, n, theta, led = self.r, self.n, self.theta, self.ledger
-        slots = led.s2p_slots
-        if len(slots) != r:
+        led = self.ledger
+        if len(led.s2p_slots) != self.r:
             raise ProtocolViolation("announcement length mismatch in round 2")
-        policy = self.params.round2_mode is Round2Mode.POLICY
-        offs = self.params.policy.offsets(self.cfg)
-        phases = _offset_phases(n)
-        ideal = _ideal_p(theta, phases)
-        assign = (ideal <= 0.5).view(np.int8)
-        led.y2, self.p2_ideal, self.clicked2, self.g2, self.assigned2 = self._round_arrays()
-
-        def kernel(a, b, rng):
-            sl = slots[a:b].astype(np.intp)
-            pos = self.return_pos[sl].astype(np.intp)
-            x = led.prep[pos]  # preparation index of each check slot (x4)
-            if policy:
-                y = _measured_index(x, offs.draw(b - a, rng("check2-offsets")), n)
-            else:  # original order against the shuffled stream
-                y = led.prep[led.s2_pos[a:b]].astype(np.int64)
-            k = x - y + (n - 1)
-            led.y2[a:b], self.p2_ideal[a:b] = y, ideal[k]
-            self.assigned2[a:b] = assigned = assign[k]
-            rot = _at(self.dth1, pos) + _at(self.dth2, sl)
-            p_noisy = born_p(theta, theta + rot, phases, k)
-            clicked, g = self._detect(
-                rng, "check2", pos, self.alive_at_alice[sl], p_noisy, self.forced_g2, sl
-            )
-            self.clicked2[a:b], self.g2[a:b] = clicked, g
-            return _check_counts(clicked, g, assigned)
-
-        offsets = ("check2-offsets",) if policy else ()
-        counts = self._blocks(r, offsets + ("check2-click", "check2-born"), kernel)
-        self.check2 = self._report(2, self.p2_ideal, counts)
+        # original order: the receiver reuses her S2 preparation order
+        # against the shuffled stream
+        original = self.params.round2_mode is Round2Mode.ORIGINAL_ORDER
+        bases = led.prep[led.s2_pos] if original else None
+        self.round2, self.check2 = self._check_round(2, led.s2p_slots, bases)
         self._stage = 6
         return self.check2
 
@@ -749,25 +754,22 @@ class ProtocolRun:
         self._require_stage(6)
         r, theta, led = self.r, self.theta, self.ledger
         slots, order = led.s3p_slots, led.s3_order  # original S3 index per slot
-        self.clicked3, self.g3 = np.empty(r, dtype=bool), np.empty(r, dtype=np.int8)
+        rec = self.decoding = _Measured(
+            y=np.empty(r, dtype=led.prep.dtype), p_ideal=None,
+            clicked=np.empty(r, dtype=bool), g=np.empty(r, dtype=np.int8), assigned=None)
         decoded = np.full(r, -1, dtype=np.int8)
 
         def kernel(a, b, rng):
             sl, idx = slots[a:b].astype(np.intp), order[a:b].astype(np.intp)
-            pos = self.return_pos[sl].astype(np.intp)
-            rot = _at(self.dth1, pos) + _at(self.dth2, sl)
+            pos, angle, alive, forced = self._arrival(2, sl)
             # measurement against the exact pre-send state: the secret flip
             # cancels, leaving only the message flip in the relative phase
-            p_g0 = born_p(theta, theta + rot, _MESSAGE_PHASES, self.payload[idx])
-            clicked, g = self._detect(
-                rng, "decode", pos, self.alive_at_alice[sl], p_g0, self.forced_g2, sl
-            )
-            self.clicked3[a:b], self.g3[a:b] = clicked, g
+            p_g0 = born_p(theta, angle, _MESSAGE_PHASES, self.payload[idx])
+            clicked, g = self._detect(rng, "decode", pos, alive, p_g0, forced)
+            rec.y[a:b], rec.clicked[a:b], rec.g[a:b] = led.prep[pos], clicked, g
             decoded[idx] = np.where(clicked, g, -1)
-            return int(np.count_nonzero(clicked))
 
-        self.n_decode_clicked = sum(self._blocks(r, ("decode-click", "decode-born"), kernel))
-        self.decode_slots = slots
+        self._blocks(r, ("decode-click", "decode-born"), kernel)
         self.frame = MessageFrame(payload=self.payload.copy(), decoded=decoded)
         self._stage = 7
         return self.frame
@@ -777,14 +779,12 @@ class ProtocolRun:
         r, check1, check2 = self.r, self.check1, self.check2
         # the gain-weighted shift and the assignment cost of each checking
         # photon, filled a block at a time and averaged over the whole column
-        shift1, assign1, shift2, assign2 = (np.empty(r) for _ in range(4))
-        rounds = ((self.clicked1, self.g1, self.p1_ideal, shift1, assign1),
-                  (self.clicked2, self.g2, self.p2_ideal, shift2, assign2))
+        rounds = [(rec, np.empty(r), np.empty(r)) for rec in (self.round1, self.round2)]
 
         def columns(a, b, rng):
-            for clicked, g, p_ideal, shift, assign in rounds:
-                clicked, p = clicked[a:b].astype(np.float64), p_ideal[a:b]
-                shift[a:b] = clicked * (p - (g[a:b] == 0))
+            for rec, shift, assign in rounds:
+                clicked, p = rec.clicked[a:b].astype(np.float64), rec.p_ideal[a:b]
+                shift[a:b] = clicked * (p - (rec.g[a:b] == 0))
                 assign[a:b] = (1.0 - clicked) * np.minimum(p, 1.0 - p)
 
         def sites(a, b, rng):
@@ -800,10 +800,11 @@ class ProtocolRun:
             name = _SITE_NAME[code]
             counts[name if leg == 0 else f"{name}-leg{leg}"] = int(tally[idx])
 
+        (_, shift1, assign1), (_, shift2, assign2) = rounds
         return TranscriptStats(
             q_ab=_rate(check1.n_clicked, r),
             q_aba=_rate(check2.n_clicked, r),
-            q_aba_decode=_rate(self.n_decode_clicked, r),
+            q_aba_decode=_rate(int(np.count_nonzero(self.decoding.clicked)), r),
             p1_theoretical=check1.theoretical_p_g0,
             p2_theoretical=check2.theoretical_p_g0,
             p1_observed=_rate(check1.n_clicked_g0 + check1.n_assigned_g0, r),
@@ -818,7 +819,7 @@ class ProtocolRun:
         )
 
     def _columns(self) -> TranscriptColumns:
-        r, led = self.r, self.ledger
+        r, led, trip2 = self.r, self.ledger, self.trip2
         size = 3 * r
         seq = np.zeros(size, dtype=np.int8)
         seq[led.s1_pos] = 1
@@ -833,29 +834,23 @@ class ProtocolRun:
             message_bit[led.s3_pos] = self.payload
         # rotation precedes loss sampling, so every sent photon carries the
         # outbound draw; returned photons add the second-leg draw
-        rotation = np.full(size, self.dth1, dtype=np.float64)
-        if self._stage >= 6:
-            ret_mask = self.in_qm_bob[self.return_pos]
-            rotation[self.return_pos[ret_mask]] += _at(self.dth2, ret_mask)
+        rotation = np.full(size, self.trip1.rotation, dtype=np.float64)
+        if trip2 is not None:
+            returned = self.trip1.alive[trip2.pos]
+            rotation[trip2.pos[returned]] += _at(trip2.rotation, returned)
 
-        if self._stage >= 3:
-            basis[led.s1_pos] = led.y1
-            clicked[led.s1_pos] = self.clicked1
-            g[led.s1_pos] = np.where(self.clicked1, self.g1, -1)
-            assigned[led.s1_pos] = np.where(~self.clicked1, self.assigned1, -1)
-        if self._stage >= 6:
-            slots2 = led.s2p_slots
-            pos2 = self.return_pos[slots2]
-            basis[pos2] = led.y2
-            clicked[pos2] = self.clicked2
-            g[pos2] = np.where(self.clicked2, self.g2, -1)
-            assigned[pos2] = np.where(~self.clicked2, self.assigned2, -1)
-        if self._stage >= 7:
-            slots3 = self.decode_slots
-            pos3 = self.return_pos[slots3]
-            basis[pos3] = led.prep[pos3]
-            clicked[pos3] = self.clicked3
-            g[pos3] = np.where(self.clicked3, self.g3, -1)
+        # each measuring stage run so far, with the photon it measured per row
+        stages = [(self.round1, led.s1_pos)]
+        if self.round2 is not None:
+            stages.append((self.round2, trip2.pos[led.s2p_slots]))
+        if self.decoding is not None:
+            stages.append((self.decoding, trip2.pos[led.s3p_slots]))
+        for rec, pos in stages:
+            basis[pos] = rec.y
+            clicked[pos] = rec.clicked
+            g[pos] = np.where(rec.clicked, rec.g, -1)
+            if rec.assigned is not None:
+                assigned[pos] = np.where(~rec.clicked, rec.assigned, -1)
         return TranscriptColumns(
             sequence=seq,
             prep=led.prep,
@@ -872,23 +867,23 @@ class ProtocolRun:
         )
 
     def _announcements(self) -> Announcements:
-        led = self.ledger
-        done2 = self._stage >= 6
+        led, round1, round2 = self.ledger, self.round1, self.round2
         if led.return_perm is not None:
             s2p, s2_order, s3p, s3_order = led.s2p_slots, led.s2_order, led.s3p_slots, led.s3_order
         else:
             s2p = s2_order = s3p = s3_order = np.array([], dtype=np.int64)
+        done2 = round2 is not None
         return Announcements(
             s1_positions=led.s1_pos.copy(),
-            y1=led.y1.copy(),
-            round1_clicked=self.clicked1.copy(),
-            round1_g=np.where(self.clicked1, self.g1, -1),
+            y1=round1.y.copy(),
+            round1_clicked=round1.clicked.copy(),
+            round1_g=np.where(round1.clicked, round1.g, -1),
             s2p_slots=s2p,
             s2_original_positions=s2_order,
             s3p_slots=s3p,
             s3_original_positions=s3_order,
-            round2_clicked=self.clicked2.copy() if done2 else None,
-            round2_g=np.where(self.clicked2, self.g2, -1) if done2 else None,
+            round2_clicked=round2.clicked.copy() if done2 else None,
+            round2_g=np.where(round2.clicked, round2.g, -1) if done2 else None,
         )
 
     def _attack_summary(self) -> Optional[AttackOutcomeStats]:

@@ -21,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Centralized numeric tolerances.
-NORM_TOL = 1e-12     # normalization / algebraic identities
-PROB_TOL = 1e-9      # probability sums
+NORM_TOL = 1e-12  # normalization / algebraic identities
 
 
 class EncodeOp(enum.Enum):

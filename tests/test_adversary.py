@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from rdiqsdc import cli, protocol, verify
 from rdiqsdc.adversary import (
     BlindingAttackParams,
     detection_power,
@@ -84,6 +85,46 @@ class TestBlindAndFake:
         band = 5.0 * math.sqrt(0.3 * 0.7 / 20_000)
         assert report.n_clicked == 20_000
         assert abs(report.empirical_p_g0 - 0.3) <= band
+
+
+class TestFirstCheckByHand:
+    # attack-scan and verify's attack criterion run steps 1-3 by hand; their
+    # report is the first check of a full run on the same attacked, lossy,
+    # noisy parameters, whatever the worker count of the full run
+    LINK = LinkBudget(distance_km=5.0, eta_c=0.9, eta_m=0.95, eta_d=0.8)
+    # wide enough that dropping the spread changes first-round outcomes
+    NOISE = ChannelNoiseModel(delta_theta=0.05, spread=0.2)
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_ENGINE_BLOCK", 777)
+
+    def full_check1(self, workers, *job):
+        params = attack_run_params(*job, link=self.LINK, noise=self.NOISE)
+        return params, protocol.run_full_protocol(params, workers=workers).check1
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_attack_scan_point(self, monkeypatch, workers):
+        params, want = self.full_check1(workers, 3000, 0.3, 0.5, 0.1, 7)
+        reports = []
+        step3 = ProtocolRun.step3_first_check
+
+        def keep(run):
+            reports.append(step3(run))
+            return reports[-1]
+
+        monkeypatch.setattr(ProtocolRun, "step3_first_check", keep)
+        row = cli._attack_point((params, 0.1, want.tolerance))
+        assert reports == [want]
+        assert (row[3], row[5]) == (want.empirical_p_g0, int(not want.passed))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_verify_first_check(self, monkeypatch, workers):
+        _, want = self.full_check1(workers, 3000, 0.3, 0.5, 0.1, 7)
+        # the criterion's runs are lossless and noiseless; give them this link
+        monkeypatch.setattr(verify, "LinkBudget", lambda: self.LINK)
+        monkeypatch.setattr(verify, "ChannelNoiseModel", lambda: self.NOISE)
+        assert verify._first_check((3000, 0.3, 0.5, 0.1, 7)) == want
 
 
 def intercepted_counts(r, seed):

@@ -169,7 +169,8 @@ class TestSimulateCommand:
                 argv += ["--set", item]
             assert main(argv) == 2
             err = capsys.readouterr().err
-            assert err.startswith("config error: two-leg rotation bound ")
+            assert err.startswith("config error: bad values for physics.delta_theta and "
+                                  "physics.noise_spread (two-leg rotation bound ")
             assert err.count("\n") == 1
         # a failure budget so small that 2/epsilon overflows would leave an
         # infinite tolerance, which passes every check
@@ -182,11 +183,11 @@ class TestSimulateCommand:
             err = capsys.readouterr().err
             assert err.startswith("config error: bad value for protocol.epsilon: '5e-324' (")
             assert err.count("\n") == 1
-        # rotations whose round-trip angle overflows in the capacity model,
-        # including 5e307, whose two-leg bound is still finite
+        # a rotation whose round-trip angle overflows in the capacity model
+        # while its two-leg bound, checked at read, is still finite
         for cmd, sets in (
-            (cmd, [f"physics.delta_theta={dth}", "analysis.grid=0.5"])
-            for cmd in ("threshold", "sweep") for dth in ("1e308", "5e307")
+            (cmd, ["physics.delta_theta=5e307", "analysis.grid=0.5"])
+            for cmd in ("threshold", "sweep")
         ):
             argv = [cmd, "--out", str(tmp_path / "nf")]
             for item in sets:
@@ -227,6 +228,11 @@ COMMANDS = ("simulate", "sweep", "threshold", "attack-scan")
 # grid sizes
 SMALL_RUN = ("protocol.r=20", "attack.r=20", "attack.p1_grid=0,1", "attack.p2_grid=0,1",
              "analysis.grid=0.5", "analysis.p1_list=0.1,0.4")
+
+
+# ChannelNoiseModel's bound on a photon's rotation over both legs
+TWO_LEG = ("bad values for physics.delta_theta and physics.noise_spread (two-leg rotation "
+           "bound 2*(|delta_theta| + spread) is not finite: {})")
 
 
 def _run(out: Path, cmd: str, *sets: str) -> int:
@@ -296,6 +302,10 @@ class TestConfigContracts:
         (["physics.alpha_db_per_km=-0.2"], "must be >= 0"),
         (["physics.noise_spread=-1"], "must be >= 0"),
         (["physics.noise_spread=-5e-324"], "must be >= 0"),
+        (["protocol.epsilon=0"], "epsilon must lie in (0, 1)"),
+        (["protocol.epsilon=1"], "epsilon must lie in (0, 1)"),
+        (["protocol.epsilon=-1"], "epsilon must lie in (0, 1)"),
+        (["protocol.epsilon=1e-320"], "epsilon=1e-320 is too small for a finite tolerance"),
     ])
     def test_float_out_of_domain_names_its_key(self, tmp_path, capsys, cmd, sets, domain):
         # the domain objects' bounds, checked when the config is read, by
@@ -340,6 +350,10 @@ class TestConfigContracts:
          "set physics.eta_m or physics.qm_round_trips, not both"),
         (["physics.qm_round_trips=3", "physics.eta_m=0.999"],
          "set physics.eta_m or physics.qm_round_trips, not both"),
+        (["physics.delta_theta=1e308"], TWO_LEG.format("delta_theta=1e+308, spread=0.0")),
+        (["physics.delta_theta=-1e308"], TWO_LEG.format("delta_theta=-1e+308, spread=0.0")),
+        (["physics.delta_theta=5e307", "physics.noise_spread=5e307"],
+         TWO_LEG.format("delta_theta=5e+307, spread=5e+307")),
     ])
     def test_cross_key_rules_checked_at_read(self, tmp_path, capsys, cmd, sets, message):
         # rules tying one key to another are checked when the config is
@@ -347,6 +361,26 @@ class TestConfigContracts:
         assert _run(tmp_path / "out", cmd, *sets) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cmd, sets, message", [
+        ("threshold", ["analysis.p1_list=1"],
+         "analysis.p1_list entries must lie in (0, 1) for threshold, got 1.0"),
+        ("threshold", ["analysis.p1_list=0"],
+         "analysis.p1_list entries must lie in (0, 1) for threshold, got 0.0"),
+        ("threshold", ["analysis.p1_list=0.1,1"],
+         "analysis.p1_list entries must lie in (0, 1) for threshold, got 1.0"),
+        ("sweep", ["analysis.p1_list=0,1"], None),
+    ])
+    def test_command_scoped_checks(self, tmp_path, capsys, cmd, sets, message):
+        # checks that hold in the commands that build what they check, each
+        # one line naming the key, and the values another command accepts
+        rc = _run(tmp_path / "out", cmd, *sets)
+        if message is None:
+            assert rc == 0
+        else:
+            assert rc == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cmd", COMMANDS)
     def test_message_of_length_r_accepted(self, tmp_path, cmd):

@@ -36,14 +36,22 @@ def engine_params(r=500, n=8, target=0.1, seed=0, **kw) -> ProtocolParams:
     return ProtocolParams(**defaults)
 
 
-def run_through(params: ProtocolParams, step: int) -> ProtocolRun:
-    """Engine run stopped after step 2 (outbound leg) or step 3 (first check)."""
+def run_first_check(params: ProtocolParams) -> ProtocolRun:
+    """Engine run stopped after step 3, the first checking round."""
     run = ProtocolRun(params)
     run.step1_prepare()
     run.step2_transmit_to_bob()
-    if step >= 3:
-        run.step3_first_check()
+    run.step3_first_check()
     return run
+
+
+def arrived_at_bob(result) -> np.ndarray:
+    """Per photon, whether it passed the outbound fiber and coupling, from
+    the transcript's loss columns: a photon lost there is never measured,
+    so its site and leg are final."""
+    cols = result.photons
+    lost = np.isin(cols.loss_site, [_SITE_CODE[LossSite.FIBER], _SITE_CODE[LossSite.COUPLING]])
+    return ~(lost & (cols.loss_leg == 1))
 
 
 class TestLinkBudget:
@@ -150,9 +158,9 @@ class TestTransmit:
         # one-way survival through fiber and coupling at 5 sigma, N ~ 1e5
         link = LinkBudget(distance_km=15.0, eta_c=0.9)
         p = link.eta_t * link.eta_c
-        run = run_through(engine_params(r=33_334, seed=11, link=link), 2)
-        band = 5.0 * math.sqrt(p * (1 - p) / len(run.at_bob))
-        assert abs(np.mean(run.at_bob) - p) <= band
+        at_bob = arrived_at_bob(run_full_protocol(engine_params(r=33_334, seed=11, link=link)))
+        band = 5.0 * math.sqrt(p * (1 - p) / len(at_bob))
+        assert abs(np.mean(at_bob) - p) <= band
 
 
 class TestStorageLoop:
@@ -169,19 +177,19 @@ class TestStorageLoop:
         # per-trip survival tuned so 11 trips retain about 91%
         per_trip = 0.91 ** (1.0 / 11.0)
         link = LinkBudget(eta_m=memory_efficiency(per_trip, 11))
-        run = run_through(engine_params(r=20_000, seed=3, link=link), 2)
-        n = int(np.sum(run.at_bob))
+        result = run_full_protocol(engine_params(r=20_000, seed=3, link=link))
+        n = int(np.sum(arrived_at_bob(result)))
         band = 5.0 * math.sqrt(0.91 * 0.09 / n)
-        assert abs(np.sum(run.in_qm_bob) / n - 0.91) <= band
+        assert abs(np.sum(result.run.trip1.alive) / n - 0.91) <= band
 
 
 class TestDetect:
     def test_eigenstate_clicks_zero(self):
         # target 1.0 forces offset 0: each check photon is measured in its
         # own preparation basis
-        run = run_through(engine_params(target=1.0), 3)
-        assert np.array_equal(run.ledger.y1, run.ledger.prep[run.ledger.s1_pos])
-        assert np.all(run.clicked1) and np.all(run.g1 == 0)
+        run = run_first_check(engine_params(target=1.0))
+        assert np.array_equal(run.round1.y, run.ledger.prep[run.ledger.s1_pos])
+        assert np.all(run.round1.clicked) and np.all(run.round1.g == 0)
 
     def test_dead_detector_never_clicks(self):
         cols = run_full_protocol(engine_params(link=LinkBudget(eta_d=0.0))).photons
@@ -196,8 +204,8 @@ class TestDetect:
     def test_blinded_detector_forced_outcome(self):
         # offset 0 would give g=0 unblinded; far-basis forged pulses read g=1
         params = engine_params(target=1.0, adversary=BlindingAttackParams(1.0, 0.0))
-        run = run_through(params, 3)
-        assert np.all(run.clicked1) and np.all(run.g1 == 1)
+        run = run_first_check(params)
+        assert np.all(run.round1.clicked) and np.all(run.round1.g == 1)
 
     def test_blinded_detector_ignores_real_photons(self):
         # linear mode responds to pulse power, not to single photons: the
@@ -213,8 +221,8 @@ class TestDetect:
 
     def test_outcome_frequency(self):
         # n=3 with target 0.25 uses a single offset whose P(g=0) is 0.25
-        run = run_through(engine_params(r=100_000, n=3, target=0.25, seed=5), 3)
-        g = run.g1[run.clicked1]
+        run = run_first_check(engine_params(r=100_000, n=3, target=0.25, seed=5))
+        g = run.round1.g[run.round1.clicked]
         band = 5.0 * math.sqrt(0.25 * 0.75 / len(g))
         assert abs(np.mean(g == 0) - 0.25) <= band
 

@@ -452,10 +452,8 @@ def _oracle_stats(run: ProtocolRun) -> dict:
     float columns: the 0/1 statistics as float arrays, the loss sites as one
     tally over all 3r photons."""
     out = {}
-    for i, (clicked, g, p_ideal, assigned) in enumerate((
-        (run.clicked1, run.g1, run.p1_ideal, run.assigned1),
-        (run.clicked2, run.g2, run.p2_ideal, run.assigned2),
-    ), start=1):
+    for i, rec in enumerate((run.round1, run.round2), start=1):
+        clicked, g, p_ideal, assigned = rec.clicked, rec.g, rec.p_ideal, rec.assigned
         c = clicked.astype(np.float64)
         obs = c * (g == 0) + (1.0 - c) * (assigned == 0)
         e = "e_ab" if i == 1 else "e_aba"
@@ -465,7 +463,7 @@ def _oracle_stats(run: ProtocolRun) -> dict:
         out[f"p{i}_clicked"] = _oracle_est((g == 0)[clicked].astype(np.float64))
         out[f"{e}_signed"] = _oracle_est(c * (p_ideal - (g == 0)))
         out[f"{e}_assign"] = _oracle_est((1.0 - c) * np.minimum(p_ideal, 1.0 - p_ideal))
-    out["q_aba_decode"] = _oracle_est(run.clicked3.astype(np.float64))
+    out["q_aba_decode"] = _oracle_est(run.decoding.clicked.astype(np.float64))
     tally = np.bincount(3 * run.site.astype(np.int64) + run.leg)
     out["loss_counts"] = {
         _SITE_NAME[k // 3] + (f"-leg{k % 3}" if k % 3 else ""): int(tally[k])
@@ -530,7 +528,11 @@ class TestOneRotationPerTrip:
         one = run_full_protocol(params, workers=workers)
         monkeypatch.setattr(ProtocolRun, "_trip_rotation", lambda self, size: np.empty(size))
         per_photon = run_full_protocol(params, workers=workers)
-        assert isinstance(one.run.dth1, float) and isinstance(per_photon.run.dth1, np.ndarray)
+        for a, b in ((one.run.trip1, per_photon.run.trip1),
+                     (one.run.trip2, per_photon.run.trip2)):
+            assert (a is None) == (b is None)
+            assert a is None or (
+                isinstance(a.rotation, float) and isinstance(b.rotation, np.ndarray))
         assert one.aborted_at_step == per_photon.aborted_at_step
         if "tolerance" in kw:
             assert one.aborted_at_step == 3

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .domains import COUNT, NON_NEGATIVE, UNIT
+
 
 @dataclass(frozen=True)
 class BlindingAttackParams:
@@ -25,10 +27,8 @@ class BlindingAttackParams:
     p2: float
 
     def __post_init__(self) -> None:
-        for name in ("p1", "p2"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        UNIT.check("p1", self.p1)
+        UNIT.check("p2", self.p2)
 
 
 @dataclass(frozen=True)
@@ -42,16 +42,13 @@ class AttackOutcomeStats:
     eve_info_per_bit: float
 
     def __post_init__(self) -> None:
-        for name in ("predicted_p_g0", "empirical_p_g0"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        UNIT.check("predicted_p_g0", self.predicted_p_g0)
+        UNIT.check("empirical_p_g0", self.empirical_p_g0)
 
 
 def predict_attacked_distribution(p1_target: float, params: BlindingAttackParams) -> float:
     """First-round P(g=0) the event-level attack converges to."""
-    if not 0.0 <= p1_target <= 1.0:
-        raise ValueError(f"p1_target must lie in [0, 1], got {p1_target}")
+    UNIT.check("p1_target", p1_target)
     return (1.0 - params.p1) * p1_target + params.p1 * params.p2
 
 
@@ -67,10 +64,8 @@ def detection_power(
     probability; the check passes iff the observed frequency stays within
     tolerance of the theoretical target.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
-    if tolerance < 0:
-        raise ValueError("tolerance must be non-negative")
+    COUNT.check("m", m)
+    NON_NEGATIVE.check("tolerance", tolerance)
     q = predict_attacked_distribution(p1_target, params)
     lo_k = math.ceil(m * (p1_target - tolerance) - 1e-12)
     hi_k = math.floor(m * (p1_target + tolerance) + 1e-12)
@@ -88,8 +83,7 @@ def detection_power(
 
 def eve_information(correct_fraction: float) -> float:
     """Bits learned per intercepted message bit for a given guess accuracy."""
-    if not 0.0 <= correct_fraction <= 1.0:
-        raise ValueError("correct_fraction must lie in [0, 1]")
+    UNIT.check("correct_fraction", correct_fraction)
     p = correct_fraction
     if p in (0.0, 1.0):
         return 1.0

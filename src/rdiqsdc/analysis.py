@@ -31,6 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .devices import LinkBudget
+from .domains import NON_NEGATIVE, OPEN_UNIT, POSITIVE, UNIT
 from .protocol import BasisPolicy, BasisPolicyMode, OffsetDistribution
 from .qstate import BasisConfig
 
@@ -73,11 +74,6 @@ def _rotated_angle(theta: float, delta_theta: float, trips: int) -> float:
         raise ValueError(f"delta_theta={delta_theta} is too large: the {trips}-trip "
                          f"rotation angle 2*(theta + {trips}*delta_theta) is not finite")
     return two_t
-
-
-def _check_unit(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
 @dataclass(frozen=True)
@@ -136,11 +132,11 @@ class CapacityParams:
     link: Optional[LinkBudget] = None
 
     def __post_init__(self) -> None:
-        _check_unit("p1", self.p1)
+        UNIT.check("p1", self.p1)
         if (self.eta is None) == (self.link is None):
             raise ValueError("exactly one of eta or link must be set")
         if self.eta is not None:
-            _check_unit("eta", self.eta)
+            UNIT.check("eta", self.eta)
 
     def gains(self) -> tuple[float, float]:
         """(one-way gain, round-trip gain)."""
@@ -160,8 +156,7 @@ class ErrorBudget:
 
     def __post_init__(self) -> None:
         for name in ("e_ab", "e_ab_assign", "e_aba", "e_aba_assign"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            NON_NEGATIVE.check(name, getattr(self, name))
 
     @property
     def total_one_way(self) -> float:
@@ -243,8 +238,7 @@ def eta_threshold(p1: float, delta_theta: float = 0.0, solver_tol: float = 1e-6,
     then bisects to solver_tol. Below the linear scan floor the search
     continues on a log-spaced tail, since the root scales with p1.
     """
-    if not 0.0 < p1 < 1.0:
-        raise ValueError(f"p1 must lie in (0, 1), got {p1}")
+    OPEN_UNIT.check("p1", p1)
     cs = _cs_of_eta(p1, delta_theta, config)
     steps = int(round(1.0 / SCAN_RESOLUTION))
     grid = [k * SCAN_RESOLUTION for k in range(steps, 0, -1)]
@@ -303,8 +297,7 @@ def delta_theta_threshold(p1: float, solver_tol: float = 1e-6,
 
     None means C_S keeps one sign over the scan range (noise-robust when
     positive)."""
-    if not 0.0 < p1 < 1.0:
-        raise ValueError(f"p1 must lie in (0, 1), got {p1}")
+    OPEN_UNIT.check("p1", p1)
     model = offset_model(p1, config)
 
     def cs(dth: float) -> float:
@@ -334,8 +327,7 @@ def delta_theta_threshold(p1: float, solver_tol: float = 1e-6,
 
 def fidelity_threshold(delta_theta_star: float) -> float:
     """State fidelity after one rotated trip: cos^2(delta_theta)."""
-    if delta_theta_star < 0:
-        raise ValueError("delta_theta_star must be non-negative")
+    NON_NEGATIVE.check("delta_theta_star", delta_theta_star)
     return math.cos(delta_theta_star) ** 2
 
 
@@ -356,10 +348,8 @@ class EfficiencyParams:
     p_s: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.r_rep_hz <= 0:
-            raise ValueError("r_rep_hz must be positive")
-        if not 0.0 <= self.p_s <= 1.0:
-            raise ValueError("p_s must lie in [0, 1]")
+        POSITIVE.check("r_rep_hz", self.r_rep_hz)
+        UNIT.check("p_s", self.p_s)
 
 
 def practical_efficiency(c_s: float, eff: EfficiencyParams) -> float:
@@ -413,11 +403,11 @@ def sweep(
     grid = [float(v) for v in values]
     p1s = [float(p1) for p1 in p1s]
     for p1 in p1s:
-        _check_unit("p1", p1)
+        UNIT.check("p1", p1)
     n = len(grid)
     if axis == "eta":
         for eta in grid:
-            _check_unit("eta", eta)
+            UNIT.check("eta", eta)
         q_ab, q_aba = grid, [eta**2 for eta in grid]
     elif axis == "L":
         links = [replace(link or LinkBudget(), distance_km=v) for v in grid]

@@ -18,8 +18,9 @@ from typing import Iterable, Optional, Sequence
 from . import analysis, verify
 from .adversary import BlindingAttackParams, detection_power, predict_attacked_distribution
 from .config import ConfigError, RunConfig, load_config
+from .domains import OPEN_UNIT
 from .protocol import (
-    BasisPolicyMode, ProtocolRun, atomic_open, run_full_protocol,
+    BasisPolicyMode, atomic_open, run_first_check, run_full_protocol,
     summary_record, write_transcript,
 )
 
@@ -217,8 +218,8 @@ def _write_gnuplot(path: Path, csv_name: str, axis: str, delim: str) -> None:
 def cmd_threshold(cfg: RunConfig, args) -> int:
     # the threshold solvers need both outcomes possible at each operating point
     for p1 in cfg["analysis.p1_list"]:
-        if not 0.0 < p1 < 1.0:
-            raise ConfigError(f"analysis.p1_list entries must lie in (0, 1) for threshold, "
+        if p1 not in OPEN_UNIT:
+            raise ConfigError(f"analysis.p1_list entries {OPEN_UNIT.text} for threshold, "
                               f"got {p1!r}")
     dth = _one_rotation_per_trip(cfg)
     link = cfg.link()  # eta_m from the memory's round trips when they are set
@@ -256,10 +257,7 @@ def cmd_threshold(cfg: RunConfig, args) -> int:
 
 def _attack_point(job) -> list:
     params, target, tol = job
-    run = ProtocolRun(params)
-    run.step1_prepare()
-    run.step2_transmit_to_bob()
-    report = run.step3_first_check()
+    report = run_first_check(params)
     adv = params.adversary
     predicted = predict_attacked_distribution(target, adv)
     abort_p = detection_power(target, adv, params.r, tol)
@@ -273,6 +271,8 @@ def cmd_attack_scan(cfg: RunConfig, args) -> int:
     else:
         target = base.policy.offsets(base.config).expected_p_g0(base.config.theta)
     r = cfg["attack.r"]
+    # one seed per point: a row of the p2 grid spans at least 100 seeds
+    stride = max(100, len(cfg["attack.p2_grid"]))
     jobs = []
     for i, p1a in enumerate(cfg["attack.p1_grid"]):
         for j, p2a in enumerate(cfg["attack.p2_grid"]):
@@ -281,7 +281,7 @@ def cmd_attack_scan(cfg: RunConfig, args) -> int:
                 r=r,
                 adversary=BlindingAttackParams(p1=float(p1a), p2=float(p2a)),
                 continue_on_abort=True,
-                seed=base.seed + 1_000 + 100 * i + j,
+                seed=base.seed + 1_000 + stride * i + j,
             )
             jobs.append((params, float(target), params.check_tolerance()))
     if args.workers > 1:

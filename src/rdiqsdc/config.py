@@ -20,6 +20,9 @@ import numpy as np
 from .adversary import BlindingAttackParams
 from .analysis import EfficiencyParams
 from .devices import ChannelNoiseModel, LinkBudget, memory_efficiency
+from .domains import (
+    ANGLE, COUNT, INDEX, NON_NEGATIVE, OPEN_UNIT, POSITIVE, REAL, SETTINGS, UNIT, Domain,
+)
 from .protocol import BasisPolicy, BasisPolicyMode, ProtocolParams, Round2Mode, hoeffding_tolerance
 from .qstate import BasisConfig
 
@@ -39,78 +42,34 @@ def _parse_bool(s: str) -> bool:
     raise ValueError("expected a boolean")
 
 
-def _parse_float(s: str) -> float:
-    v = float(s)
-    if not math.isfinite(v):
-        raise ValueError("not a finite number")
-    return v
-
-
-def _check_probability(v: float, subject: str = "") -> float:
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"{subject}must lie in [0, 1]")
-    return v
-
-
-def _parse_probability(s: str) -> float:
-    return _check_probability(_parse_float(s))
-
-
 def _parse_grid(s: str) -> tuple[float, ...]:
     s = s.strip()
     if ":" in s:
         parts = s.split(":")
         if len(parts) != 3:
             raise ValueError("grid must be start:stop:count")
-        start, stop, count = _parse_float(parts[0]), _parse_float(parts[1]), int(parts[2])
+        start, stop, count = REAL.parse(parts[0]), REAL.parse(parts[1]), int(parts[2])
         if count < 1:
             raise ValueError("grid count must be positive")
         return tuple(float(x) for x in np.linspace(start, stop, count))
-    return tuple(_parse_float(x) for x in s.split(","))
+    return tuple(REAL.parse(x) for x in s.split(","))
 
 
-def _parse_probability_grid(s: str) -> tuple[float, ...]:
-    return tuple(_check_probability(v, "every entry ") for v in _parse_grid(s))
-
-
-def _parse_positive(s: str) -> float:
-    v = _parse_float(s)
-    if v <= 0.0:
-        raise ValueError("must be positive")
-    return v
-
-
-def _parse_non_negative(s: str) -> float:
-    v = _parse_float(s)
-    if v < 0.0:
-        raise ValueError("must be >= 0")
-    return v
+def _parse_unit_grid(s: str) -> tuple[float, ...]:
+    grid = _parse_grid(s)
+    if not all(v in UNIT for v in grid):
+        raise ValueError(f"every entry {UNIT.text}")
+    return grid
 
 
 def _parse_tolerance(s: str):
     if s.strip().lower() == "hoeffding":
         return None
-    return _parse_non_negative(s)
-
-
-def _parse_n(s: str) -> int:
-    """BasisConfig's bound on the number of phase settings."""
-    v = int(s)
-    if v < 3 or v == 4:
-        raise ValueError("must be an integer >= 3 and != 4")
-    return v
-
-
-def _parse_theta(s: str) -> float:
-    """BasisConfig's bound on the amplitude angle."""
-    v = _parse_float(s)
-    if not 0.0 < v < math.pi / 2:
-        raise ValueError("must lie in (0, pi/2)")
-    return v
+    return NON_NEGATIVE.parse(s)
 
 
 def _parse_epsilon(s: str) -> float:
-    eps = _parse_float(s)
+    eps = OPEN_UNIT.parse(s)
     hoeffding_tolerance(1, eps)  # rejects a budget that leaves no finite tolerance
     return eps
 
@@ -124,15 +83,6 @@ def _choice(*choices: str):
     return parse
 
 
-def _int_at_least(low: int):
-    def parse(s: str) -> int:
-        v = int(s)
-        if v < low:
-            raise ValueError(f"must be an integer >= {low}")
-        return v
-    return parse
-
-
 def _parse_message(s: str) -> str:
     v = s.strip()
     if v != "random" and not set(v) <= {"0", "1"}:
@@ -140,45 +90,41 @@ def _parse_message(s: str) -> str:
     return v
 
 
-# key -> (default, parser, help)
+# key -> (default, parser); a Domain parser is the one its domain object checks
 SCHEMA: dict[str, tuple] = {
-    "protocol.r": (10_000, _int_at_least(1), "photons per sequence"),
-    "protocol.n": (8, _parse_n, "number of phase settings (>=3, !=4)"),
-    "protocol.theta": (math.pi / 4, _parse_theta, "amplitude angle in radians"),
-    "protocol.policy": ("target-p1", _choice("uniform", "target-p1"), "basis policy"),
-    "protocol.p1_target": (0.1, _parse_probability, "first-round P(g=0) target for target-p1"),
-    "protocol.tolerance": (None, _parse_tolerance, "check tolerance: hoeffding | float"),
-    "protocol.epsilon": (1e-6, _parse_epsilon, "failure budget for the hoeffding tolerance"),
-    "protocol.message": ("random", _parse_message, "payload, as long as protocol.r"),
-    "protocol.seed": (0, _int_at_least(0), "master seed"),
-    "protocol.round2_mode": ("policy", _choice("policy", "original-order"), "second-round bases"),
-    "protocol.continue_on_abort": (False, _parse_bool, "keep running after a failed check"),
-    "physics.distance_km": (0.0, _parse_non_negative, "one-way fiber length"),
-    "physics.alpha_db_per_km": (0.2, _parse_non_negative, "fiber attenuation"),
-    "physics.eta_c": (0.95, _parse_probability, "coupling efficiency"),
-    "physics.eta_m": (1.0, _parse_probability, "memory efficiency per storage episode"),
-    "physics.eta_d": (1.0, _parse_probability, "detector efficiency"),
-    "physics.qm_per_trip_efficiency": (1.0, _parse_probability,
-                                       "storage-loop survival per round trip"),
-    "physics.qm_round_trips": (0, _int_at_least(0), "round trips per storage episode; set this or eta_m"),
-    "physics.delta_theta": (0.0, _parse_float, "rotation per one-way trip, radians"),
-    "physics.noise_spread": (0.0, _parse_non_negative, "half-width of each photon's rotation per trip"),
-    "adversary.enabled": (False, _parse_bool, "interpose the blinding attack"),
-    "adversary.p1": (0.0, _parse_probability, "per-slot attack probability"),
-    "adversary.p2": (0.0, _parse_probability, "forced-click closeness probability"),
-    "analysis.axis": ("eta", _choice("eta", "L", "delta_theta"), "sweep axis"),
-    "analysis.grid": ((), _parse_grid, "sweep grid: start:stop:count or comma list"),
-    "analysis.p1_list": ((0.001, 0.1, 0.2, 0.3, 0.4, 0.5), _parse_probability_grid,
-                         "P1 operating points"),
-    "analysis.r_rep_hz": (1e7, _parse_positive, "source repetition rate"),
-    "analysis.p_s": (1.0, _parse_probability, "single-photon source efficiency"),
-    "attack.p1_grid": ((0.0, 0.25, 0.5, 0.75, 1.0), _parse_probability_grid,
-                       "attack-scan p1 grid"),
-    "attack.p2_grid": ((0.0, 0.25, 0.5, 0.75, 1.0), _parse_probability_grid,
-                       "attack-scan p2 grid"),
-    "attack.r": (100_000, _int_at_least(1), "photons per attack-scan point"),
-    "output.transcript": (True, _parse_bool, "write the per-photon transcript"),
-    "output.gnuplot": (False, _parse_bool, "emit a gnuplot script next to the CSV"),
+    "protocol.r": (10_000, COUNT),
+    "protocol.n": (8, SETTINGS),
+    "protocol.theta": (math.pi / 4, ANGLE),
+    "protocol.policy": ("target-p1", _choice("uniform", "target-p1")),
+    "protocol.p1_target": (0.1, UNIT),
+    "protocol.tolerance": (None, _parse_tolerance),
+    "protocol.epsilon": (1e-6, _parse_epsilon),
+    "protocol.message": ("random", _parse_message),
+    "protocol.seed": (0, INDEX),
+    "protocol.round2_mode": ("policy", _choice("policy", "original-order")),
+    "protocol.continue_on_abort": (False, _parse_bool),
+    "physics.distance_km": (0.0, NON_NEGATIVE),
+    "physics.alpha_db_per_km": (0.2, NON_NEGATIVE),
+    "physics.eta_c": (0.95, UNIT),
+    "physics.eta_m": (1.0, UNIT),
+    "physics.eta_d": (1.0, UNIT),
+    "physics.qm_per_trip_efficiency": (1.0, UNIT),
+    "physics.qm_round_trips": (0, INDEX),
+    "physics.delta_theta": (0.0, REAL),
+    "physics.noise_spread": (0.0, NON_NEGATIVE),
+    "adversary.enabled": (False, _parse_bool),
+    "adversary.p1": (0.0, UNIT),
+    "adversary.p2": (0.0, UNIT),
+    "analysis.axis": ("eta", _choice("eta", "L", "delta_theta")),
+    "analysis.grid": ((), _parse_grid),
+    "analysis.p1_list": ((0.001, 0.1, 0.2, 0.3, 0.4, 0.5), _parse_unit_grid),
+    "analysis.r_rep_hz": (1e7, POSITIVE),
+    "analysis.p_s": (1.0, UNIT),
+    "attack.p1_grid": ((0.0, 0.25, 0.5, 0.75, 1.0), _parse_unit_grid),
+    "attack.p2_grid": ((0.0, 0.25, 0.5, 0.75, 1.0), _parse_unit_grid),
+    "attack.r": (100_000, COUNT),
+    "output.transcript": (True, _parse_bool),
+    "output.gnuplot": (False, _parse_bool),
 }
 
 
@@ -242,22 +188,19 @@ class RunConfig:
         return BlindingAttackParams(p1=self["adversary.p1"], p2=self["adversary.p2"])
 
     def protocol_params(self) -> ProtocolParams:
-        try:
-            return ProtocolParams(
-                r=self["protocol.r"],
-                config=self.basis_config(),
-                policy=self.policy(),
-                link=self.link(),
-                noise=self.noise(),
-                adversary=self.adversary(),
-                tolerance=self["protocol.tolerance"],
-                epsilon=self["protocol.epsilon"],
-                round2_mode=Round2Mode(self["protocol.round2_mode"]),
-                continue_on_abort=self["protocol.continue_on_abort"],
-                seed=self["protocol.seed"],
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return ProtocolParams(
+            r=self["protocol.r"],
+            config=self.basis_config(),
+            policy=self.policy(),
+            link=self.link(),
+            noise=self.noise(),
+            adversary=self.adversary(),
+            tolerance=self["protocol.tolerance"],
+            epsilon=self["protocol.epsilon"],
+            round2_mode=Round2Mode(self["protocol.round2_mode"]),
+            continue_on_abort=self["protocol.continue_on_abort"],
+            seed=self["protocol.seed"],
+        )
 
     def message_bits(self) -> Optional[list[int]]:
         raw = self["protocol.message"]
@@ -275,9 +218,9 @@ class RunConfig:
 def parse_value(key: str, raw: str):
     if key not in SCHEMA:
         raise ConfigError(f"unknown config key: {key!r}")
-    _, parser, _ = SCHEMA[key]
+    _, parser = SCHEMA[key]
     try:
-        return parser(raw)
+        return parser.parse(raw) if isinstance(parser, Domain) else parser(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
 
@@ -287,7 +230,7 @@ def load_config(
 ) -> RunConfig:
     """Defaults, then the file (or $RDIQSDC_CONFIG), then overrides; the
     result has passed RunConfig.validate()."""
-    values = {key: default for key, (default, _, _) in SCHEMA.items()}
+    values = {key: default for key, (default, _) in SCHEMA.items()}
     if path is None:
         path = os.environ.get(ENV_CONFIG) or None
     if path is not None:

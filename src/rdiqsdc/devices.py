@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import INDEX, NON_NEGATIVE, UNIT
+
 
 class LossSite(enum.Enum):
     """Where a photon dropped out, or NONE if it reached a detector click.
@@ -46,14 +48,11 @@ class LinkBudget:
     eta_d: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.distance_km < 0:
-            raise ValueError("distance_km must be non-negative")
-        if self.alpha_db_per_km < 0:
-            raise ValueError("alpha_db_per_km must be non-negative")
-        for name in ("eta_c", "eta_m", "eta_d"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        NON_NEGATIVE.check("distance_km", self.distance_km)
+        NON_NEGATIVE.check("alpha_db_per_km", self.alpha_db_per_km)
+        UNIT.check("eta_c", self.eta_c)
+        UNIT.check("eta_m", self.eta_m)
+        UNIT.check("eta_d", self.eta_d)
 
     @property
     def eta_t(self) -> float:
@@ -73,10 +72,8 @@ class LinkBudget:
 def memory_efficiency(per_trip_efficiency: float, round_trips: int) -> float:
     """Aggregate storage efficiency of a loop holding a photon for
     round_trips circulations."""
-    if not 0.0 <= per_trip_efficiency <= 1.0:
-        raise ValueError("per_trip_efficiency must lie in [0, 1]")
-    if round_trips < 0:
-        raise ValueError("round_trips must be non-negative")
+    UNIT.check("per_trip_efficiency", per_trip_efficiency)
+    INDEX.check("round_trips", round_trips)
     return per_trip_efficiency**round_trips
 
 
@@ -95,8 +92,7 @@ class ChannelNoiseModel:
     spread: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.spread < 0:
-            raise ValueError("spread must be non-negative")
+        NON_NEGATIVE.check("spread", self.spread)
         if not math.isfinite(2.0 * (abs(self.delta_theta) + self.spread)):
             raise ValueError(
                 "two-leg rotation bound 2*(|delta_theta| + spread) is not finite: "

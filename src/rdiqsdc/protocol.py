@@ -34,6 +34,7 @@ import numpy as np
 from . import seeding
 from .adversary import AttackOutcomeStats, BlindingAttackParams, attack_stats
 from .devices import ChannelNoiseModel, LinkBudget, LossSite
+from .domains import COUNT, NON_NEGATIVE, OPEN_UNIT, UNIT
 from .qstate import BasisConfig, born_p
 
 
@@ -82,8 +83,9 @@ class BasisPolicy:
 
     def __post_init__(self) -> None:
         if self.mode is BasisPolicyMode.TARGET_P1:
-            if self.target is None or not 0.0 <= self.target <= 1.0:
-                raise ValueError("target-p1 policy needs a target in [0, 1]")
+            if self.target is None:
+                raise ValueError("target-p1 policy needs a target")
+            UNIT.check("target", self.target)
         elif self.target is not None:
             raise ValueError("uniform policy takes no target")
 
@@ -126,10 +128,8 @@ _MESSAGE_PHASES = math.pi * np.arange(2.0)
 
 def hoeffding_tolerance(m: int, epsilon: float = 1e-6) -> float:
     """Two-sided deviation bound exceeded with probability <= epsilon."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    COUNT.check("m", m)
+    OPEN_UNIT.check("epsilon", epsilon)
     tol = math.sqrt(math.log(2.0 / epsilon) / (2.0 * m))
     if not math.isfinite(tol):  # 2/epsilon overflows; an infinite tolerance passes every check
         raise ValueError(f"epsilon={epsilon} is too small for a finite tolerance")
@@ -159,10 +159,9 @@ class ProtocolParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError("r must be positive")
-        if self.tolerance is not None and self.tolerance < 0:
-            raise ValueError("tolerance must be non-negative")
+        COUNT.check("r", self.r)
+        if self.tolerance is not None:
+            NON_NEGATIVE.check("tolerance", self.tolerance)
 
     def check_tolerance(self) -> float:
         if self.tolerance is not None:
@@ -948,6 +947,14 @@ def run_full_protocol(
     """Execute all six steps; check aborts terminate the run with a report,
     they are not errors."""
     return ProtocolRun(params, message).run(workers)
+
+
+def run_first_check(params: ProtocolParams) -> SecurityCheckReport:
+    """Steps 1-3 on one thread: the report a full run holds as `check1`."""
+    run = ProtocolRun(params)
+    run.step1_prepare()
+    run.step2_transmit_to_bob()
+    return run.step3_first_check()
 
 
 # The transcript writer builds its records a block of photons at a time;

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import ANGLE, SETTINGS
+
 NORM_TOL = 1e-12  # normalization / algebraic identities
 
 
@@ -44,10 +46,8 @@ class BasisConfig:
     theta: float = math.pi / 4
 
     def __post_init__(self) -> None:
-        if self.n < 3 or self.n == 4:
-            raise ValueError(f"n must be >= 3 and != 4, got {self.n}")
-        if not 0.0 < self.theta < math.pi / 2:
-            raise ValueError(f"theta must lie in (0, pi/2), got {self.theta}")
+        SETTINGS.check("n", self.n)
+        ANGLE.check("theta", self.theta)
 
     def phase(self, x: int) -> float:
         """Phase angle 2*pi*x/n of setting x."""

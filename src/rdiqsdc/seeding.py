@@ -10,6 +10,8 @@ import hashlib
 
 import numpy as np
 
+from .domains import INDEX
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -20,10 +22,8 @@ def purpose_key(purpose: str) -> int:
 
 
 def seed_sequence(master: int, purpose: str, index: int = 0) -> np.random.SeedSequence:
-    if master < 0:
-        raise ValueError("master seed must be non-negative")
-    if index < 0:
-        raise ValueError("stream index must be non-negative")
+    INDEX.check("master seed", master)
+    INDEX.check("stream index", index)
     return np.random.SeedSequence((master & _MASK64, purpose_key(purpose), index))
 
 

@@ -32,6 +32,7 @@ from .protocol import (
     ProtocolRun,
     SecurityCheckReport,
     hoeffding_tolerance,
+    run_first_check,
     run_full_protocol,
 )
 from .qstate import BasisConfig, ChannelRotation, EncodeOp, apply_encode, apply_rotation, prepare
@@ -345,7 +346,7 @@ REPLICAS = 30
 def _first_check(job: tuple) -> SecurityCheckReport:
     """First checking round of one attacked run: job = (r, p1a, p2a, target, seed)."""
     r, p1a, p2a, target, seed = job
-    run = ProtocolRun(ProtocolParams(
+    return run_first_check(ProtocolParams(
         r=r,
         config=BasisConfig(n=8),
         policy=BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=target),
@@ -355,9 +356,6 @@ def _first_check(job: tuple) -> SecurityCheckReport:
         continue_on_abort=True,
         seed=seed,
     ))
-    run.step1_prepare()
-    run.step2_transmit_to_bob()
-    return run.step3_first_check()
 
 
 def _criterion9_jobs(r_grid: int) -> tuple[list[tuple], list[tuple]]:

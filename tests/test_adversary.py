@@ -88,9 +88,10 @@ class TestBlindAndFake:
 
 
 class TestFirstCheckByHand:
-    # attack-scan and verify's attack criterion run steps 1-3 by hand; their
-    # report is the first check of a full run on the same attacked, lossy,
-    # noisy parameters, whatever the worker count of the full run
+    # attack-scan and verify's attack criterion run steps 1-3 through
+    # protocol.run_first_check; their report is the first check of a full
+    # run on the same attacked, lossy, noisy parameters, whatever the worker
+    # count of the full run
     LINK = LinkBudget(distance_km=5.0, eta_c=0.9, eta_m=0.95, eta_d=0.8)
     # wide enough that dropping the spread changes first-round outcomes
     NOISE = ChannelNoiseModel(delta_theta=0.05, spread=0.2)

@@ -19,6 +19,10 @@ from hypothesis import strategies as st
 from rdiqsdc import analysis, cli, protocol, verify
 from rdiqsdc.cli import _write_rows, main
 from rdiqsdc.config import SCHEMA, ConfigError, load_config, parse_value
+from rdiqsdc.devices import LinkBudget
+from rdiqsdc.domains import (
+    ANGLE, COUNT, INDEX, NON_NEGATIVE, OPEN_UNIT, POSITIVE, REAL, SETTINGS, UNIT, Domain,
+)
 from rdiqsdc.qstate import BasisConfig, Measurement, outcome_probability, prepare
 from test_analysis import brute_capacity
 
@@ -235,6 +239,50 @@ TWO_LEG = ("bad values for physics.delta_theta and physics.noise_spread (two-leg
            "bound 2*(|delta_theta| + spread) is not finite: {})")
 
 
+# the keys whose parser is a Domain, and the values derived from it
+DOMAIN_KEYS = {key: parser for key, (_, parser) in SCHEMA.items() if isinstance(parser, Domain)}
+
+
+def _domain_values(domain: Domain) -> tuple[list[tuple[str, str]], list[str]]:
+    """([(raw, message text)] outside the domain, [raw] inside it): each end
+    and each excluded value, with the integer or float next to it."""
+    if domain.kind is int:
+        def step(x, d):
+            return x + d
+    else:
+        def step(x, d):
+            return math.nextafter(x, d * math.inf)
+    outside, inside = [], []
+    for end, out in ((domain.lo, -1), (domain.hi, 1)):
+        if end is not None:
+            outside.append(end if domain.open else step(end, out))
+            inside.append(step(end, -out) if domain.open else end)
+    for x in domain.exclude:
+        outside.append(x)
+        inside += [v for v in (step(x, -1), step(x, 1)) if v in domain]
+    rows = [(repr(v), domain.text) for v in outside]
+    if domain.kind is int:
+        rows.append(("1.5", domain.text))
+    else:
+        rows += [(raw, "not a finite number") for raw in ("nan", "inf", "-inf", "1e400")]
+    return rows, [repr(v) for v in dict.fromkeys(inside)]
+
+
+def test_domain_phrases_and_checks():
+    # the phrases the CLI prints, and a domain object's message for the same rule
+    assert [d.text for d in (UNIT, OPEN_UNIT, NON_NEGATIVE, POSITIVE, COUNT, INDEX,
+                             SETTINGS, ANGLE, REAL)] == [
+        "must lie in [0, 1]", "must lie in (0, 1)", "must be >= 0", "must be positive",
+        "must be an integer >= 1", "must be an integer >= 0", "must be an integer >= 3 and != 4",
+        "must lie in (0, pi/2)", "must be a finite number",
+    ]
+    assert 0.0 in UNIT and 0.0 not in OPEN_UNIT and math.nan not in UNIT and 4 not in SETTINGS
+    with pytest.raises(ValueError, match=re.escape("eta_c must lie in [0, 1], got 2.0")):
+        LinkBudget(eta_c=2.0)
+    with pytest.raises(ValueError, match=re.escape("n must be an integer >= 3 and != 4, got 4")):
+        BasisConfig(n=4)
+
+
 def _run(out: Path, cmd: str, *sets: str) -> int:
     argv = [cmd, "--out", str(out), "--workers", "1"]
     for item in SMALL_RUN + sets:
@@ -302,9 +350,9 @@ class TestConfigContracts:
         (["physics.alpha_db_per_km=-0.2"], "must be >= 0"),
         (["physics.noise_spread=-1"], "must be >= 0"),
         (["physics.noise_spread=-5e-324"], "must be >= 0"),
-        (["protocol.epsilon=0"], "epsilon must lie in (0, 1)"),
-        (["protocol.epsilon=1"], "epsilon must lie in (0, 1)"),
-        (["protocol.epsilon=-1"], "epsilon must lie in (0, 1)"),
+        (["protocol.epsilon=0"], "must lie in (0, 1)"),
+        (["protocol.epsilon=1"], "must lie in (0, 1)"),
+        (["protocol.epsilon=-1"], "must lie in (0, 1)"),
         (["protocol.epsilon=1e-320"], "epsilon=1e-320 is too small for a finite tolerance"),
     ])
     def test_float_out_of_domain_names_its_key(self, tmp_path, capsys, cmd, sets, domain):
@@ -315,6 +363,25 @@ class TestConfigContracts:
         err = capsys.readouterr().err
         assert err == f"config error: bad value for {key}: {raw!r} ({domain})\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, raw, text", [
+        (key, raw, text) for key, domain in DOMAIN_KEYS.items()
+        for raw, text in _domain_values(domain)[0]
+    ])
+    def test_derived_out_of_domain_names_its_key(self, tmp_path, capsys, key, raw, text):
+        # values just outside each key's declared domain, and non-finite ones
+        for cmd in COMMANDS:
+            assert _run(tmp_path / "out", cmd, f"{key}={raw}") == 2
+            err = capsys.readouterr().err
+            assert err == f"config error: bad value for {key}: {raw!r} ({text})\n"
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", sorted(DOMAIN_KEYS))
+    def test_derived_domain_edges_read(self, key):
+        # the values at or next to each end of the domain, inside it, are read
+        # as they are; whether a command can use them is the command's rule
+        for raw in _domain_values(DOMAIN_KEYS[key])[1]:
+            assert load_config(overrides={key: raw})[key] == DOMAIN_KEYS[key].parse(raw)
 
     @pytest.mark.parametrize("cmd", COMMANDS)
     @pytest.mark.parametrize("sets", [
@@ -434,17 +501,32 @@ class TestConfigContracts:
         assert abs(empirical - want) <= 5 * math.sqrt(want * (1 - want) / 20_000)
 
 
-def test_readme_config_table_lists_every_schema_key():
-    # a row such as `physics.eta_c` / `eta_m` / `eta_d` names three keys
+def _readme_config_rows() -> list[tuple[str, str]]:
+    """(key, domain column) of each key README's config table names; a row
+    such as `physics.eta_c` / `eta_m` / `eta_d` names three keys."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
-    documented = []
+    rows = []
     for line in section.splitlines():
         if line.startswith("| `"):
-            first, *rest = re.findall(r"`([^`]+)`", line.split("|")[1])
+            cells = line.split("|")
+            first, *rest = re.findall(r"`([^`]+)`", cells[1])
             prefix = first.rsplit(".", 1)[0]
-            documented += [first] + [f"{prefix}.{name}" for name in rest]
-    assert sorted(documented) == sorted(SCHEMA)
+            rows += [(key, cells[4].strip())
+                     for key in [first] + [f"{prefix}.{name}" for name in rest]]
+    return rows
+
+
+def test_readme_config_table_lists_every_schema_key():
+    assert sorted(key for key, _ in _readme_config_rows()) == sorted(SCHEMA)
+
+
+def test_readme_config_table_states_each_domain():
+    stated = dict(_readme_config_rows())
+    assert {key: stated[key] for key in DOMAIN_KEYS} == {
+        key: domain.text for key, domain in DOMAIN_KEYS.items()}
+    for key in ("analysis.p1_list", "attack.p1_grid", "attack.p2_grid"):
+        assert stated[key] == f"every entry {UNIT.text}"
 
 
 # sha256 of the files `simulate --seed 0` writes at r = 2000, with the step
@@ -774,6 +856,26 @@ class TestAttackScanCommand:
         # full attack with aligned bases forces every click to g=0
         full = dict(zip(header, rows[-1].split(",")))
         assert float(full["empirical_p_g0"]) == 1.0
+
+    def test_every_point_runs_on_its_own_seed(self, tmp_path, monkeypatch):
+        # point (i, j) of the grids runs on seed + 1000 + stride * i + j, with
+        # a stride of 100 unless the p2 grid is wider
+        seeds = []
+
+        def record(job):
+            params = job[0]
+            seeds.append(params.seed)
+            return [params.adversary.p1, params.adversary.p2, 0.0, 0.0, 0.0, 0]
+
+        monkeypatch.setattr(cli, "_attack_point", record)
+        argv = ["attack-scan", "--out", str(tmp_path), "--workers", "1",
+                "--set", "attack.p1_grid=0,0.5"]
+        assert main(argv + ["--set", "attack.p2_grid=0:1:100"]) == 0
+        assert seeds == [1_000 + 100 * i + j for i in range(2) for j in range(100)]
+        seeds.clear()
+        # 101 columns: (0, 1.0) and (0.5, 0) would both take seed 1100
+        assert main(argv + ["--set", "attack.p2_grid=0:1:101"]) == 0
+        assert len(set(seeds)) == len(seeds) == 202
 
 
 class TestVerifyCommand:

@@ -17,6 +17,7 @@ from .analysis import (
     delta_theta_threshold,
     error_budget,
     eta_threshold,
+    expected_stats,
     fidelity_pair,
     fidelity_threshold,
     max_distance,
@@ -57,7 +58,6 @@ from .qstate import (
     born_p,
     outcome_probability,
     prepare,
-    sample_outcome,
     state_fidelity,
     states_close,
 )

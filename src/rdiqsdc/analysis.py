@@ -19,14 +19,17 @@ at the operating point (P1, n, theta), under one rotation dth per trip:
 with p the ideal P(g=0) of an offset and h the binary entropy: a no-click
 slot is assigned the more likely ideal outcome, wrong with chance min(p,
 1-p). At theta = pi/4 and n = 8 this is the paper's model, P(t) = 1/2 +
-cos(2t)*(2*P1-1)/2 and A = min(P1, 1-P1).
+cos(2t)*(2*P1-1)/2 and A = min(P1, 1-P1). `expected_stats` gives every
+statistic of a Monte Carlo run from this model; the error budget is its
+absolute-value view.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -180,16 +183,36 @@ class CapacityPoint:
     c_s: float
 
 
+def expected_stats(model: OffsetModel, q_ab: float, q_aba: float, delta_theta: float) -> dict:
+    """Expected TranscriptStats of a run, keyed by field: the checking rounds
+    of `model` at one-way gain q_ab and round-trip gain q_aba, under one
+    rotation delta_theta per trip."""
+    p0, p1, p2 = model.p_g0(0.0), model.p_g0(delta_theta), model.p_g0(delta_theta, trips=2)
+    return {
+        "q_ab": q_ab,
+        "q_aba": q_aba,
+        "q_aba_decode": q_aba,
+        "e_ab_signed": q_ab * (p0 - p1),
+        "e_ab_assign": (1.0 - q_ab) * model.assign,
+        "e_aba_signed": q_aba * (p0 - p2),
+        "e_aba_assign": (1.0 - q_aba) * model.assign,
+        "p1_clicked": p1,
+        "p2_clicked": p2,
+        "p1_observed": q_ab * p1 + (1.0 - q_ab) * model.assign_g0,
+        "p2_observed": q_aba * p2 + (1.0 - q_aba) * model.assign_g0,
+    }
+
+
 def error_budget(params: CapacityParams) -> ErrorBudget:
-    """Error budget of the operating point from its offset model."""
-    model = offset_model(params.p1, params.config)
-    q_ab, q_aba = params.gains()
-    dth = params.delta_theta
+    """Error budget of the operating point: its expected state errors in
+    absolute value, and its assignment errors."""
+    stats = expected_stats(offset_model(params.p1, params.config), *params.gains(),
+                           params.delta_theta)
     return ErrorBudget(
-        e_ab=q_ab * abs(model.shift(dth)),
-        e_ab_assign=(1.0 - q_ab) * model.assign,
-        e_aba=q_aba * abs(model.shift(dth, trips=2)),
-        e_aba_assign=(1.0 - q_aba) * model.assign,
+        e_ab=abs(stats["e_ab_signed"]),
+        e_ab_assign=stats["e_ab_assign"],
+        e_aba=abs(stats["e_aba_signed"]),
+        e_aba_assign=stats["e_aba_assign"],
     )
 
 
@@ -227,102 +250,89 @@ def _cs_of_eta(p1: float, delta_theta: float, config: BasisConfig) -> Callable[[
 
 
 SCAN_RESOLUTION = 1e-3
+SOLVER_TOL = 1e-6
+DTH_SCAN_MAX = 0.3 * math.pi
 
 
-def eta_threshold(p1: float, delta_theta: float = 0.0, solver_tol: float = 1e-6,
+def _root(cs: Callable[[float], float], scan: Iterable[float],
+          width: Callable[[float], float]) -> Optional[float]:
+    """Root of cs at the first step of `scan` from a point where cs > 0 to
+    one where cs <= 0, or None when the scan has no such step. The bracket
+    is bisected until it is no wider than width(pos), pos its positive end."""
+    prev = prev_val = None
+    for x in scan:
+        val = cs(x)
+        if prev is not None and val <= 0.0 < prev_val:
+            pos, neg = prev, x
+            break
+        prev, prev_val = x, val
+    else:
+        return None
+    while abs(pos - neg) > width(pos):
+        mid = 0.5 * (neg + pos)
+        if cs(mid) > 0.0:
+            pos = mid
+        else:
+            neg = mid
+    return 0.5 * (neg + pos)
+
+
+def eta_threshold(p1: float, delta_theta: float = 0.0,
                   config: BasisConfig = REFERENCE_CONFIG) -> Optional[float]:
     """Largest root of C_S(eta) = 0 on (0, 1], or None when no sign change.
 
     Scans downward from eta = 1 at SCAN_RESOLUTION for the highest
     positive-to-nonpositive transition (C_S rises through zero there),
-    then bisects to solver_tol. Below the linear scan floor the search
+    then bisects to SOLVER_TOL. Below the linear scan floor the search
     continues on a log-spaced tail, since the root scales with p1.
     """
     OPEN_UNIT.check("p1", p1)
-    cs = _cs_of_eta(p1, delta_theta, config)
     steps = int(round(1.0 / SCAN_RESOLUTION))
-    grid = [k * SCAN_RESOLUTION for k in range(steps, 0, -1)]
-    grid += [SCAN_RESOLUTION / 2.0**j for j in range(1, 48)]
-    hi = hi_val = lo = None
-    for eta in grid:
-        val = cs(eta)
-        if hi is not None and val <= 0.0 < hi_val:
-            lo = eta
-            break
-        hi, hi_val = eta, val
-    if lo is None:
-        return None
+    scan = chain((k * SCAN_RESOLUTION for k in range(steps, 0, -1)),
+                 (SCAN_RESOLUTION / 2.0**j for j in range(1, 48)))
     # absolute tolerance per the contract, plus relative refinement so
     # tiny roots keep enough precision for the distance mapping
-    while hi - lo > min(solver_tol, 1e-3 * hi):
-        mid = 0.5 * (lo + hi)
-        if cs(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _root(_cs_of_eta(p1, delta_theta, config), scan,
+                 lambda pos: min(SOLVER_TOL, 1e-3 * pos))
 
 
-def max_distance(
-    p1: float,
-    delta_theta: float = 0.0,
-    eta_c: float = 0.95,
-    eta_m: float = 1.0,
-    eta_d: float = 1.0,
-    alpha_db_per_km: float = 0.2,
-    *, eta_star: Optional[float], config: BasisConfig = REFERENCE_CONFIG,
-) -> Optional[float]:
-    """Maximum secure distance in km, inverting the attenuation law at the
-    threshold eta_star = eta_threshold(p1, delta_theta, config=config),
-    which the caller has solved. None when the link cannot reach the
-    threshold even at zero distance; inf when C_S never changes sign but is
-    positive at 1, or when lossless fiber (alpha = 0) reaches the threshold
-    at all."""
+def max_distance(p1: float, delta_theta: float, link: LinkBudget, *,
+                 eta_star: Optional[float],
+                 config: BasisConfig = REFERENCE_CONFIG) -> Optional[float]:
+    """Maximum secure distance in km of `link` (its own distance is ignored),
+    inverting the attenuation law at the threshold eta_star =
+    eta_threshold(p1, delta_theta, config=config), which the caller has
+    solved. None when the link cannot reach the threshold even at zero
+    distance; inf when C_S never changes sign but is positive at 1, or when
+    lossless fiber (alpha = 0) reaches the threshold at all."""
     if eta_star is None:
         return math.inf if _cs_of_eta(p1, delta_theta, config)(1.0) > 0.0 else None
-    budget = eta_c * eta_m * eta_d
+    budget = link.eta_c * link.eta_m * link.eta_d
     if eta_star > budget:
         return None
-    if alpha_db_per_km == 0.0:
+    if link.alpha_db_per_km == 0.0:
         return math.inf
-    return -(10.0 / alpha_db_per_km) * math.log10(eta_star / budget)
+    return -(10.0 / link.alpha_db_per_km) * math.log10(eta_star / budget)
 
 
-DTH_SCAN_MAX = 0.3 * math.pi
-
-
-def delta_theta_threshold(p1: float, solver_tol: float = 1e-6,
-                          config: BasisConfig = REFERENCE_CONFIG) -> Optional[float]:
-    """Smallest root of C_S(delta_theta) = 0 on (0, 0.3*pi) at eta = 1.
+def delta_theta_threshold(p1: float, config: BasisConfig = REFERENCE_CONFIG) -> Optional[float]:
+    """Smallest root of C_S(delta_theta) = 0 on (0, 0.3*pi) at eta = 1,
+    bisected to SOLVER_TOL.
 
     None means C_S keeps one sign over the scan range (noise-robust when
     positive)."""
     OPEN_UNIT.check("p1", p1)
     model = offset_model(p1, config)
+    p0 = model.p_g0(0.0)
 
     def cs(dth: float) -> float:
-        i_ab, i_be = _information(1.0, 1.0, abs(model.shift(dth)),
-                                  abs(model.shift(dth, trips=2)))
+        i_ab, i_be = _information(1.0, 1.0, abs(p0 - model.p_g0(dth)),
+                                  abs(p0 - model.p_g0(dth, trips=2)))
         return i_ab - i_be
 
     steps = int(math.ceil(DTH_SCAN_MAX / SCAN_RESOLUTION))
-    prev_x, prev_val = 0.0, cs(0.0)
-    for k in range(1, steps + 1):
-        x = min(k * DTH_SCAN_MAX / steps, DTH_SCAN_MAX)
-        val = cs(x)
-        if prev_val > 0.0 >= val:
-            lo, hi = prev_x, x
-            break
-        prev_x, prev_val = x, val
-    else:
-        return None
-    while hi - lo > solver_tol:
-        mid = 0.5 * (lo + hi)
-        if cs(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    scan = (min(k * DTH_SCAN_MAX / steps, DTH_SCAN_MAX) for k in range(steps + 1))
+    return _root(cs, scan, lambda pos: SOLVER_TOL)
 
 
 def fidelity_threshold(delta_theta_star: float) -> float:

@@ -223,7 +223,6 @@ def cmd_threshold(cfg: RunConfig, args) -> int:
                               f"got {p1!r}")
     dth = _one_rotation_per_trip(cfg)
     link = cfg.link()  # eta_m from the memory's round trips when they are set
-    eta_c, eta_m, eta_d, alpha = link.eta_c, link.eta_m, link.eta_d, link.alpha_db_per_km
     config = cfg.basis_config()
     rows = []
     for p1 in cfg["analysis.p1_list"]:
@@ -231,7 +230,7 @@ def cmd_threshold(cfg: RunConfig, args) -> int:
         eta_star = analysis.eta_threshold(p1, dth, config=config)
         eta_star0 = analysis.eta_threshold(p1, 0.0, config=config)
         l_max, l_max0 = (
-            analysis.max_distance(p1, d, eta_c, eta_m, eta_d, alpha, eta_star=star, config=config)
+            analysis.max_distance(p1, d, link, eta_star=star, config=config)
             for d, star in ((dth, eta_star), (0.0, eta_star0))
         )
         dth_star = analysis.delta_theta_threshold(p1, config=config)
@@ -269,7 +268,8 @@ def cmd_attack_scan(cfg: RunConfig, args) -> int:
     if base.policy.mode is BasisPolicyMode.TARGET_P1:
         target = base.policy.target
     else:
-        target = base.policy.offsets(base.config).expected_p_g0(base.config.theta)
+        offsets = base.policy.offsets(base.config)
+        target = analysis.OffsetModel.of(offsets, base.config.theta).p_g0(0.0)
     r = cfg["attack.r"]
     # one seed per point: a row of the p2 grid spans at least 100 seeds
     stride = max(100, len(cfg["attack.p2_grid"]))

@@ -59,10 +59,6 @@ class OffsetDistribution:
         if len(self.deltas) != len(self.weights) or abs(math.fsum(self.weights) - 1.0) > 1e-9:
             raise ValueError("offset weights must pair with the deltas and sum to 1")
 
-    def expected_p_g0(self, theta: float = math.pi / 4) -> float:
-        probs = _ideal_p(theta, 2.0 * math.pi * np.asarray(self.deltas) / self.n)
-        return math.fsum(w * float(p) for w, p in zip(self.weights, probs))
-
     def draw(self, size: int, rng: np.random.Generator) -> np.ndarray:
         idx = rng.choice(len(self.deltas), size=size, p=self.weights)
         return np.asarray(self.deltas, dtype=np.int64)[idx]
@@ -262,8 +258,6 @@ class TranscriptStats:
     q_ab: EstStat
     q_aba: EstStat
     q_aba_decode: EstStat
-    p1_theoretical: float
-    p2_theoretical: float
     p1_observed: EstStat           # clicked-or-assigned g=0 frequency
     p2_observed: EstStat
     p1_clicked: EstStat            # g=0 frequency among clicks only
@@ -804,8 +798,6 @@ class ProtocolRun:
             q_ab=_rate(check1.n_clicked, r),
             q_aba=_rate(check2.n_clicked, r),
             q_aba_decode=_rate(int(np.count_nonzero(self.decoding.clicked)), r),
-            p1_theoretical=check1.theoretical_p_g0,
-            p2_theoretical=check2.theoretical_p_g0,
             p1_observed=_rate(check1.n_clicked_g0 + check1.n_assigned_g0, r),
             p2_observed=_rate(check2.n_clicked_g0 + check2.n_assigned_g0, r),
             p1_clicked=_rate(check1.n_clicked_g0, check1.n_clicked),

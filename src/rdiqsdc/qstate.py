@@ -167,11 +167,6 @@ def born_p(theta: float, angles: float | np.ndarray, phases: np.ndarray,
     return np.clip(np.abs(inner) ** 2, 0.0, 1.0)
 
 
-def sample_outcome(state: PureState, m: Measurement, rng: np.random.Generator) -> int:
-    """Draw the binary outcome g: 0 with the Born probability, else 1."""
-    return 0 if rng.random() < outcome_probability(state, m) else 1
-
-
 def state_fidelity(a: PureState, b: PureState) -> float:
     """|<a|b>|^2: 1 iff equal up to global phase, 0 iff orthogonal."""
     f = abs(inner_product(a, b)) ** 2

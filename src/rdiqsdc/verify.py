@@ -115,7 +115,8 @@ def criterion2() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 def criterion3() -> list[CheckResult]:
     def l_max(p1: float, dth: float) -> float:
-        return analysis.max_distance(p1, dth, eta_c=0.95, eta_star=analysis.eta_threshold(p1, dth))
+        return analysis.max_distance(p1, dth, LinkBudget(eta_c=0.95),
+                                     eta_star=analysis.eta_threshold(p1, dth))
 
     got_a = l_max(0.1, math.pi / 400)
     got_b = l_max(0.001, 0.0)
@@ -205,40 +206,21 @@ KEYSTONE_GRID = tuple(
 )
 
 
-def _keystone_closed(eta: float, dth: float, model: analysis.OffsetModel) -> dict:
-    """Expected TranscriptStats at bare efficiency eta (gains eta, eta^2)."""
-    q1, q2 = eta, eta * eta
-    p1_clicked, p2_clicked = model.p_g0(dth), model.p_g0(dth, trips=2)
-    return {
-        "q_ab": q1,
-        "q_aba": q2,
-        "q_aba_decode": q2,
-        "e_ab_signed": q1 * model.shift(dth),
-        "e_ab_assign": (1.0 - q1) * model.assign,
-        "e_aba_signed": q2 * model.shift(dth, trips=2),
-        "e_aba_assign": (1.0 - q2) * model.assign,
-        "p1_clicked": p1_clicked,
-        "p2_clicked": p2_clicked,
-        "p1_observed": q1 * p1_clicked + (1.0 - q1) * model.assign_g0,
-        "p2_observed": q2 * p2_clicked + (1.0 - q2) * model.assign_g0,
-    }
-
-
 def _criterion7_point(args: tuple) -> dict:
     index, eta, dth, p1, r = args
     config = BasisConfig(n=8)
-    policy = BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=p1)
+    link = LinkBudget(eta_c=eta)  # bare-efficiency realization
     params = ProtocolParams(
         r=r,
         config=config,
-        policy=policy,
-        link=LinkBudget(eta_c=eta),  # bare-efficiency realization
+        policy=BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=p1),
+        link=link,
         noise=ChannelNoiseModel(delta_theta=dth),
         continue_on_abort=True,
         seed=7_000 + index,
     )
     result = run_full_protocol(params)
-    closed = _keystone_closed(eta, dth, analysis.offset_model(p1, config))
+    closed = analysis.expected_stats(analysis.offset_model(p1, config), link.q_ab, link.q_aba, dth)
     return {"eta": eta, "dth": dth, "p1": p1, "rows": _keystone_rows(result.stats, closed)}
 
 

@@ -84,8 +84,8 @@ def brute_capacity(p1: float, config: BasisConfig, eta: float, dth: float) -> fl
     return q2 * (1.0 - binary_entropy(e2)) - q1 * binary_entropy(e1)
 
 
-def l_max(p1: float, dth: float, **kw):
-    return max_distance(p1, dth, eta_star=eta_threshold(p1, dth), **kw)
+def l_max(p1: float, dth: float, eta_c: float = 0.95, **kw):
+    return max_distance(p1, dth, LinkBudget(eta_c=eta_c, **kw), eta_star=eta_threshold(p1, dth))
 
 
 def mp_entropy(x: str) -> float:
@@ -254,7 +254,6 @@ class TestOffsetModel:
         # the uniform policy: E[cos(phi)] = 0, so P(g=0) = (1 + cos^2(2*theta)) / 2
         offs = BasisPolicy(mode=BasisPolicyMode.UNIFORM).offsets(BasisConfig(n=5, theta=theta))
         model = OffsetModel.of(offs, theta)
-        assert model.p_g0(0.0) == pytest.approx(offs.expected_p_g0(theta), abs=1e-12)
         assert model.p_g0(0.0) == pytest.approx((1 + math.cos(2 * theta) ** 2) / 2, abs=1e-12)
 
     def test_unreachable_target(self):
@@ -362,14 +361,17 @@ class TestMaxDistance:
         # lossless fiber cannot lift a link that misses the threshold at L = 0
         assert l_max(0.5, 0.0, eta_c=0.5, alpha_db_per_km=0.0) is None
 
+    def test_link_distance_is_ignored(self):
+        assert l_max(0.1, math.pi / 400, distance_km=50.0) == l_max(0.1, math.pi / 400)
+
     def test_no_root_reads_capacity_at_full_efficiency(self):
         # without a threshold the distance is unlimited iff C_S(eta = 1) > 0
-        assert max_distance(0.1, 0.0, eta_star=None) == math.inf
-        assert max_distance(0.001, math.pi / 4, eta_star=None) is None
+        assert max_distance(0.1, 0.0, LinkBudget(), eta_star=None) == math.inf
+        assert max_distance(0.001, math.pi / 4, LinkBudget(), eta_star=None) is None
 
     def test_threshold_is_required(self):
         with pytest.raises(TypeError):
-            max_distance(0.1, 0.0, eta_c=0.95)
+            max_distance(0.1, 0.0, LinkBudget(eta_c=0.95))
 
 
 class TestDeltaThetaThreshold:

@@ -797,6 +797,10 @@ class TestBasisConfigInAnalysis:
 ANALYSIS_GOLDEN = {
     "threshold": ([], "thresholds.csv",
                   "191e7815eb9a021636fb5b75966d3e4287a2341f31c0efd25ab6fe066e5ab724"),
+    # the benchmark's 60 operating points at dth = pi/40; 8 have no dth* root
+    "threshold-pi40-60": (["physics.delta_theta=0.0785398", "analysis.p1_list=0.005:0.995:60"],
+                          "thresholds.csv",
+                          "99d9294a558aab78f7c4d05daa0a6aa1c5f8de03f1b8c5a4c4f56f24b70b5c26"),
     "sweep-eta": (["analysis.axis=eta", "analysis.grid=0.0005:1:200"], "sweep.csv",
                   "9178cdfef18a3b3e9efb80212c6cb52321050360868b4af050411fe2d4584b06"),
     "sweep-L": (["analysis.axis=L", "analysis.grid=0:100:200"], "sweep.csv",

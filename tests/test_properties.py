@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdiqsdc.analysis import CapacityParams, binary_entropy, error_budget, secrecy_capacity
+from rdiqsdc.analysis import (
+    CapacityParams, OffsetModel, binary_entropy, error_budget, secrecy_capacity,
+)
 from rdiqsdc.protocol import _MESSAGE_PHASES, BasisPolicy, BasisPolicyMode, _offset_phases
 from rdiqsdc.qstate import (
     BasisConfig,
@@ -131,7 +133,7 @@ def test_policy_hits_any_reachable_target(n, frac):
     target = reachable_min + frac * (1.0 - reachable_min)
     offs = BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=target).offsets(config)
     assert sum(offs.weights) == pytest.approx(1.0, abs=1e-12)
-    assert offs.expected_p_g0() == pytest.approx(target, abs=1e-9)
+    assert OffsetModel.of(offs, config.theta).p_g0(0.0) == pytest.approx(target, abs=1e-9)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -46,20 +46,26 @@ def params_for(r=1000, n=8, target=0.1, seed=0, **kw) -> ProtocolParams:
     return ProtocolParams(**defaults)
 
 
+def mean_p_g0(offs) -> float:
+    """Expected ideal P(g=0) of the check photons under an offset distribution
+    at theta = pi/4."""
+    return analysis.OffsetModel.of(offs, math.pi / 4).p_g0(0.0)
+
+
 class TestBasisPolicy:
     def test_target_realized_exactly(self):
         # mixing the two bracketing offsets hits the target in expectation
         config = BasisConfig(n=16)
         offs = BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=0.1).offsets(config)
         assert abs(sum(offs.weights) - 1.0) <= 1e-12
-        assert offs.expected_p_g0() == pytest.approx(0.1, abs=1e-9)
+        assert mean_p_g0(offs) == pytest.approx(0.1, abs=1e-9)
 
     @pytest.mark.parametrize("n,target", [(8, 0.1), (8, 0.4), (5, 0.25), (16, 0.001)])
     def test_various_targets(self, n, target):
         offs = BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=target).offsets(
             BasisConfig(n=n)
         )
-        assert offs.expected_p_g0() == pytest.approx(target, abs=1e-9)
+        assert mean_p_g0(offs) == pytest.approx(target, abs=1e-9)
 
     def test_exact_atom_when_target_is_reachable_alone(self):
         offs = BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=0.25).offsets(
@@ -75,7 +81,7 @@ class TestBasisPolicy:
     @pytest.mark.parametrize("n", [3, 5, 8, 16, 31])
     def test_uniform_mode_half(self, n):
         offs = BasisPolicy(mode=BasisPolicyMode.UNIFORM).offsets(BasisConfig(n=n))
-        assert offs.expected_p_g0() == pytest.approx(0.5, abs=1e-12)
+        assert mean_p_g0(offs) == pytest.approx(0.5, abs=1e-12)
 
     def test_uniform_offset_distribution(self):
         # drawn offsets are uniform: multinomial 5-sigma per bin
@@ -93,14 +99,14 @@ class TestBasisPolicy:
             BasisConfig(n=8)
         )
         assert offs.deltas == (6,) and offs.weights == (1.0,)
-        assert offs.expected_p_g0() == pytest.approx(0.5, abs=1e-12)
+        assert mean_p_g0(offs) == pytest.approx(0.5, abs=1e-12)
         # n = 3 has no such offset and mixes the two that bracket 0.5
         offs = BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=0.5).offsets(
             BasisConfig(n=3)
         )
         assert offs.deltas == (1, 0)
         assert offs.weights == pytest.approx((2 / 3, 1 / 3), abs=1e-12)
-        assert offs.expected_p_g0() == pytest.approx(0.5, abs=1e-12)
+        assert mean_p_g0(offs) == pytest.approx(0.5, abs=1e-12)
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -458,7 +464,6 @@ def _oracle_stats(run: ProtocolRun) -> dict:
         obs = c * (g == 0) + (1.0 - c) * (assigned == 0)
         e = "e_ab" if i == 1 else "e_aba"
         out["q_ab" if i == 1 else "q_aba"] = _oracle_est(c)
-        out[f"p{i}_theoretical"] = float(np.mean(p_ideal))
         out[f"p{i}_observed"] = _oracle_est(obs)
         out[f"p{i}_clicked"] = _oracle_est((g == 0)[clicked].astype(np.float64))
         out[f"{e}_signed"] = _oracle_est(c * (p_ideal - (g == 0)))
@@ -494,6 +499,8 @@ class TestStatsMatchWholeArrayOracle:
         result = run_full_protocol(params_for(**kw), workers=workers)
         want = _oracle_stats(result.run)
         assert set(want) == set(vars(result.stats))
+        for check, rec in ((result.check1, result.run.round1), (result.check2, result.run.round2)):
+            assert check.theoretical_p_g0 == float(np.mean(rec.p_ideal))
         if kw["link"].eta_d == 0.0:
             assert want["p1_clicked"] == want["p2_clicked"] == (0.0, 0.0)
         for name, expected in want.items():
@@ -567,29 +574,40 @@ class TestNoClickAssignment:
         assert all(engine[d] == 1 for d in ties)
         # at zero gain the model's observed P(g=0) is its assigned-g=0 fraction
         config = BasisConfig(n=n)
-        model = verify._keystone_closed(
-            0.0, 0.0, analysis.OffsetModel.of(policy.offsets(config), config.theta)
+        model = analysis.expected_stats(
+            analysis.OffsetModel.of(policy.offsets(config), config.theta), 0.0, 0.0, 0.0
         )
         engine_g0 = sum(engine[d] == 0 for d in range(n)) / n
         assert model["p1_observed"] == pytest.approx(engine_g0, abs=1e-12)
 
 
+BARE = LinkBudget(eta_c=0.7)
+LOSSY = LinkBudget(distance_km=10, eta_c=0.9, eta_m=0.8, eta_d=0.7)
+
+
 class TestEngineMatchesOffsetModel:
-    # the closed-form model the capacity engine evaluates, against the event
-    # engine away from the reference point and at the paper's P1 = 0.5
-    @pytest.mark.parametrize("n,theta,p1,seed", [
-        (5, 0.6, 0.6, 31), (5, 0.6, 0.3, 32), (8, math.pi / 4, 0.5, 33),
+    # the closed-form model of a run's statistics against the event engine:
+    # away from the reference point, at the paper's P1 = 0.5, and on a lossy
+    # link whose gains are products of several efficiencies
+    @pytest.mark.parametrize("n,theta,p1,link,seed", [
+        pytest.param(5, 0.6, 0.6, BARE, 31, id="5-0.6-0.6-31"),
+        pytest.param(5, 0.6, 0.3, BARE, 32, id="5-0.6-0.3-32"),
+        pytest.param(8, math.pi / 4, 0.5, BARE, 33, id="8-0.7853981633974483-0.5-33"),
+        pytest.param(8, math.pi / 4, 0.1, LOSSY, 34, id="lossy-8-0.1-34"),
+        pytest.param(8, math.pi / 4, 0.4, LOSSY, 35, id="lossy-8-0.4-35"),
+        pytest.param(5, 0.6, 0.6, LOSSY, 36, id="lossy-5-0.6-0.6-36"),
     ])
-    def test_statistics_within_five_sigma(self, n, theta, p1, seed):
-        eta, dth = 0.7, math.pi / 40
+    def test_statistics_within_five_sigma(self, n, theta, p1, link, seed):
+        dth = math.pi / 40
         config = BasisConfig(n=n, theta=theta)
         params = ProtocolParams(
             r=100_000, config=config,
             policy=BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=p1),
-            link=LinkBudget(eta_c=eta), noise=ChannelNoiseModel(delta_theta=dth),
+            link=link, noise=ChannelNoiseModel(delta_theta=dth),
             continue_on_abort=True, seed=seed,
         )
-        closed = verify._keystone_closed(eta, dth, analysis.offset_model(p1, config))
+        closed = analysis.expected_stats(analysis.offset_model(p1, config),
+                                         link.q_ab, link.q_aba, dth)
         rows = verify._keystone_rows(run_full_protocol(params).stats, closed)
         assert len(rows) == 11
         assert all(z <= 5.0 for _, _, _, z in rows), rows

@@ -20,7 +20,6 @@ from rdiqsdc.qstate import (
     born_p,
     outcome_probability,
     prepare,
-    sample_outcome,
     state_fidelity,
     states_close,
 )
@@ -261,41 +260,6 @@ class TestBornP:
         want = per_photon(math.pi / 4, angles, math.pi * bits.astype(np.float64))
         got = born_p(math.pi / 4, angles, math.pi * np.arange(2.0), bits)
         assert np.array_equal(got, want)
-
-
-class TestSampleOutcome:
-    def test_certain_outcome_zero(self):
-        config = BasisConfig(n=8)
-        state = prepare(4, config)
-        m = Measurement(basis_index=4, config=config)
-        rng = np.random.default_rng(0)
-        assert all(sample_outcome(state, m, rng) == 0 for _ in range(200))
-
-    def test_certain_outcome_one(self):
-        config = BasisConfig(n=8)
-        state = prepare(5, config)
-        m = Measurement(basis_index=1, config=config)
-        rng = np.random.default_rng(0)
-        assert all(sample_outcome(state, m, rng) == 1 for _ in range(200))
-
-    def test_frequency_matches_probability(self):
-        # p = 0.25; at 1e6 draws the 5-sigma binomial band is +-0.0022
-        config = BasisConfig(n=3)
-        state = prepare(2, config)
-        m = Measurement(basis_index=1, config=config)
-        rng = np.random.default_rng(7)
-        n_draws = 1_000_000
-        zeros = sum(1 for _ in range(n_draws) if sample_outcome(state, m, rng) == 0)
-        band = 5.0 * math.sqrt(0.25 * 0.75 / n_draws)
-        assert abs(zeros / n_draws - 0.25) <= band
-
-    def test_reproducible_per_seed(self):
-        config = BasisConfig(n=3)
-        state = prepare(2, config)
-        m = Measurement(basis_index=1, config=config)
-        draws_a = [sample_outcome(state, m, np.random.default_rng(5)) for _ in range(1)]
-        draws_b = [sample_outcome(state, m, np.random.default_rng(5)) for _ in range(1)]
-        assert draws_a == draws_b
 
 
 class TestFidelity:

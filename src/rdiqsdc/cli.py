@@ -228,11 +228,12 @@ def cmd_threshold(cfg: RunConfig, args) -> int:
     for p1 in cfg["analysis.p1_list"]:
         p1 = float(p1)
         eta_star = analysis.eta_threshold(p1, dth, config=config)
-        eta_star0 = analysis.eta_threshold(p1, 0.0, config=config)
-        l_max, l_max0 = (
-            analysis.max_distance(p1, d, link, eta_star=star, config=config)
-            for d, star in ((dth, eta_star), (0.0, eta_star0))
-        )
+        l_max = analysis.max_distance(p1, dth, link, eta_star=eta_star, config=config)
+        if dth == 0.0:  # the noiseless columns are the same solve
+            eta_star0, l_max0 = eta_star, l_max
+        else:
+            eta_star0 = analysis.eta_threshold(p1, 0.0, config=config)
+            l_max0 = analysis.max_distance(p1, 0.0, link, eta_star=eta_star0, config=config)
         dth_star = analysis.delta_theta_threshold(p1, config=config)
         fid = analysis.fidelity_pair(dth_star) if dth_star is not None else (None, None)
         rows.append([p1, eta_star, eta_star0, l_max, l_max0, dth_star, fid[0], fid[1]])

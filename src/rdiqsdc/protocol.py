@@ -410,12 +410,27 @@ def _shuffled(rng: np.random.Generator, index: np.ndarray) -> np.ndarray:
     return index
 
 
-def _trip_purposes(leg: int, rotation) -> tuple[str, ...]:
-    """Streams of one trip: the rotation, if each photon draws its own
-    (`rotation` is then an array), then one survival draw per stage."""
+def _lossy(eta: float) -> bool:
+    """Whether a stage of efficiency eta draws a survival or click per
+    photon. A draw u in [0, 1) always passes u < 1, so a stage at exactly
+    1 loses nothing and draws nothing."""
+    return eta != 1.0
+
+
+def _loss_stages(leg: int, link: LinkBudget) -> tuple[tuple[str, float, LossSite], ...]:
+    """(stream, efficiency, site) of each lossy stage of one trip."""
     way, store = ("ab", "bob") if leg == 1 else ("ba", "alice")
-    noise = (f"noise-{way}",) if isinstance(rotation, np.ndarray) else ()
-    return noise + (f"loss-fiber-{way}", f"loss-coupling-{way}", f"loss-memory-{store}")
+    stages = ((f"loss-fiber-{way}", link.eta_t, LossSite.FIBER),
+              (f"loss-coupling-{way}", link.eta_c, LossSite.COUPLING),
+              (f"loss-memory-{store}", link.eta_m, LossSite.MEMORY))
+    return tuple(stage for stage in stages if _lossy(stage[1]))
+
+
+def _trip_purposes(leg: int, rotation, link: LinkBudget) -> tuple[str, ...]:
+    """Streams of one trip: the rotation, if each photon draws its own
+    (`rotation` is then an array), then one survival draw per lossy stage."""
+    noise = (f"noise-{'ab' if leg == 1 else 'ba'}",) if isinstance(rotation, np.ndarray) else ()
+    return noise + tuple(purpose for purpose, _, _ in _loss_stages(leg, link))
 
 
 def _at(rotation, index):
@@ -465,6 +480,18 @@ class _Measured:
     assigned: Optional[np.ndarray]
 
 
+class _Streams(dict):
+    """The streams of one run seed by purpose, each made at its first lookup."""
+
+    def __init__(self, seed: int):
+        super().__init__()
+        self.seed = seed
+
+    def __missing__(self, purpose: str) -> np.random.Generator:
+        gen = self[purpose] = seeding.stream(self.seed, purpose)
+        return gen
+
+
 class ProtocolRun:
     """One protocol execution; call the step methods in order or use run()."""
 
@@ -474,7 +501,7 @@ class ProtocolRun:
         self.r = params.r
         self.n = params.config.n
         self.theta = params.config.theta
-        self._streams: dict[str, np.random.Generator] = {}
+        self._streams = _Streams(params.seed)
         self._pool: Optional[ThreadPoolExecutor] = None
         self.ledger: Optional[SequenceLedger] = None
         self._message_in = message
@@ -484,11 +511,6 @@ class ProtocolRun:
         self.check2: Optional[SecurityCheckReport] = None
         self.frame: Optional[MessageFrame] = None
 
-    def _rng(self, purpose: str) -> np.random.Generator:
-        if purpose not in self._streams:
-            self._streams[purpose] = seeding.stream(self.params.seed, purpose)
-        return self._streams[purpose]
-
     def _require_stage(self, stage: int) -> None:
         if self._stage != stage:
             raise ProtocolViolation(
@@ -496,13 +518,14 @@ class ProtocolRun:
             )
 
     # -- block scheduling ---------------------------------------------------------
-    def _submit(self, fn, *args):
-        """A callable returning fn(*args). With a pool, fn starts there now;
-        without one it runs on this thread now."""
+    def _submit(self, fn, make_args):
+        """A callable returning fn(*make_args()). The arguments are made on
+        this thread. With a pool they are made now and fn starts there now;
+        without one both happen at the first call and the result is kept for
+        later calls, so a value no step reads is never computed."""
         if self._pool is not None:
-            return self._pool.submit(fn, *args).result
-        out = fn(*args)
-        return lambda: out
+            return self._pool.submit(fn, *make_args()).result
+        return functools.cache(lambda: fn(*make_args()))
 
     def _blocks(self, size: int, purposes: Sequence[str], kernel) -> list:
         """kernel(a, b, rng) for each block [a, b) of range(size), in order of a.
@@ -514,7 +537,7 @@ class ProtocolRun:
         streams are made here, on the calling thread; the blocks run on the
         pool if run() has one. Returns the kernels' results.
         """
-        streams = {p: self._rng(p) for p in purposes}
+        streams = {p: self._streams[p] for p in purposes}
 
         def block(a: int):
             return kernel(a, min(a + _ENGINE_BLOCK, size),
@@ -543,18 +566,15 @@ class ProtocolRun:
         for the trip's slots [a, a + len(pos)) carrying the photons `pos`.
 
         Draws each slot's channel rotation when the trip holds one per slot,
-        one survival draw per stage for every slot (a live photon is charged
-        to the first stage it fails) and, with Eve, the outcome each slot is
-        forced to click. Records which photons are alive after storage.
+        one survival draw per lossy stage for every slot (a live photon is
+        charged to the first stage it fails) and, with Eve, the outcome each
+        slot is forced to click. Records which photons are alive after storage.
         """
         link, size = self.params.link, len(pos)
-        purposes = _trip_purposes(trip.leg, trip.rotation)
         if isinstance(trip.rotation, np.ndarray):
-            trip.rotation[a:a + size] = self.params.noise.draw(size, rng(purposes[0]))
-        for purpose, eta, site in zip(
-            purposes[-3:], (link.eta_t, link.eta_c, link.eta_m),
-            (LossSite.FIBER, LossSite.COUPLING, LossSite.MEMORY),
-        ):
+            noise = _trip_purposes(trip.leg, trip.rotation, link)[0]
+            trip.rotation[a:a + size] = self.params.noise.draw(size, rng(noise))
+        for purpose, eta, site in _loss_stages(trip.leg, link):
             survived = rng(purpose).random(size) < eta
             lost = pos[alive & ~survived]
             self.site[lost] = _SITE_CODE[site]
@@ -582,9 +602,10 @@ class ProtocolRun:
     def _detect(self, rng, purpose: str, pos: np.ndarray, alive: np.ndarray,
                 p_g0: np.ndarray, forced: Optional[np.ndarray]):
         """Detector event at the photons `pos`; blinded slots click forced[i].
-        `forced` is None in a run without Eve, where no slot is blinded."""
-        m = len(pos)
-        clicked = alive & (rng(f"{purpose}-click").random(m) < self.params.link.eta_d)
+        `forced` is None in a run without Eve, where no slot is blinded. At
+        a lossless detector every live photon clicks."""
+        m, eta_d = len(pos), self.params.link.eta_d
+        clicked = alive & (rng(f"{purpose}-click").random(m) < eta_d) if _lossy(eta_d) else alive
         g = _outcome(rng(f"{purpose}-born").random(m), p_g0)
         if forced is not None:
             att = self.attacked[pos]
@@ -596,6 +617,11 @@ class ProtocolRun:
         # no-click at the measuring detector
         self.site[pos[alive & ~clicked]] = _SITE_CODE[LossSite.DETECTOR]
         return clicked, g
+
+    def _detector_purposes(self, purpose: str) -> tuple[str, ...]:
+        """Streams `_detect` draws from for the stage `purpose`."""
+        click = (f"{purpose}-click",) if _lossy(self.params.link.eta_d) else ()
+        return click + (f"{purpose}-born",)
 
     def _check_round(self, leg: int, slots: np.ndarray, bases: Optional[np.ndarray]
                      ) -> tuple[_Measured, SecurityCheckReport]:
@@ -630,7 +656,7 @@ class ProtocolRun:
             return _check_counts(clicked, g, assigned)
 
         offsets = (f"{purpose}-offsets",) if bases is None else ()
-        counts = self._blocks(r, offsets + (f"{purpose}-click", f"{purpose}-born"), kernel)
+        counts = self._blocks(r, offsets + self._detector_purposes(purpose), kernel)
         n_clicked, n_g0_clicked, n_assigned_g0 = map(sum, zip(*counts))
         return rec, SecurityCheckReport(
             round_index=leg, m=r, theoretical_p_g0=float(np.mean(rec.p_ideal)),
@@ -642,22 +668,24 @@ class ProtocolRun:
     # -- step 1: preparation ------------------------------------------------
     def step1_prepare(self) -> SequenceLedger:
         self._require_stage(0)
-        r, n = self.r, self.n
+        r, n, streams = self.r, self.n, self._streams
         # the partition and the return shuffle (read in step 4) are drawn on
-        # the pool, if there is one, while this thread draws the integers
+        # the pool, if there is one, while this thread draws the integers;
+        # without a pool each is drawn when it is read. A deferred draw holds
+        # the streams, not the run, so a run that stops before step 4 is
+        # freed without the cycle collector
         index_type = np.int32 if 3 * r <= np.iinfo(np.int32).max else np.int64
         partition = self._submit(
-            _shuffled, self._rng("partition"), np.arange(3 * r, dtype=index_type)
+            _shuffled, lambda: (streams["partition"], np.arange(3 * r, dtype=index_type))
         )
         self._return_perm = self._submit(
-            _shuffled, self._rng("shuffle"), np.arange(2 * r, dtype=index_type)
+            _shuffled, lambda: (streams["shuffle"], np.arange(2 * r, dtype=index_type))
         )
         # drawn as int64 (the stream's bounded-integer algorithm depends on
         # the dtype), stored in the narrowest signed type that holds 1..n
-        prep = self._rng("prep").integers(1, n + 1, size=3 * r).astype(_prep_type(n))
-        secret = self._rng("secret").integers(0, 2, size=r).astype(bool)
+        prep = streams["prep"].integers(1, n + 1, size=3 * r).astype(_prep_type(n))
         if self._message_in is None:
-            self.payload = self._rng("message").integers(0, 2, size=r).astype(np.int8)
+            self.payload = streams["message"].integers(0, 2, size=r).astype(np.int8)
         else:
             self.payload = np.asarray(self._message_in, dtype=np.int8)
         order = partition()
@@ -669,15 +697,15 @@ class ProtocolRun:
             n=n, r=r, prep=prep,
             s1_pos=order[:r], s2_pos=order[r : 2 * r], s3_pos=order[2 * r :],
         )
-        self._secret = secret
         self._stage = 1
         return self.ledger
 
     @functools.cached_property
     def secret_flip(self) -> np.ndarray:
-        """Per-photon secret flip: step 1's coin on each S3 photon."""
+        """Per-photon secret flip: a coin on each S3 photon. Only the
+        transcript reads the coins, so they are drawn at the first read."""
         flip = np.zeros(3 * self.r, dtype=bool)
-        flip[self.ledger.s3_pos] = self._secret
+        flip[self.ledger.s3_pos] = self._streams["secret"].integers(0, 2, size=self.r).astype(bool)
         return flip
 
     # -- step 2: outbound transmission and storage at the encoder ------------
@@ -695,7 +723,7 @@ class ProtocolRun:
                 self.attacked[a:b] = rng("adv-attack").random(b - a) < adv.p1
 
         attack = ("adv-attack", "adv-close-1") if adv is not None else ()
-        self._blocks(size, _trip_purposes(1, trip.rotation) + attack, kernel)
+        self._blocks(size, _trip_purposes(1, trip.rotation, self.params.link) + attack, kernel)
         self._stage = 2
 
     # -- step 3: first checking round ----------------------------------------
@@ -726,7 +754,7 @@ class ProtocolRun:
             self._trip(rng, trip, a, pos, self.trip1.alive[pos])
 
         attack = ("adv-close-2",) if self.params.adversary is not None else ()
-        self._blocks(size, _trip_purposes(2, trip.rotation) + attack, kernel)
+        self._blocks(size, _trip_purposes(2, trip.rotation, self.params.link) + attack, kernel)
         self._stage = 5
 
     def step5_second_check(self) -> SecurityCheckReport:
@@ -762,7 +790,7 @@ class ProtocolRun:
             rec.y[a:b], rec.clicked[a:b], rec.g[a:b] = led.prep[pos], clicked, g
             decoded[idx] = np.where(clicked, g, -1)
 
-        self._blocks(r, ("decode-click", "decode-born"), kernel)
+        self._blocks(r, self._detector_purposes("decode"), kernel)
         self.frame = MessageFrame(payload=self.payload.copy(), decoded=decoded)
         self._stage = 7
         return self.frame
@@ -886,9 +914,9 @@ class ProtocolRun:
         if att3.any():
             # the interceptor's measurement basis per photon, drawn only
             # when an S3 photon was intercepted (only S3's are read)
-            self.eve_basis = self._rng("adv-basis").integers(1, self.n + 1, size=3 * self.r)
+            self.eve_basis = self._streams["adv-basis"].integers(1, self.n + 1, size=3 * self.r)
             known = self.eve_basis[led.s3_pos] == led.prep[led.s3_pos]
-            guess = self._rng("adv-guess").integers(0, 2, size=self.r).astype(np.int8)
+            guess = self._streams["adv-guess"].integers(0, 2, size=self.r).astype(np.int8)
             eve_bits = np.where(known, self.payload, guess)
             correct = float(np.mean(eve_bits[att3] == self.payload[att3]))
         else:

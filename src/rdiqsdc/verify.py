@@ -416,20 +416,30 @@ def criterion9(
 # criterion 10: property suites
 # ---------------------------------------------------------------------------
 def _normalization_walk(n_ops: int) -> float:
-    """Worst |norm - 1| over n_ops random qstate operations, from a fixed stream."""
+    """Worst |norm - 1| over n_ops random qstate operations, from a fixed stream.
+
+    Each operation's kind, preparation index, encoding and rotation angle
+    are drawn up front, one array each; operation i reads entry i of the
+    array its kind needs. The integers are kept as int8 and the arrays are
+    read as Python scalars a chunk at a time, which bounds the memory the
+    walk adds."""
     rng = np.random.default_rng(12345)
+    draws = (rng.integers(0, 3, n_ops).astype(np.int8),
+             rng.integers(1, 17, n_ops).astype(np.int8),
+             rng.random(n_ops) < 0.5, rng.uniform(-1.5, 1.5, n_ops))
     config = BasisConfig(n=16)
     worst = 0.0
     state = prepare(1, config)
-    for _ in range(n_ops):
-        choice = rng.integers(0, 3)
-        if choice == 0:
-            state = prepare(int(rng.integers(1, 17)), config)
-        elif choice == 1:
-            state = apply_encode(state, EncodeOp.U1 if rng.random() < 0.5 else EncodeOp.U0)
-        else:
-            state = apply_rotation(state, ChannelRotation(float(rng.uniform(-1.5, 1.5))))
-        worst = max(worst, abs(state.norm_sq() - 1.0))
+    for start in range(0, n_ops, 4096):
+        chunk = (draw[start:start + 4096].tolist() for draw in draws)
+        for kind, index, flip, angle in zip(*chunk):
+            if kind == 0:
+                state = prepare(index, config)
+            elif kind == 1:
+                state = apply_encode(state, EncodeOp.U1 if flip else EncodeOp.U0)
+            else:
+                state = apply_rotation(state, ChannelRotation(angle))
+            worst = max(worst, abs(state.norm_sq() - 1.0))
     return worst
 
 

@@ -742,6 +742,29 @@ class TestThresholdCommand:
         assert trips == thresholds("eta_m", f"physics.eta_m={0.9 ** 11!r}")
         assert trips != thresholds("default")
 
+    @pytest.mark.parametrize("dth, per_p1", [("0", 1), ("0.0785398", 2)])
+    def test_noiseless_columns_solved_once_at_zero_rotation(self, tmp_path, monkeypatch,
+                                                            dth, per_p1):
+        # at delta_theta = 0 the noiseless columns are the configured solve
+        calls = {"eta_threshold": 0, "max_distance": 0}
+        for name in calls:
+            solver = getattr(analysis, name)
+
+            def counted(*args, _solver=solver, _name=name, **kwargs):
+                calls[_name] += 1
+                return _solver(*args, **kwargs)
+
+            monkeypatch.setattr(analysis, name, counted)
+        argv = ["threshold", "--out", str(tmp_path), "--set", f"physics.delta_theta={dth}"]
+        assert main(argv) == 0
+        n_p1 = len(SCHEMA["analysis.p1_list"][0])
+        assert calls == {"eta_threshold": per_p1 * n_p1, "max_distance": per_p1 * n_p1}
+        rows = [row.split(",") for row in
+                (tmp_path / "thresholds.csv").read_text().splitlines()[1:]]
+        assert len(rows) == n_p1
+        if per_p1 == 1:
+            assert all(row[1:3] == [row[1]] * 2 and row[3:5] == [row[3]] * 2 for row in rows)
+
 
 class TestBasisConfigInAnalysis:
     # sweep and threshold model the basis policy at the configured n and theta

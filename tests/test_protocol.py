@@ -1,5 +1,6 @@
 """Protocol engine tests: basis policy, the six steps, checking rounds,
 decoding, bookkeeping invariants, and the transcript export."""
+import gc
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -378,6 +380,63 @@ class TestThreadPool:
     def test_workers_below_one_rejected(self):
         with pytest.raises(ValueError, match="workers must be at least 1"):
             ProtocolRun(params_for(r=10)).run(workers=0)
+
+
+class TestStreamsMade:
+    # a run makes a stream only for values it reads: a stage at efficiency 1
+    # draws nothing, a serial run draws the return shuffle when step 4 reads
+    # it, and the secret coins are drawn when the transcript reads them
+    LOSSY = LinkBudget(distance_km=10.0, eta_c=0.9, eta_m=0.8, eta_d=0.7)
+
+    def test_first_check_at_bare_efficiency_makes_no_unread_stream(self):
+        run = ProtocolRun(params_for(r=3000, seed=4))
+        run.step1_prepare()
+        run.step2_transmit_to_bob()
+        run.step3_first_check()
+        assert set(run._streams) == {"partition", "prep", "message", "check1-offsets",
+                                     "check1-born"}
+
+    def test_lossy_run_makes_every_loss_and_click_stream(self):
+        result = run_full_protocol(params_for(r=3000, seed=4, link=self.LOSSY,
+                                              continue_on_abort=True))
+        assert result.completed
+        made = set(result.run._streams)
+        assert {"loss-fiber-ab", "loss-coupling-ab", "loss-memory-bob",
+                "loss-fiber-ba", "loss-coupling-ba", "loss-memory-alice",
+                "check1-click", "check2-click", "decode-click", "shuffle"} <= made
+        assert "secret" not in made
+        assert result.photons.secret_flip.any()
+        assert "secret" in result.run._streams
+
+    def test_runs_are_freed_without_the_cycle_collector(self):
+        # a deferred draw that held the run would keep every run's arrays
+        # until a collection: criterion 9's 85 first-check runs then peaked
+        # at more than twice the memory
+        params = params_for(r=3000, seed=4, continue_on_abort=True)
+        gc.disable()
+        try:
+            run = ProtocolRun(params)
+            run.step1_prepare()
+            run.step2_transmit_to_bob()
+            run.step3_first_check()
+            first_check = weakref.ref(run)
+            full = weakref.ref(run_full_protocol(params).run)
+            del run
+            assert first_check() is None and full() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("link", [LinkBudget(), LOSSY], ids=["bare", "lossy"])
+    def test_serial_and_threaded_runs_draw_the_same(self, monkeypatch, link):
+        monkeypatch.setattr(protocol, "_ENGINE_BLOCK", 777)
+        params = params_for(r=3000, seed=4, link=link, continue_on_abort=True)
+        serial = run_full_protocol(params)
+        pooled = run_full_protocol(params, workers=3)
+        assert np.array_equal(serial.ledger.return_perm, pooled.ledger.return_perm)
+        assert serial.ledger.return_perm.dtype == pooled.ledger.return_perm.dtype == np.int32
+        assert np.array_equal(serial.run.secret_flip, pooled.run.secret_flip)
+        assert (serial.check1, serial.check2, serial.stats) == (
+            pooled.check1, pooled.check2, pooled.stats)
 
 
 class TestPrepType:

@@ -249,6 +249,21 @@ def _cs_of_eta(p1: float, delta_theta: float, config: BasisConfig) -> Callable[[
     return cs
 
 
+def _cs_of_delta_theta(p1: float, config: BasisConfig) -> Callable[[float], float]:
+    """C_S at eta = 1 as a function of the rotation per trip delta_theta.
+    The offset model does not depend on delta_theta, so it is built here
+    once rather than on every step of a scan."""
+    model = offset_model(p1, config)
+    p0 = model.p_g0(0.0)
+
+    def cs(dth: float) -> float:
+        i_ab, i_be = _information(1.0, 1.0, abs(p0 - model.p_g0(dth)),
+                                  abs(p0 - model.p_g0(dth, trips=2)))
+        return i_ab - i_be
+
+    return cs
+
+
 SCAN_RESOLUTION = 1e-3
 SOLVER_TOL = 1e-6
 DTH_SCAN_MAX = 0.3 * math.pi
@@ -322,17 +337,9 @@ def delta_theta_threshold(p1: float, config: BasisConfig = REFERENCE_CONFIG) -> 
     None means C_S keeps one sign over the scan range (noise-robust when
     positive)."""
     OPEN_UNIT.check("p1", p1)
-    model = offset_model(p1, config)
-    p0 = model.p_g0(0.0)
-
-    def cs(dth: float) -> float:
-        i_ab, i_be = _information(1.0, 1.0, abs(p0 - model.p_g0(dth)),
-                                  abs(p0 - model.p_g0(dth, trips=2)))
-        return i_ab - i_be
-
     steps = int(math.ceil(DTH_SCAN_MAX / SCAN_RESOLUTION))
     scan = (min(k * DTH_SCAN_MAX / steps, DTH_SCAN_MAX) for k in range(steps + 1))
-    return _root(cs, scan, lambda pos: SOLVER_TOL)
+    return _root(_cs_of_delta_theta(p1, config), scan, lambda pos: SOLVER_TOL)
 
 
 def fidelity_threshold(delta_theta_star: float) -> float:

@@ -144,13 +144,8 @@ def criterion4() -> list[CheckResult]:
         out.append(
             _check("4", f"dth* at p1={p1}", want, got, 0.02 * want, "reference")
         )
-    grid = np.linspace(1e-4, math.pi - 1e-4, 4001)
-    c_min = min(
-        analysis.secrecy_capacity(
-            analysis.CapacityParams(p1=0.429, delta_theta=float(d), eta=1.0)
-        ).c_s
-        for d in grid
-    )
+    cs = analysis._cs_of_delta_theta(0.429, analysis.REFERENCE_CONFIG)
+    c_min = min(cs(float(d)) for d in np.linspace(1e-4, math.pi - 1e-4, 4001))
     out.append(
         CheckResult(
             "4", "C_S stays positive on (0, pi) at p1=0.429",

@@ -1,5 +1,6 @@
 """Blinding/fake-state attack model tests."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -193,6 +194,114 @@ class TestDetectionPower:
             detection_power(0.1, BlindingAttackParams(0.5, 0.5), 0, 0.01)
         with pytest.raises(ValueError):
             detection_power(0.1, BlindingAttackParams(0.5, 0.5), 100, -0.01)
+
+
+def check_window(m, target, tol):
+    """(lo, hi): the counts of g=0 that pass the first check, as
+    detection_power bounds them."""
+    lo = max(math.ceil(m * (target - tol) - 1e-12), 0)
+    hi = min(math.floor(m * (target + tol) + 1e-12), m)
+    return lo, hi
+
+
+def binomial_weights(m, q):
+    """(w, d^m) with P(K = k) = w[k] / d^m exactly, K ~ Bin(m, q), for the
+    float q = a/d; w[k] = C(m, k) a^k (d - a)^(m - k)."""
+    a, d = q.as_integer_ratio()
+    w = [(d - a) ** m]
+    for k in range(m):
+        w.append(w[-1] * (m - k) * a // ((k + 1) * (d - a)))
+    return w, d**m
+
+
+def exact_abort(weights, lo, hi):
+    w, total = weights
+    return Fraction(sum(w[:lo]) + sum(w[hi + 1:]), total) if lo <= hi else Fraction(1)
+
+
+def assert_nearest_double(got, exact):
+    # no double lies closer to the exact value (ties either way)
+    assert abs(Fraction(got) - exact) <= Fraction(math.ulp(got)) / 2, (got, float(exact))
+
+
+# (target, tolerance) pairs: windows in the bulk, off to either side of
+# the mode, a single count (empty at odd m when centred on m/2), the whole
+# range and touching either end
+ORACLE_WINDOWS = [(0.5, 0.0), (0.5, 0.02), (0.45, 0.1), (0.1, 0.05), (0.3, 0.1), (0.7, 0.1),
+                  (0.9, 0.05), (0.0, 0.2), (1.0, 0.2), (0.5, 1.0), (0.97, 0.0)]
+ORACLE_Q = [0.001, 0.05, 0.1, 0.25, 0.3, 0.5, 0.7, 0.9, 0.97,
+            predict_attacked_distribution(0.1, BlindingAttackParams(0.3, 0.9))]
+
+
+class TestDetectionPowerOracles:
+    """detection_power against exact values. With p1 = 1 the attacked
+    distribution is p2 itself, so BlindingAttackParams(1.0, q) sets q."""
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 100, 1_000, 10_000])
+    def test_fair_coin_against_integer_sums(self, m):
+        # q = 0.5, as at criterion 9's undetectable point: each tail is a sum
+        # of binomial coefficients over 2^m
+        coeffs, total = binomial_weights(m, 0.5)
+        assert total == 2**m and coeffs[m // 3] == math.comb(m, m // 3)
+        for target, tol in ORACLE_WINDOWS + [(0.5, protocol.hoeffding_tolerance(m))]:
+            lo, hi = check_window(m, target, tol)
+            exact = Fraction(sum(coeffs[:lo]) + sum(coeffs[hi + 1:]), 2**m)
+            got = detection_power(target, BlindingAttackParams(1.0, 0.5), m, tol)
+            assert_nearest_double(got, exact)
+
+    def test_criterion9_undetectable_point_exact(self):
+        m = verify.REPLICA_M
+        tol = protocol.hoeffding_tolerance(m)
+        got = detection_power(0.5, BlindingAttackParams(0.5, 0.5), m, tol)
+        lo, hi = check_window(m, 0.5, tol)
+        assert_nearest_double(got, exact_abort(binomial_weights(m, 0.5), lo, hi))
+        assert f"{got:.3g}" == "7e-08"
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 10, 57, 200, 500])
+    def test_against_exact_fractions(self, m):
+        for q in ORACLE_Q:
+            weights = binomial_weights(m, q)
+            for target, tol in ORACLE_WINDOWS:
+                got = detection_power(target, BlindingAttackParams(1.0, q), m, tol)
+                assert_nearest_double(got, exact_abort(weights, *check_window(m, target, tol)))
+
+    @pytest.mark.parametrize("m", [1, 10, 200, 500])
+    def test_at_least_as_close_as_cdf_difference(self, m):
+        binom = pytest.importorskip("scipy.stats").binom
+        for q in ORACLE_Q:
+            weights = binomial_weights(m, q)
+            for target, tol in ORACLE_WINDOWS:
+                lo, hi = check_window(m, target, tol)
+                exact = exact_abort(weights, lo, hi)
+                # the abort probability as it was computed through scipy
+                cdf_difference = 1.0 - (binom.cdf(hi, m, q) - binom.cdf(lo - 1, m, q))
+                got = detection_power(target, BlindingAttackParams(1.0, q), m, tol)
+                assert abs(Fraction(got) - exact) <= abs(Fraction(float(cdf_difference)) - exact)
+
+    @pytest.mark.parametrize("m", [10, 1_000, 100_000])
+    def test_against_scipy_tails(self, m):
+        binom = pytest.importorskip("scipy.stats").binom
+        for q in ORACLE_Q:
+            # and windows about the mode, where both tails are summed in full
+            for target, tol in ORACLE_WINDOWS + [(q, 0.0), (q, 2.0 / math.sqrt(m))]:
+                lo, hi = check_window(m, target, tol)
+                want = binom.cdf(lo - 1, m, q) + binom.sf(hi, m, q)
+                got = detection_power(target, BlindingAttackParams(1.0, q), m, tol)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("q", [0.0, 1.0])
+    def test_certain_count(self, q):
+        # K = m*q for certain: the check aborts iff that count is outside the window
+        for m in (1, 10, 10_000):
+            for target, tol in ORACLE_WINDOWS:
+                lo, hi = check_window(m, target, tol)
+                got = detection_power(target, BlindingAttackParams(1.0, q), m, tol)
+                assert got == (0.0 if lo <= m * q <= hi else 1.0)
+
+    def test_empty_window_always_aborts(self):
+        # no count k has |k/10 - 0.55| <= 0.01
+        assert check_window(10, 0.55, 0.01) == (6, 5)
+        assert detection_power(0.55, BlindingAttackParams(1.0, 0.5), 10, 0.01) == 1.0
 
 
 class TestEngineIntegration:

@@ -17,6 +17,7 @@ from rdiqsdc.analysis import (
     CapacityParams,
     EfficiencyParams,
     OffsetModel,
+    _cs_of_delta_theta,
     binary_entropy,
     delta_theta_threshold,
     error_budget,
@@ -395,6 +396,15 @@ class TestDeltaThetaThreshold:
         pt = secrecy_capacity(CapacityParams(p1=0.429, delta_theta=math.pi / 2, eta=1.0))
         assert pt.budget.e_aba == pytest.approx(0.0, abs=1e-12)
         assert pt.c_s > 0.4
+
+    @pytest.mark.parametrize("p1", [0.1, 0.3, 0.429])
+    def test_scan_closure_is_secrecy_capacity(self, p1):
+        # the closure the threshold and criterion 4 scan gives C_S at eta = 1
+        # to the bit
+        cs = _cs_of_delta_theta(p1, REFERENCE_CONFIG)
+        for k in range(201):
+            dth = 1e-4 + k * (math.pi - 2e-4) / 200
+            assert cs(dth) == secrecy_capacity(CapacityParams(p1=p1, delta_theta=dth, eta=1.0)).c_s
 
 
 class TestFidelity:

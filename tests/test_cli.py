@@ -856,12 +856,34 @@ def test_analysis_golden_bytes(tmp_path, case):
     assert tsv == body.replace(b",", b"\t")
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats is imported only when the detection power is computed
-    code = "import sys, rdiqsdc.cli; assert 'scipy.stats' not in sys.modules"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=SRC))
+PACKAGE_WITHOUT_SCIPY = """
+import importlib, pkgutil, sys
+sys.modules["scipy"] = None  # any import of scipy now fails
+import rdiqsdc
+for info in pkgutil.iter_modules(rdiqsdc.__path__):
+    importlib.import_module("rdiqsdc." + info.name)
+from rdiqsdc.adversary import BlindingAttackParams, detection_power
+from rdiqsdc.cli import main
+from rdiqsdc.protocol import hoeffding_tolerance
+from rdiqsdc.verify import REPLICA_M
+tol = hoeffding_tolerance(REPLICA_M)
+for target in (0.1, 0.5):  # criterion 9's detected and undetectable points
+    print(repr(detection_power(target, BlindingAttackParams(0.5, 0.5), REPLICA_M, tol)))
+sys.exit(main(["attack-scan", "--out", sys.argv[1], "--set", "attack.r=2000",
+               "--set", "attack.p1_grid=0,1", "--set", "attack.p2_grid=0,1"]))
+"""
+
+
+def test_package_runs_without_scipy(tmp_path):
+    # scipy is a test-only oracle: with it unimportable, every module imports,
+    # criterion 9's abort probabilities are computed and attack-scan runs
+    proc = subprocess.run([sys.executable, "-c", PACKAGE_WITHOUT_SCIPY, str(tmp_path)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 0, proc.stderr
+    detected, hidden = (float(line) for line in proc.stdout.splitlines()[:2])
+    assert detected == 1.0
+    assert f"{hidden:.3g}" == "7e-08"
+    assert len((tmp_path / "attack_scan.csv").read_text().splitlines()) == 5
 
 
 class TestAttackScanCommand:

@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override a config key (repeatable)")
         if name == "verify":
             cmd.add_argument("--keystone-r", type=int, default=1_000_000,
-                             help="photons per sequence in the cross-validation runs")
+                             help="photons per sequence in the cross-validation runs, at least 1")
     return p
 
 
@@ -285,8 +285,11 @@ def cmd_attack_scan(cfg: RunConfig, args) -> int:
                 seed=base.seed + 1_000 + stride * i + j,
             )
             jobs.append((params, float(target), params.check_tolerance()))
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # each process is a copy of this interpreter: no more than the CPUs or
+    # the points could keep busy
+    workers = min(args.workers, _usable_cpus(), len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_attack_point, jobs))
     else:
         rows = [_attack_point(job) for job in jobs]
@@ -299,7 +302,9 @@ def cmd_attack_scan(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    checks = verify.run_all(workers=args.workers, r_keystone=args.keystone_r)
+    if args.keystone_r < 1:
+        raise ConfigError(f"--keystone-r must be at least 1, got {args.keystone_r}")
+    checks = verify.run_all(workers=min(args.workers, _usable_cpus()), r_keystone=args.keystone_r)
     failures = 0
     for check in checks:
         print(check.line())

@@ -386,9 +386,10 @@ class ProtocolResult:
         return self.aborted_at_step is None
 
 
-# Photons per block of a per-photon stage. Every stream a stage draws from
-# is read from the block's own start position (seeding.positioned), so the
-# size changes how the work is split, never a drawn value.
+# Photons per block of a per-photon stage. Each block makes the streams it
+# reads from the run seed and their purposes, advanced to the block's own
+# start position (seeding.positioned), so the size changes how the work is
+# split, never a drawn value.
 _ENGINE_BLOCK = 1 << 16
 
 
@@ -424,13 +425,6 @@ def _loss_stages(leg: int, link: LinkBudget) -> tuple[tuple[str, float, LossSite
               (f"loss-coupling-{way}", link.eta_c, LossSite.COUPLING),
               (f"loss-memory-{store}", link.eta_m, LossSite.MEMORY))
     return tuple(stage for stage in stages if _lossy(stage[1]))
-
-
-def _trip_purposes(leg: int, rotation, link: LinkBudget) -> tuple[str, ...]:
-    """Streams of one trip: the rotation, if each photon draws its own
-    (`rotation` is then an array), then one survival draw per lossy stage."""
-    noise = (f"noise-{'ab' if leg == 1 else 'ba'}",) if isinstance(rotation, np.ndarray) else ()
-    return noise + tuple(purpose for purpose, _, _ in _loss_stages(leg, link))
 
 
 def _at(rotation, index):
@@ -480,18 +474,6 @@ class _Measured:
     assigned: Optional[np.ndarray]
 
 
-class _Streams(dict):
-    """The streams of one run seed by purpose, each made at its first lookup."""
-
-    def __init__(self, seed: int):
-        super().__init__()
-        self.seed = seed
-
-    def __missing__(self, purpose: str) -> np.random.Generator:
-        gen = self[purpose] = seeding.stream(self.seed, purpose)
-        return gen
-
-
 class ProtocolRun:
     """One protocol execution; call the step methods in order or use run()."""
 
@@ -501,7 +483,6 @@ class ProtocolRun:
         self.r = params.r
         self.n = params.config.n
         self.theta = params.config.theta
-        self._streams = _Streams(params.seed)
         self._pool: Optional[ThreadPoolExecutor] = None
         self.ledger: Optional[SequenceLedger] = None
         self._message_in = message
@@ -527,21 +508,21 @@ class ProtocolRun:
             return self._pool.submit(fn, *make_args()).result
         return functools.cache(lambda: fn(*make_args()))
 
-    def _blocks(self, size: int, purposes: Sequence[str], kernel) -> list:
+    def _blocks(self, size: int, kernel) -> list:
         """kernel(a, b, rng) for each block [a, b) of range(size), in order of a.
 
-        rng(purpose) is that purpose's stream positioned at value a, so a
-        block draws what the whole draw would hold at [a, b). Kernels write
-        disjoint parts of arrays this thread allocated, and cast the block's
-        stored int32 positions to intp once before indexing with them. The
-        streams are made here, on the calling thread; the blocks run on the
-        pool if run() has one. Returns the kernels' results.
+        rng(purpose) builds the run seed's stream for `purpose` on the thread
+        running the block, positioned at value a, so a block draws what the
+        whole draw would hold at [a, b). Kernels write disjoint parts of
+        arrays this thread allocated, and cast the block's stored int32
+        positions to intp once before indexing with them. The blocks run on
+        the pool if run() has one. Returns the kernels' results.
         """
-        streams = {p: self._streams[p] for p in purposes}
+        seed = self.params.seed
 
         def block(a: int):
             return kernel(a, min(a + _ENGINE_BLOCK, size),
-                          lambda purpose: seeding.positioned(streams[purpose], a))
+                          lambda purpose: seeding.positioned(seed, purpose, a))
 
         starts = range(0, size, _ENGINE_BLOCK)
         if self._pool is None:
@@ -572,7 +553,7 @@ class ProtocolRun:
         """
         link, size = self.params.link, len(pos)
         if isinstance(trip.rotation, np.ndarray):
-            noise = _trip_purposes(trip.leg, trip.rotation, link)[0]
+            noise = "noise-ab" if trip.leg == 1 else "noise-ba"
             trip.rotation[a:a + size] = self.params.noise.draw(size, rng(noise))
         for purpose, eta, site in _loss_stages(trip.leg, link):
             survived = rng(purpose).random(size) < eta
@@ -618,11 +599,6 @@ class ProtocolRun:
         self.site[pos[alive & ~clicked]] = _SITE_CODE[LossSite.DETECTOR]
         return clicked, g
 
-    def _detector_purposes(self, purpose: str) -> tuple[str, ...]:
-        """Streams `_detect` draws from for the stage `purpose`."""
-        click = (f"{purpose}-click",) if _lossy(self.params.link.eta_d) else ()
-        return click + (f"{purpose}-born",)
-
     def _check_round(self, leg: int, slots: np.ndarray, bases: Optional[np.ndarray]
                      ) -> tuple[_Measured, SecurityCheckReport]:
         """Checking round on the photons arriving at `slots` of trip `leg`,
@@ -655,8 +631,7 @@ class ProtocolRun:
             rec.clicked[a:b], rec.g[a:b] = clicked, g
             return _check_counts(clicked, g, assigned)
 
-        offsets = (f"{purpose}-offsets",) if bases is None else ()
-        counts = self._blocks(r, offsets + self._detector_purposes(purpose), kernel)
+        counts = self._blocks(r, kernel)
         n_clicked, n_g0_clicked, n_assigned_g0 = map(sum, zip(*counts))
         return rec, SecurityCheckReport(
             round_index=leg, m=r, theoretical_p_g0=float(np.mean(rec.p_ideal)),
@@ -668,24 +643,22 @@ class ProtocolRun:
     # -- step 1: preparation ------------------------------------------------
     def step1_prepare(self) -> SequenceLedger:
         self._require_stage(0)
-        r, n, streams = self.r, self.n, self._streams
+        r, n, seed = self.r, self.n, self.params.seed
         # the partition and the return shuffle (read in step 4) are drawn on
         # the pool, if there is one, while this thread draws the integers;
         # without a pool each is drawn when it is read. A deferred draw holds
-        # the streams, not the run, so a run that stops before step 4 is
-        # freed without the cycle collector
+        # the seed, not the run, so a run that stops before step 4 is freed
+        # without the cycle collector
         index_type = np.int32 if 3 * r <= np.iinfo(np.int32).max else np.int64
-        partition = self._submit(
-            _shuffled, lambda: (streams["partition"], np.arange(3 * r, dtype=index_type))
-        )
-        self._return_perm = self._submit(
-            _shuffled, lambda: (streams["shuffle"], np.arange(2 * r, dtype=index_type))
-        )
+        partition = self._submit(_shuffled, lambda: (
+            seeding.stream(seed, "partition"), np.arange(3 * r, dtype=index_type)))
+        self._return_perm = self._submit(_shuffled, lambda: (
+            seeding.stream(seed, "shuffle"), np.arange(2 * r, dtype=index_type)))
         # drawn as int64 (the stream's bounded-integer algorithm depends on
         # the dtype), stored in the narrowest signed type that holds 1..n
-        prep = streams["prep"].integers(1, n + 1, size=3 * r).astype(_prep_type(n))
+        prep = seeding.stream(seed, "prep").integers(1, n + 1, size=3 * r).astype(_prep_type(n))
         if self._message_in is None:
-            self.payload = streams["message"].integers(0, 2, size=r).astype(np.int8)
+            self.payload = seeding.stream(seed, "message").integers(0, 2, size=r).astype(np.int8)
         else:
             self.payload = np.asarray(self._message_in, dtype=np.int8)
         order = partition()
@@ -705,7 +678,8 @@ class ProtocolRun:
         """Per-photon secret flip: a coin on each S3 photon. Only the
         transcript reads the coins, so they are drawn at the first read."""
         flip = np.zeros(3 * self.r, dtype=bool)
-        flip[self.ledger.s3_pos] = self._streams["secret"].integers(0, 2, size=self.r).astype(bool)
+        coins = seeding.stream(self.params.seed, "secret").integers(0, 2, size=self.r)
+        flip[self.ledger.s3_pos] = coins.astype(bool)
         return flip
 
     # -- step 2: outbound transmission and storage at the encoder ------------
@@ -722,8 +696,7 @@ class ProtocolRun:
             if adv is not None:
                 self.attacked[a:b] = rng("adv-attack").random(b - a) < adv.p1
 
-        attack = ("adv-attack", "adv-close-1") if adv is not None else ()
-        self._blocks(size, _trip_purposes(1, trip.rotation, self.params.link) + attack, kernel)
+        self._blocks(size, kernel)
         self._stage = 2
 
     # -- step 3: first checking round ----------------------------------------
@@ -753,8 +726,7 @@ class ProtocolRun:
             trip.pos[a:b] = pos
             self._trip(rng, trip, a, pos, self.trip1.alive[pos])
 
-        attack = ("adv-close-2",) if self.params.adversary is not None else ()
-        self._blocks(size, _trip_purposes(2, trip.rotation, self.params.link) + attack, kernel)
+        self._blocks(size, kernel)
         self._stage = 5
 
     def step5_second_check(self) -> SecurityCheckReport:
@@ -790,7 +762,7 @@ class ProtocolRun:
             rec.y[a:b], rec.clicked[a:b], rec.g[a:b] = led.prep[pos], clicked, g
             decoded[idx] = np.where(clicked, g, -1)
 
-        self._blocks(r, self._detector_purposes("decode"), kernel)
+        self._blocks(r, kernel)
         self.frame = MessageFrame(payload=self.payload.copy(), decoded=decoded)
         self._stage = 7
         return self.frame
@@ -813,8 +785,8 @@ class ProtocolRun:
             return np.bincount(3 * self.site[a:b] + self.leg[a:b],
                                minlength=3 * len(_SITE_CODE))
 
-        self._blocks(r, (), columns)
-        tally = sum(self._blocks(3 * r, (), sites))
+        self._blocks(r, columns)
+        tally = sum(self._blocks(3 * r, sites))
         counts = {}
         for idx in np.flatnonzero(tally):
             code, leg = divmod(int(idx), 3)
@@ -914,9 +886,10 @@ class ProtocolRun:
         if att3.any():
             # the interceptor's measurement basis per photon, drawn only
             # when an S3 photon was intercepted (only S3's are read)
-            self.eve_basis = self._streams["adv-basis"].integers(1, self.n + 1, size=3 * self.r)
+            r, seed = self.r, self.params.seed
+            self.eve_basis = seeding.stream(seed, "adv-basis").integers(1, self.n + 1, size=3 * r)
             known = self.eve_basis[led.s3_pos] == led.prep[led.s3_pos]
-            guess = self._streams["adv-guess"].integers(0, 2, size=self.r).astype(np.int8)
+            guess = seeding.stream(seed, "adv-guess").integers(0, 2, size=r).astype(np.int8)
             eve_bits = np.where(known, self.payload, guess)
             correct = float(np.mean(eve_bits[att3] == self.payload[att3]))
         else:

@@ -32,17 +32,17 @@ def stream(master: int, purpose: str, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed_sequence(master, purpose, index)))
 
 
-def positioned(gen: np.random.Generator, start: int) -> np.random.Generator:
-    """A new generator for the stream `gen` was made for by `stream`, moved
-    to that stream's 64-bit output number `start`, whatever `gen` has drawn.
+def positioned(master: int, purpose: str, start: int) -> np.random.Generator:
+    """The generator `stream(master, purpose)` makes, moved to its 64-bit
+    output number `start`.
 
     `random`, `uniform` and `choice(p=...)` take exactly one output per
     value, so values `[a, b)` of one such draw over the whole stream are the
-    `b - a` values drawn from `positioned(gen, a)`: a draw split into blocks
-    gives the same values in any block order and on any thread. `integers`
-    (buffered and rejection-sampled) and `shuffle`/`permutation` take a
-    varying number of outputs and are drawn whole.
+    `b - a` values drawn from `positioned(master, purpose, a)`: a draw split
+    into blocks gives the same values in any block order and on any thread.
+    `integers` (buffered and rejection-sampled) and `shuffle`/`permutation`
+    take a varying number of outputs and are drawn whole.
     """
-    bits = np.random.PCG64(gen.bit_generator.seed_seq)
+    bits = np.random.PCG64(seed_sequence(master, purpose))
     bits.advance(start)
     return np.random.Generator(bits)

@@ -77,6 +77,13 @@ class CheckResult:
         )
 
 
+def _z(got: float, want: float, sigma: float) -> float:
+    """|got - want| in units of sigma; at sigma 0, 0 where they are equal,
+    else infinity."""
+    diff = abs(got - want)
+    return diff / sigma if sigma > 0 else (0.0 if diff == 0.0 else math.inf)
+
+
 def _check(criterion, name, want, got, tol, source) -> CheckResult:
     return CheckResult(
         criterion=criterion,
@@ -224,10 +231,7 @@ def _keystone_rows(stats, closed: dict) -> list[tuple]:
     rows = []
     for name, want in closed.items():
         est = getattr(stats, name)
-        sigma = est.stderr
-        diff = abs(est.value - want)
-        z = diff / sigma if sigma > 0 else (0.0 if diff == 0.0 else math.inf)
-        rows.append((name, want, est.value, z))
+        rows.append((name, want, est.value, _z(est.value, want, est.stderr)))
     return rows
 
 
@@ -358,9 +362,7 @@ def criterion9(
     worst_z, worst_at = 0.0, ""
     for (_, p1a, p2a, target, _), report in zip(grid, islice(reports, len(grid))):
         q = predict_attacked_distribution(target, BlindingAttackParams(p1a, p2a))
-        sigma = math.sqrt(q * (1.0 - q) / r_grid)
-        diff = abs(report.empirical_p_g0 - q)
-        z = diff / sigma if sigma > 0 else (0.0 if diff == 0.0 else math.inf)
+        z = _z(report.empirical_p_g0, q, math.sqrt(q * (1.0 - q) / r_grid))
         if z > worst_z:
             worst_z, worst_at = z, f"p1={p1a}, p2={p2a}"
     out.append(

@@ -612,6 +612,52 @@ def test_simulate_threads_capped_at_usable_cpus(tmp_path, monkeypatch):
     assert seen == [1, 1]
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records each pool's size and maps
+    in this process, so no process is started."""
+
+    def __init__(self, sizes: list, max_workers: int):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("workers, cpus, p1_grid, p2_grid, want", [
+    (64, 2, "0,0.5", "0,0.5", [2]),     # capped at the usable CPUs
+    (64, 8, "0,0.5", "0,0.5,1", [6]),   # at the number of points
+    (64, 8, "0.5", "0.5", []),          # one point runs in this process
+    (1, 8, "0,0.5", "0,0.5", []),       # so does one worker
+    (3, 1, "0,0.5", "0,0.5", []),       # and one usable CPU
+])
+def test_attack_scan_processes_capped(tmp_path, monkeypatch, workers, cpus, p1_grid, p2_grid,
+                                      want):
+    sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(sizes, max_workers))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "_attack_point", lambda job: [0.0] * 5 + [0])
+    argv = ["attack-scan", "--out", str(tmp_path), "--workers", str(workers),
+            "--set", f"attack.p1_grid={p1_grid}", "--set", f"attack.p2_grid={p2_grid}"]
+    assert main(argv) == 0
+    assert sizes == want
+
+
+@pytest.mark.parametrize("workers, cpus, want", [(64, 2, 2), (2, 8, 2), (1, 8, 1), (8, 1, 1)])
+def test_verify_processes_capped(tmp_path, monkeypatch, workers, cpus, want):
+    seen = []
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(verify, "run_all", lambda workers, r_keystone: seen.append(workers) or [])
+    assert main(["verify", "--out", str(tmp_path), "--workers", str(workers)]) == 0
+    assert seen == [want]
+
+
 @pytest.mark.parametrize("files, quota", [
     ({"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/cpu.max": "max 100000\n"}, None),
     ({"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/cpu.max": "150000 100000\n"}, 2),
@@ -936,6 +982,18 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify, "run_all", lambda **kw: failing)
         assert main(["verify", "--out", str(tmp_path)]) == 3
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("r", ["0", "-5"])
+    def test_keystone_r_below_one_rejected_before_any_criterion(self, tmp_path, monkeypatch,
+                                                                capsys, r):
+        ran = []
+        monkeypatch.setattr(verify, "run_all", lambda **kw: ran.append(kw) or [])
+        for workers in ("1", "2"):
+            assert main(["verify", "--out", str(tmp_path), "--workers", workers,
+                         "--keystone-r", r]) == 2
+            err = capsys.readouterr().err
+            assert err == f"config error: --keystone-r must be at least 1, got {r}\n"
+        assert ran == []
 
 
 # values drawn per key by the type of its default: edge cases in and out of

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rdiqsdc import analysis, protocol, verify
+from rdiqsdc import analysis, protocol, seeding, verify
 from rdiqsdc.adversary import BlindingAttackParams
 from rdiqsdc.devices import ChannelNoiseModel, LinkBudget
 from rdiqsdc.protocol import (
@@ -388,25 +388,51 @@ class TestStreamsMade:
     # it, and the secret coins are drawn when the transcript reads them
     LOSSY = LinkBudget(distance_km=10.0, eta_c=0.9, eta_m=0.8, eta_d=0.7)
 
-    def test_first_check_at_bare_efficiency_makes_no_unread_stream(self):
+    @pytest.fixture
+    def made(self, monkeypatch):
+        # the purposes of every stream made: seeding.stream (whole draws) and
+        # seeding.positioned (engine blocks) both derive theirs here
+        purposes = set()
+        derive = seeding.seed_sequence
+
+        def record(master, purpose, index=0):
+            purposes.add(purpose)
+            return derive(master, purpose, index)
+
+        monkeypatch.setattr(seeding, "seed_sequence", record)
+        return purposes
+
+    def test_first_check_at_bare_efficiency_makes_no_unread_stream(self, made):
         run = ProtocolRun(params_for(r=3000, seed=4))
         run.step1_prepare()
         run.step2_transmit_to_bob()
         run.step3_first_check()
-        assert set(run._streams) == {"partition", "prep", "message", "check1-offsets",
-                                     "check1-born"}
+        assert made == {"partition", "prep", "message", "check1-offsets", "check1-born"}
 
-    def test_lossy_run_makes_every_loss_and_click_stream(self):
+    def test_lossy_run_makes_every_loss_and_click_stream(self, made):
         result = run_full_protocol(params_for(r=3000, seed=4, link=self.LOSSY,
                                               continue_on_abort=True))
         assert result.completed
-        made = set(result.run._streams)
         assert {"loss-fiber-ab", "loss-coupling-ab", "loss-memory-bob",
                 "loss-fiber-ba", "loss-coupling-ba", "loss-memory-alice",
                 "check1-click", "check2-click", "decode-click", "shuffle"} <= made
         assert "secret" not in made
         assert result.photons.secret_flip.any()
-        assert "secret" in result.run._streams
+        assert "secret" in made
+
+    def test_whole_draws_are_made_on_the_calling_thread(self, monkeypatch):
+        # the blocks on the pool build their generators through
+        # seeding.positioned; seeding.stream runs only where run() was called
+        monkeypatch.setattr(protocol, "_ENGINE_BLOCK", 777)
+        threads = []
+        make = seeding.stream
+        monkeypatch.setattr(seeding, "stream", lambda *args: threads.append(
+            threading.current_thread()) or make(*args))
+        params = params_for(r=3000, seed=4, link=self.LOSSY, continue_on_abort=True,
+                            adversary=BlindingAttackParams(p1=0.3, p2=0.5))
+        result = run_full_protocol(params, workers=3)
+        assert result.photons.secret_flip.any()
+        assert len(threads) == 7 and set(threads) == {threading.current_thread()}
 
     def test_runs_are_freed_without_the_cycle_collector(self):
         # a deferred draw that held the run would keep every run's arrays
@@ -426,17 +452,26 @@ class TestStreamsMade:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("link", [LinkBudget(), LOSSY], ids=["bare", "lossy"])
-    def test_serial_and_threaded_runs_draw_the_same(self, monkeypatch, link):
+    @pytest.mark.parametrize("kw", [
+        dict(link=LinkBudget()),
+        dict(link=LOSSY),
+        # every block-drawn stream: noise-*, adv-attack, adv-close-1/2 and
+        # check*-offsets over the uniform policy's n weights
+        dict(link=LOSSY, target=None, noise=ChannelNoiseModel(delta_theta=0.05, spread=0.2),
+             adversary=BlindingAttackParams(p1=0.3, p2=0.5)),
+        dict(link=LOSSY, round2_mode=Round2Mode.ORIGINAL_ORDER),
+    ], ids=["bare", "lossy", "attacked-spread", "original-order"])
+    def test_serial_and_threaded_runs_draw_the_same(self, monkeypatch, kw):
         monkeypatch.setattr(protocol, "_ENGINE_BLOCK", 777)
-        params = params_for(r=3000, seed=4, link=link, continue_on_abort=True)
+        params = params_for(r=3000, seed=4, continue_on_abort=True, **kw)
         serial = run_full_protocol(params)
         pooled = run_full_protocol(params, workers=3)
         assert np.array_equal(serial.ledger.return_perm, pooled.ledger.return_perm)
         assert serial.ledger.return_perm.dtype == pooled.ledger.return_perm.dtype == np.int32
-        assert np.array_equal(serial.run.secret_flip, pooled.run.secret_flip)
-        assert (serial.check1, serial.check2, serial.stats) == (
-            pooled.check1, pooled.check2, pooled.stats)
+        for name in vars(serial.photons):
+            assert np.array_equal(getattr(serial.photons, name), getattr(pooled.photons, name))
+        assert (serial.check1, serial.check2, serial.stats, serial.attack) == (
+            pooled.check1, pooled.check2, pooled.stats, pooled.attack)
 
 
 class TestPrepType:

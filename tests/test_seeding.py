@@ -61,16 +61,15 @@ def test_validation():
 def test_positioned_stream_draws_the_tail_of_the_whole_draw(draw):
     whole = draw(stream(5, "blocks"), 1000)
     for start in (0, 1, 777, 999):
-        got = draw(positioned(stream(5, "blocks"), start), 1000 - start)
+        got = draw(positioned(5, "blocks", start), 1000 - start)
         assert np.array_equal(got, whole[start:])
-    # the position counts from the stream's start, whatever was drawn from it
-    used = stream(5, "blocks")
-    used.random(10)
-    assert np.array_equal(draw(positioned(used, 3), 5), whole[3:8])
+    # the seed and the purpose pick the stream, as they do for `stream`
+    assert not np.array_equal(draw(positioned(6, "blocks", 3), 100), whole[3:103])
+    assert not np.array_equal(draw(positioned(5, "other", 3), 100), whole[3:103])
 
 
 def test_integers_are_not_positionable():
     # buffered 32-bit draws take two values per output: these stay whole
     whole = stream(5, "blocks").integers(1, 9, size=1000)
-    assert not np.array_equal(positioned(stream(5, "blocks"), 500).integers(1, 9, size=500),
+    assert not np.array_equal(positioned(5, "blocks", 500).integers(1, 9, size=500),
                               whole[500:])

@@ -99,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args) -> RunConfig:
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+    args.workers = min(args.workers, _usable_cpus())  # more would only add switching
     overrides = {}
     for item in args.set:
         if "=" not in item:
@@ -144,8 +145,7 @@ def _fmt(v) -> str:
 def cmd_simulate(cfg: RunConfig, args) -> int:
     params, message = cfg.protocol_params(), cfg.message_bits()
     outdir = Path(args.out)
-    # threads share one process, so more of them than cores only adds switching
-    result = run_full_protocol(params, message, workers=min(args.workers, _usable_cpus()))
+    result = run_full_protocol(params, message, workers=args.workers)
     summary = summary_record(result)
     outdir.mkdir(parents=True, exist_ok=True)
     with atomic_open(outdir / "summary.json") as fh:
@@ -285,9 +285,8 @@ def cmd_attack_scan(cfg: RunConfig, args) -> int:
                 seed=base.seed + 1_000 + stride * i + j,
             )
             jobs.append((params, float(target), params.check_tolerance()))
-    # each process is a copy of this interpreter: no more than the CPUs or
-    # the points could keep busy
-    workers = min(args.workers, _usable_cpus(), len(jobs))
+    # a process per point at most
+    workers = min(args.workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_attack_point, jobs))
@@ -304,7 +303,7 @@ def cmd_attack_scan(cfg: RunConfig, args) -> int:
 def cmd_verify(cfg: RunConfig, args) -> int:
     if args.keystone_r < 1:
         raise ConfigError(f"--keystone-r must be at least 1, got {args.keystone_r}")
-    checks = verify.run_all(workers=min(args.workers, _usable_cpus()), r_keystone=args.keystone_r)
+    checks = verify.run_all(workers=args.workers, r_keystone=args.keystone_r)
     failures = 0
     for check in checks:
         print(check.line())

@@ -393,12 +393,6 @@ class ProtocolResult:
 _ENGINE_BLOCK = 1 << 16
 
 
-def _check_counts(clicked: np.ndarray, g: np.ndarray, assigned: np.ndarray) -> tuple:
-    """Clicks, clicks with g = 0 and no-clicks assigned g = 0 of one block."""
-    return (int(np.count_nonzero(clicked)), int(np.count_nonzero(clicked & (g == 0))),
-            int(np.count_nonzero(~clicked & (assigned == 0))))
-
-
 def _prep_type(n: int) -> np.dtype:
     """Narrowest signed integer type holding the preparation indices 1..n."""
     return np.min_scalar_type(-n - 1)
@@ -463,15 +457,13 @@ class _Trip:
 
 @dataclass
 class _Measured:
-    """Per-photon record of one measuring stage, in measurement order: the
-    measurement index, the ideal P(g=0), click, outcome and the outcome
-    assigned to a no-click. Decoding keeps no ideal or assigned outcome."""
+    """Per-photon record of a checking round, in measurement order: the
+    offset index k = x - y + n - 1 of preparation index x and measurement
+    index y (its other facts are in `_offset_table`), click and outcome."""
 
-    y: np.ndarray
-    p_ideal: Optional[np.ndarray]
+    k: np.ndarray
     clicked: np.ndarray
     g: np.ndarray
-    assigned: Optional[np.ndarray]
 
 
 class ProtocolRun:
@@ -479,7 +471,6 @@ class ProtocolRun:
 
     def __init__(self, params: ProtocolParams, message: Optional[Sequence[int]] = None):
         self.params = params
-        self.cfg = params.config
         self.r = params.r
         self.n = params.config.n
         self.theta = params.config.theta
@@ -487,8 +478,8 @@ class ProtocolRun:
         self.ledger: Optional[SequenceLedger] = None
         self._message_in = message
         self._stage = 0
-        # per-photon state: a _Trip per trip, a _Measured per measuring stage
-        self.trip1 = self.trip2 = self.round1 = self.round2 = self.decoding = None
+        # per-photon state: a _Trip per trip, a _Measured per checking round
+        self.trip1 = self.trip2 = self.round1 = self.round2 = None
         self.check2: Optional[SecurityCheckReport] = None
         self.frame: Optional[MessageFrame] = None
 
@@ -599,6 +590,17 @@ class ProtocolRun:
         self.site[pos[alive & ~clicked]] = _SITE_CODE[LossSite.DETECTOR]
         return clicked, g
 
+    @functools.cached_property
+    def _offset_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(phase, ideal P(g=0), a no-click's assigned outcome) per offset index k."""
+        phases = _offset_phases(self.n)
+        ideal = _ideal_p(self.theta, phases)
+        return phases, ideal, (ideal <= 0.5).view(np.int8)
+
+    def _bases(self, rec: _Measured, pos: np.ndarray) -> np.ndarray:
+        """Measurement index y = x - k + n - 1 (int64) of each photon `pos` of `rec`."""
+        return self.ledger.prep[pos].astype(np.int64) - rec.k + (self.n - 1)
+
     def _check_round(self, leg: int, slots: np.ndarray, bases: Optional[np.ndarray]
                      ) -> tuple[_Measured, SecurityCheckReport]:
         """Checking round on the photons arriving at `slots` of trip `leg`,
@@ -607,13 +609,10 @@ class ProtocolRun:
         index. No-clicks are assigned the more likely ideal outcome.
         Returns the round's record and its report."""
         r, n, theta, prep = self.r, self.n, self.theta, self.ledger.prep
-        offs = self.params.policy.offsets(self.cfg)
-        phases = _offset_phases(n)
-        ideal = _ideal_p(theta, phases)
-        assign = (ideal <= 0.5).view(np.int8)  # a no-click's assigned outcome
-        rec = _Measured(y=np.empty(r, dtype=np.int64), p_ideal=np.empty(r),
-                        clicked=np.empty(r, dtype=bool), g=np.empty(r, dtype=np.int8),
-                        assigned=np.empty(r, dtype=np.int8))
+        offs = self.params.policy.offsets(self.params.config)
+        phases, ideal, assign = self._offset_table
+        rec = _Measured(k=np.empty(r, dtype=np.min_scalar_type(2 * n - 2)),
+                        clicked=np.empty(r, dtype=bool), g=np.empty(r, dtype=np.int8))
         purpose = f"check{leg}"
 
         def kernel(a, b, rng):
@@ -623,18 +622,17 @@ class ProtocolRun:
                 y = _measured_index(x, offs.draw(b - a, rng(f"{purpose}-offsets")), n)
             else:
                 y = bases[a:b].astype(np.int64)
-            k = x - y + (n - 1)
-            rec.y[a:b], rec.p_ideal[a:b] = y, ideal[k]
-            rec.assigned[a:b] = assigned = assign[k]
+            rec.k[a:b] = k = x - y + (n - 1)
             p_noisy = born_p(theta, angle, phases, k)
             clicked, g = self._detect(rng, purpose, pos, alive, p_noisy, forced)
             rec.clicked[a:b], rec.g[a:b] = clicked, g
-            return _check_counts(clicked, g, assigned)
+            return (int(np.count_nonzero(clicked)), int(np.count_nonzero(clicked & (g == 0))),
+                    int(np.count_nonzero(~clicked & (assign[k] == 0))))
 
         counts = self._blocks(r, kernel)
         n_clicked, n_g0_clicked, n_assigned_g0 = map(sum, zip(*counts))
         return rec, SecurityCheckReport(
-            round_index=leg, m=r, theoretical_p_g0=float(np.mean(rec.p_ideal)),
+            round_index=leg, m=r, theoretical_p_g0=float(np.mean(ideal[rec.k])),
             empirical_p_g0=(n_g0_clicked + n_assigned_g0) / r,
             tolerance=self.params.check_tolerance(), n_clicked=n_clicked,
             n_clicked_g0=n_g0_clicked, n_assigned_g0=n_assigned_g0,
@@ -747,9 +745,6 @@ class ProtocolRun:
         self._require_stage(6)
         r, theta, led = self.r, self.theta, self.ledger
         slots, order = led.s3p_slots, led.s3_order  # original S3 index per slot
-        rec = self.decoding = _Measured(
-            y=np.empty(r, dtype=led.prep.dtype), p_ideal=None,
-            clicked=np.empty(r, dtype=bool), g=np.empty(r, dtype=np.int8), assigned=None)
         decoded = np.full(r, -1, dtype=np.int8)
 
         def kernel(a, b, rng):
@@ -759,7 +754,6 @@ class ProtocolRun:
             # cancels, leaving only the message flip in the relative phase
             p_g0 = born_p(theta, angle, _MESSAGE_PHASES, self.payload[idx])
             clicked, g = self._detect(rng, "decode", pos, alive, p_g0, forced)
-            rec.y[a:b], rec.clicked[a:b], rec.g[a:b] = led.prep[pos], clicked, g
             decoded[idx] = np.where(clicked, g, -1)
 
         self._blocks(r, kernel)
@@ -770,13 +764,14 @@ class ProtocolRun:
     # -- assembly ---------------------------------------------------------------
     def _stats(self) -> TranscriptStats:
         r, check1, check2 = self.r, self.check1, self.check2
+        ideal = self._offset_table[1]
         # the gain-weighted shift and the assignment cost of each checking
         # photon, filled a block at a time and averaged over the whole column
         rounds = [(rec, np.empty(r), np.empty(r)) for rec in (self.round1, self.round2)]
 
         def columns(a, b, rng):
             for rec, shift, assign in rounds:
-                clicked, p = rec.clicked[a:b].astype(np.float64), rec.p_ideal[a:b]
+                clicked, p = rec.clicked[a:b].astype(np.float64), ideal[rec.k[a:b]]
                 shift[a:b] = clicked * (p - (rec.g[a:b] == 0))
                 assign[a:b] = (1.0 - clicked) * np.minimum(p, 1.0 - p)
 
@@ -797,7 +792,7 @@ class ProtocolRun:
         return TranscriptStats(
             q_ab=_rate(check1.n_clicked, r),
             q_aba=_rate(check2.n_clicked, r),
-            q_aba_decode=_rate(int(np.count_nonzero(self.decoding.clicked)), r),
+            q_aba_decode=_rate(r - self.frame.n_lost, r),
             p1_observed=_rate(check1.n_clicked_g0 + check1.n_assigned_g0, r),
             p2_observed=_rate(check2.n_clicked_g0 + check2.n_assigned_g0, r),
             p1_clicked=_rate(check1.n_clicked_g0, check1.n_clicked),
@@ -830,18 +825,20 @@ class ProtocolRun:
             returned = self.trip1.alive[trip2.pos]
             rotation[trip2.pos[returned]] += _at(trip2.rotation, returned)
 
-        # each measuring stage run so far, with the photon it measured per row
-        stages = [(self.round1, led.s1_pos)]
+        # each checking round run so far, with the photon it measured per row
+        rounds = [(self.round1, led.s1_pos)]
         if self.round2 is not None:
-            stages.append((self.round2, trip2.pos[led.s2p_slots]))
-        if self.decoding is not None:
-            stages.append((self.decoding, trip2.pos[led.s3p_slots]))
-        for rec, pos in stages:
-            basis[pos] = rec.y
+            rounds.append((self.round2, trip2.pos[led.s2p_slots]))
+        for rec, pos in rounds:
+            basis[pos] = self._bases(rec, pos)
             clicked[pos] = rec.clicked
             g[pos] = np.where(rec.clicked, rec.g, -1)
-            if rec.assigned is not None:
-                assigned[pos] = np.where(~rec.clicked, rec.assigned, -1)
+            assigned[pos] = np.where(~rec.clicked, self._offset_table[2][rec.k], -1)
+        if self.frame is not None:
+            # S3 photon j carries message bit j, decoded in its own basis
+            basis[led.s3_pos] = led.prep[led.s3_pos]
+            clicked[led.s3_pos] = self.frame.decoded >= 0
+            g[led.s3_pos] = self.frame.decoded
         return TranscriptColumns(
             sequence=seq,
             prep=led.prep,
@@ -866,7 +863,7 @@ class ProtocolRun:
         done2 = round2 is not None
         return Announcements(
             s1_positions=led.s1_pos.copy(),
-            y1=round1.y.copy(),
+            y1=self._bases(round1, led.s1_pos),
             round1_clicked=round1.clicked.copy(),
             round1_g=np.where(round1.clicked, round1.g, -1),
             s2p_slots=s2p,

@@ -12,10 +12,11 @@ without them it runs its jobs itself.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 from collections.abc import Iterable, Iterator
 from concurrent.futures import Executor, ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Optional
@@ -533,6 +534,9 @@ def run_all(
     computes the other criteria; one worker runs everything here, in order.
     The rows are the same either way.
     """
+    if workers > 1:  # a forked worker holds this process's freed heap pages too
+        with suppress(AttributeError, OSError, TypeError):  # trim them where glibc can
+            ctypes.CDLL(None).malloc_trim(0)
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         pending = _queue_jobs(pool, r_keystone, r_grid, n_random_ops) if pool else {}
         return (

@@ -10,6 +10,7 @@ oracle in this file.
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -120,12 +121,18 @@ def test_criterion_10_property_suites():
     assert checks[-1].obtained == "max |norm-1| = 4.44e-16"
 
 
-def test_pooled_criteria_print_the_serial_lines():
+def test_pooled_criteria_print_the_serial_lines(monkeypatch):
     # criteria 7, 9 and 10 print the same lines whether their jobs run here
-    # or on one shared pool, queued up front while the others run
+    # or on one shared pool, queued up front while the others run; only the
+    # pool, whose workers are forked, is preceded by a heap trim
+    trims = []
+    libc = SimpleNamespace(malloc_trim=trims.append)
+    monkeypatch.setattr(verify.ctypes, "CDLL", lambda name: libc)
     sizes = dict(r_keystone=2000, r_grid=5000, n_random_ops=2000)
     serial = verify.run_all(workers=1, **sizes)
+    assert trims == []
     pooled = verify.run_all(workers=2, **sizes)
+    assert trims == [0]
     assert [c.line() for c in pooled] == [c.line() for c in serial]
     first = {}
     for check in serial:

@@ -187,9 +187,10 @@ class TestDetect:
     def test_eigenstate_clicks_zero(self):
         # target 1.0 forces offset 0: each check photon is measured in its
         # own preparation basis
-        run = run_first_check(engine_params(target=1.0))
-        assert np.array_equal(run.round1.y, run.ledger.prep[run.ledger.s1_pos])
-        assert np.all(run.round1.clicked) and np.all(run.round1.g == 0)
+        cols = run_full_protocol(engine_params(target=1.0)).photons
+        s1 = cols.sequence == 1
+        assert np.array_equal(cols.basis[s1], cols.prep[s1])
+        assert np.all(cols.clicked[s1]) and np.all(cols.g[s1] == 0)
 
     def test_dead_detector_never_clicks(self):
         cols = run_full_protocol(engine_params(link=LinkBudget(eta_d=0.0))).photons

@@ -460,7 +460,10 @@ class TestStreamsMade:
         dict(link=LOSSY, target=None, noise=ChannelNoiseModel(delta_theta=0.05, spread=0.2),
              adversary=BlindingAttackParams(p1=0.3, p2=0.5)),
         dict(link=LOSSY, round2_mode=Round2Mode.ORIGINAL_ORDER),
-    ], ids=["bare", "lossy", "attacked-spread", "original-order"])
+        # the offset index is stored in uint8 up to n = 128, in uint16 at n = 129
+        dict(link=LOSSY, n=128, target=None),
+        dict(link=LOSSY, n=129, target=None),
+    ], ids=["bare", "lossy", "attacked-spread", "original-order", "n128", "n129"])
     def test_serial_and_threaded_runs_draw_the_same(self, monkeypatch, kw):
         monkeypatch.setattr(protocol, "_ENGINE_BLOCK", 777)
         params = params_for(r=3000, seed=4, continue_on_abort=True, **kw)
@@ -547,13 +550,32 @@ def _oracle_est(values: np.ndarray) -> tuple[float, float]:
     return float(np.mean(values)), float(np.std(values) / math.sqrt(n)) if n > 1 else 0.0
 
 
-def _oracle_stats(run: ProtocolRun) -> dict:
-    """Every TranscriptStats field from whole-array means and deviations of
-    float columns: the 0/1 statistics as float arrays, the loss sites as one
+def _check_rows(result) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(photon positions, offset index k = x - y + n - 1, ideal P(g=0)) of
+    each checking round, in the order the round measured its photons, from
+    the transcript's preparation index x and measured basis y, which must
+    lie in 1..n. The ideal P(g=0) is the noise-free Born rule at k."""
+    cols, led, config = result.photons, result.ledger, result.params.config
+    n = config.n
+    ideal = protocol._ideal_p(config.theta, protocol._offset_phases(n))
+    rows = []
+    for pos in (led.s1_pos, led.s2_pos[led.s2_order]):
+        basis = cols.basis[pos]
+        assert np.all((basis >= 1) & (basis <= n))
+        k = cols.prep[pos].astype(np.int64) - basis + (n - 1)
+        rows.append((pos, k, ideal[k]))
+    return rows
+
+
+def _oracle_stats(result) -> dict:
+    """Every TranscriptStats field from the transcript columns, each stage's
+    photons in its measurement order: whole-array means and deviations of
+    float columns, the 0/1 statistics as float arrays, the loss sites as one
     tally over all 3r photons."""
+    cols, led = result.photons, result.ledger
     out = {}
-    for i, rec in enumerate((run.round1, run.round2), start=1):
-        clicked, g, p_ideal, assigned = rec.clicked, rec.g, rec.p_ideal, rec.assigned
+    for i, (pos, _, p_ideal) in enumerate(_check_rows(result), start=1):
+        clicked, g, assigned = cols.clicked[pos], cols.g[pos], cols.assigned_g[pos]
         c = clicked.astype(np.float64)
         obs = c * (g == 0) + (1.0 - c) * (assigned == 0)
         e = "e_ab" if i == 1 else "e_aba"
@@ -562,8 +584,9 @@ def _oracle_stats(run: ProtocolRun) -> dict:
         out[f"p{i}_clicked"] = _oracle_est((g == 0)[clicked].astype(np.float64))
         out[f"{e}_signed"] = _oracle_est(c * (p_ideal - (g == 0)))
         out[f"{e}_assign"] = _oracle_est((1.0 - c) * np.minimum(p_ideal, 1.0 - p_ideal))
-    out["q_aba_decode"] = _oracle_est(run.decoding.clicked.astype(np.float64))
-    tally = np.bincount(3 * run.site.astype(np.int64) + run.leg)
+    # decoding measures S3 in the order of the return stream
+    out["q_aba_decode"] = _oracle_est(cols.clicked[led.s3_pos[led.s3_order]].astype(np.float64))
+    tally = np.bincount(3 * cols.loss_site.astype(np.int64) + cols.loss_leg)
     out["loss_counts"] = {
         _SITE_NAME[k // 3] + (f"-leg{k % 3}" if k % 3 else ""): int(tally[k])
         for k in np.flatnonzero(tally)
@@ -586,15 +609,22 @@ class TestStatsMatchWholeArrayOracle:
         dict(adversary=BlindingAttackParams(p1=0.3, p2=0.5)),
         dict(noise=ChannelNoiseModel(delta_theta=0.05, spread=0.02)),
         dict(n=5, target=None, config=BasisConfig(n=5, theta=0.6)),
-    ], ids=["default", "eta_d0", "r1", "r2", "attacked", "spread", "n5-theta0.6"])
+        dict(n=128, target=None),
+        # k reaches 2n - 2 = 256, one past uint8, at x = n and y = 1
+        dict(n=129, target=None, r=50_000),
+    ], ids=["default", "eta_d0", "r1", "r2", "attacked", "spread", "n5-theta0.6", "n128",
+            "n129"])
     def test_stats_match(self, monkeypatch, kw, workers):
         monkeypatch.setattr(protocol, "_ENGINE_BLOCK", 777)
         kw = dict(dict(r=3000, seed=4, link=_ORACLE_LINK, continue_on_abort=True), **kw)
         result = run_full_protocol(params_for(**kw), workers=workers)
-        want = _oracle_stats(result.run)
+        want = _oracle_stats(result)
         assert set(want) == set(vars(result.stats))
-        for check, rec in ((result.check1, result.run.round1), (result.check2, result.run.round2)):
-            assert check.theoretical_p_g0 == float(np.mean(rec.p_ideal))
+        rows = _check_rows(result)
+        for check, (_, _, p_ideal) in zip((result.check1, result.check2), rows):
+            assert check.theoretical_p_g0 == float(np.mean(p_ideal))
+        if result.params.config.n == 129:
+            assert max(int(k.max()) for _, k, _ in rows) == 256
         if kw["link"].eta_d == 0.0:
             assert want["p1_clicked"] == want["p2_clicked"] == (0.0, 0.0)
         for name, expected in want.items():
@@ -736,6 +766,19 @@ class TestInformationFlow:
             "round2_clicked", "round2_g",
         ):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_announced_and_transcript_bases_agree(self, monkeypatch, workers):
+        # y1 and the basis column are both read from the rounds' offset
+        # indices; decoding measures each S3 photon in its own basis
+        monkeypatch.setattr(protocol, "_ENGINE_BLOCK", 777)
+        result = run_full_protocol(params_for(r=3000, seed=4, continue_on_abort=True),
+                                   workers=workers)
+        cols, ann = result.photons, result.announcements
+        assert ann.y1.dtype == np.int64
+        assert np.array_equal(ann.y1, cols.basis[ann.s1_positions])
+        s3 = cols.sequence == 3
+        assert np.array_equal(cols.basis[s3], cols.prep[s3])
 
     def test_announcement_fields_are_positions_and_outcomes_only(self):
         import dataclasses

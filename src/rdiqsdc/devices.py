@@ -84,8 +84,8 @@ class ChannelNoiseModel:
     At spread 0 every photon takes delta_theta on each trip and nothing is
     drawn. At spread > 0 each photon's rotation per trip is drawn uniformly
     from [delta_theta - spread, delta_theta + spread] (robustness studies
-    only). A photon's rotation over both legs is bounded by
-    2 * (|delta_theta| + spread), which must be a finite number.
+    only); `draw` serves that case. A photon's rotation over both legs is
+    bounded by 2 * (|delta_theta| + spread), which must be a finite number.
     """
 
     delta_theta: float = 0.0
@@ -100,6 +100,4 @@ class ChannelNoiseModel:
             )
 
     def draw(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        if self.spread == 0.0:
-            return np.full(size, self.delta_theta)
         return rng.uniform(self.delta_theta - self.spread, self.delta_theta + self.spread, size)

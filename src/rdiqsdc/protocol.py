@@ -280,26 +280,26 @@ class TranscriptStats:
 @dataclass
 class SequenceLedger:
     """Index bookkeeping: preparation settings, sequence membership and the
-    return-stream shuffle."""
+    return-stream shuffle. `order` is the drawn partition of the 3r
+    positions: S1, S2 and S3 are its consecutive thirds, and S2 then S3
+    (`order[r:]`) is the stream that `return_perm` shuffles."""
 
-    n: int
     r: int
     prep: np.ndarray
-    s1_pos: np.ndarray
-    s2_pos: np.ndarray
-    s3_pos: np.ndarray
-    return_perm: Optional[np.ndarray] = None  # return slot -> combined index
+    order: np.ndarray
+    return_perm: Optional[np.ndarray] = None  # return slot -> index into order[r:]
 
     @property
-    def x2(self) -> np.ndarray:
-        return self.prep[self.s2_pos]
+    def s1_pos(self) -> np.ndarray:
+        return self.order[:self.r]
 
     @property
-    def x3(self) -> np.ndarray:
-        return self.prep[self.s3_pos]
+    def s2_pos(self) -> np.ndarray:
+        return self.order[self.r:2 * self.r]
 
-    def combined_positions(self) -> np.ndarray:
-        return np.concatenate([self.s2_pos, self.s3_pos])
+    @property
+    def s3_pos(self) -> np.ndarray:
+        return self.order[2 * self.r:]
 
     # The slot properties read `return_perm`, which step 4 sets once; each is
     # computed on first read, in the permutation's dtype.
@@ -319,11 +319,6 @@ class SequenceLedger:
     @functools.cached_property
     def s3_order(self) -> np.ndarray:
         return self.return_perm[self.s3p_slots] - self.r
-
-    @property
-    def x4(self) -> np.ndarray:
-        """Preparation indices of the shuffled check photons, slot order."""
-        return self.x2[self.s2_order]
 
 
 @dataclass
@@ -347,13 +342,7 @@ class TranscriptColumns:
         return len(self.prep)
 
 
-_SITE_CODE = {
-    LossSite.NONE: 0,
-    LossSite.FIBER: 1,
-    LossSite.COUPLING: 2,
-    LossSite.MEMORY: 3,
-    LossSite.DETECTOR: 4,
-}
+_SITE_CODE = {site: code for code, site in enumerate(LossSite)}
 _SITE_NAME = {v: k.value for k, v in _SITE_CODE.items()}
 
 
@@ -430,13 +419,6 @@ def _at(rotation, index):
 def _outcome(u: np.ndarray, p) -> np.ndarray:
     """Outcome g per draw u: 0 where u < p, else 1 (also where p is NaN)."""
     return (~(u < p)).view(np.int8)
-
-
-def _measured_index(x: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
-    """Measurement index ((x - d - 1) mod n) + 1 for preparation indices x
-    in 1..n and offsets d in 0..n-1, so that x - d - 1 lies in 1-n .. n-1."""
-    w = x - d - 1
-    return w + 1 + n * (w < 0)
 
 
 @dataclass
@@ -619,10 +601,13 @@ class ProtocolRun:
             pos, angle, alive, forced = self._arrival(leg, slots[a:b].astype(np.intp))
             x = prep[pos]
             if bases is None:
-                y = _measured_index(x, offs.draw(b - a, rng(f"{purpose}-offsets")), n)
+                # measured index y = ((x - d - 1) mod n) + 1 at drawn offset d,
+                # so k = x - y + n - 1 is d - 1 + n where x > d, else d - 1
+                d = offs.draw(b - a, rng(f"{purpose}-offsets"))
+                k = d - 1 + n * (x > d)
             else:
-                y = bases[a:b].astype(np.int64)
-            rec.k[a:b] = k = x - y + (n - 1)
+                k = x - bases[a:b].astype(np.int64) + (n - 1)
+            rec.k[a:b] = k
             p_noisy = born_p(theta, angle, phases, k)
             clicked, g = self._detect(rng, purpose, pos, alive, p_noisy, forced)
             rec.clicked[a:b], rec.g[a:b] = clicked, g
@@ -659,15 +644,11 @@ class ProtocolRun:
             self.payload = seeding.stream(seed, "message").integers(0, 2, size=r).astype(np.int8)
         else:
             self.payload = np.asarray(self._message_in, dtype=np.int8)
-        order = partition()
         if self.payload.shape != (r,):
             raise ProtocolViolation(f"message must hold exactly {r} bits")
         if not np.all((self.payload == 0) | (self.payload == 1)):
             raise ProtocolViolation("message bits must be 0 or 1")
-        self.ledger = SequenceLedger(
-            n=n, r=r, prep=prep,
-            s1_pos=order[:r], s2_pos=order[r : 2 * r], s3_pos=order[2 * r :],
-        )
+        self.ledger = SequenceLedger(r=r, prep=prep, order=partition())
         self._stage = 1
         return self.ledger
 
@@ -715,12 +696,12 @@ class ProtocolRun:
     def step5_transmit_to_alice(self) -> None:
         self._require_stage(4)
         led, size = self.ledger, 2 * self.r
-        combined = led.combined_positions()
+        returned = led.order[self.r:]
         trip = self.trip2 = self._open_trip(2, size)
-        trip.pos = np.empty(size, dtype=combined.dtype)
+        trip.pos = np.empty(size, dtype=returned.dtype)
 
         def kernel(a, b, rng):
-            pos = combined[led.return_perm[a:b]].astype(np.intp)
+            pos = returned[led.return_perm[a:b]].astype(np.intp)
             trip.pos[a:b] = pos
             self._trip(rng, trip, a, pos, self.trip1.alive[pos])
 
@@ -884,8 +865,8 @@ class ProtocolRun:
             # the interceptor's measurement basis per photon, drawn only
             # when an S3 photon was intercepted (only S3's are read)
             r, seed = self.r, self.params.seed
-            self.eve_basis = seeding.stream(seed, "adv-basis").integers(1, self.n + 1, size=3 * r)
-            known = self.eve_basis[led.s3_pos] == led.prep[led.s3_pos]
+            eve_basis = seeding.stream(seed, "adv-basis").integers(1, self.n + 1, size=3 * r)
+            known = eve_basis[led.s3_pos] == led.prep[led.s3_pos]
             guess = seeding.stream(seed, "adv-guess").integers(0, 2, size=r).astype(np.int8)
             eve_bits = np.where(known, self.payload, guess)
             correct = float(np.mean(eve_bits[att3] == self.payload[att3]))

@@ -1,7 +1,7 @@
 """Deterministic random-stream derivation.
 
 Every stochastic component draws from its own named stream derived from
-(master seed, purpose, index). Streams are stable across runs, platforms
+(master seed, purpose). Streams are stable across runs, platforms
 and worker counts, so adding parallelism never reshuffles results.
 """
 from __future__ import annotations
@@ -21,15 +21,16 @@ def purpose_key(purpose: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def seed_sequence(master: int, purpose: str, index: int = 0) -> np.random.SeedSequence:
+def seed_sequence(master: int, purpose: str) -> np.random.SeedSequence:
     INDEX.check("master seed", master)
-    INDEX.check("stream index", index)
-    return np.random.SeedSequence((master & _MASK64, purpose_key(purpose), index))
+    # the third word, 0, is part of every stream's entropy: changing it
+    # changes every value drawn
+    return np.random.SeedSequence((master & _MASK64, purpose_key(purpose), 0))
 
 
-def stream(master: int, purpose: str, index: int = 0) -> np.random.Generator:
-    """Dedicated PCG64 generator for (master, purpose, index)."""
-    return np.random.Generator(np.random.PCG64(seed_sequence(master, purpose, index)))
+def stream(master: int, purpose: str) -> np.random.Generator:
+    """Dedicated PCG64 generator for (master, purpose)."""
+    return np.random.Generator(np.random.PCG64(seed_sequence(master, purpose)))
 
 
 def positioned(master: int, purpose: str, start: int) -> np.random.Generator:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rdiqsdc import cli, protocol, verify
+from rdiqsdc import cli, protocol, seeding, verify
 from rdiqsdc.adversary import (
     BlindingAttackParams,
     detection_power,
@@ -143,8 +143,11 @@ def intercepted_counts(r, seed):
         run = ProtocolRun(params, message=[bit] * r)
         result = run.run()
         right.append(round(result.attack.eve_correct_fraction * r))
+    # the interceptor's bases, as the run draws them
+    eve_basis = seeding.stream(params.seed, "adv-basis").integers(1, params.config.n + 1,
+                                                                 size=3 * r)
     s3 = run.ledger.s3_pos
-    matched = int(np.sum(run.eve_basis[s3] == run.ledger.prep[s3]))
+    matched = int(np.sum(eve_basis[s3] == run.ledger.prep[s3]))
     return right, matched
 
 

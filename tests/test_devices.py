@@ -96,14 +96,6 @@ def test_memory_efficiency_eleven_trips():
 
 
 class TestChannelNoiseModel:
-    def test_uniform_mode_constant(self):
-        # at spread 0 every photon takes delta_theta and nothing is drawn
-        model = ChannelNoiseModel(delta_theta=0.05)
-        rng = np.random.default_rng(0)
-        draws = model.draw(100, rng)
-        assert np.all(draws == 0.05)
-        assert rng.random() == np.random.default_rng(0).random()
-
     def test_interval_family_bounds(self):
         model = ChannelNoiseModel(delta_theta=0.1, spread=0.02)
         draws = model.draw(10_000, np.random.default_rng(1))

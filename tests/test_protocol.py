@@ -1,5 +1,6 @@
 """Protocol engine tests: basis policy, the six steps, checking rounds,
 decoding, bookkeeping invariants, and the transcript export."""
+import dataclasses
 import gc
 import itertools
 import json
@@ -242,8 +243,6 @@ class TestSecondCheck:
 
 
 def params_for_tolerant(params: ProtocolParams) -> ProtocolParams:
-    import dataclasses
-
     return dataclasses.replace(params, continue_on_abort=True)
 
 
@@ -285,16 +284,29 @@ class TestDecode:
 
 class TestShuffle:
     def test_round_trip_restores_order(self):
+        # the announced original position of each S2 and S3 slot names the
+        # photon the return trip carried in that slot
         for seed in range(20):
-            run = ProtocolRun(params_for(r=64, seed=seed))
-            run.step1_prepare()
-            run.step2_transmit_to_bob()
-            run.step3_first_check()
-            run.step4_encode_and_shuffle()
-            led = run.ledger
-            recon = np.empty(64, dtype=led.x4.dtype)
-            recon[led.s2_order] = led.x4
-            assert np.array_equal(recon, led.x2)
+            result = run_full_protocol(params_for(r=64, seed=seed))
+            ann, led, carried = result.announcements, result.ledger, result.run.trip2.pos
+            assert np.array_equal(np.sort(np.concatenate([ann.s2p_slots, ann.s3p_slots])),
+                                  np.arange(128))
+            assert np.array_equal(led.s2_pos[ann.s2_original_positions], carried[ann.s2p_slots])
+            assert np.array_equal(led.s3_pos[ann.s3_original_positions], carried[ann.s3p_slots])
+
+    def test_criterion8_reads_the_announcements(self, monkeypatch):
+        announce = ProtocolRun._announcements
+
+        def swapped(self):
+            ann = announce(self)
+            positions = ann.s2_original_positions.copy()
+            positions[[0, 1]] = positions[[1, 0]]
+            return dataclasses.replace(ann, s2_original_positions=positions)
+
+        monkeypatch.setattr(ProtocolRun, "_announcements", swapped)
+        round_trip = verify.criterion8()[1]
+        assert round_trip.name.startswith("shuffle/announce round-trip")
+        assert not round_trip.passed and round_trip.obtained == "0/100 exact"
 
     def test_perm_is_bijection(self):
         run = ProtocolRun(params_for(r=128, seed=7))
@@ -395,9 +407,9 @@ class TestStreamsMade:
         purposes = set()
         derive = seeding.seed_sequence
 
-        def record(master, purpose, index=0):
+        def record(master, purpose):
             purposes.add(purpose)
-            return derive(master, purpose, index)
+            return derive(master, purpose)
 
         monkeypatch.setattr(seeding, "seed_sequence", record)
         return purposes
@@ -781,8 +793,6 @@ class TestInformationFlow:
         assert np.array_equal(cols.basis[s3], cols.prep[s3])
 
     def test_announcement_fields_are_positions_and_outcomes_only(self):
-        import dataclasses
-
         field_names = {f.name for f in dataclasses.fields(type(
             run_full_protocol(params_for(r=16, seed=1)).announcements
         ))}

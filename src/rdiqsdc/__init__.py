@@ -19,7 +19,6 @@ from .analysis import (
     eta_threshold,
     expected_stats,
     fidelity_pair,
-    fidelity_threshold,
     max_distance,
     offset_model,
     practical_efficiency,

@@ -11,7 +11,7 @@ d (weights w, phase phi = 2*pi*d/n) that the target-p1 basis policy draws
 at the operating point (P1, n, theta), under one rotation dth per trip:
 
   mean P(g=0) after rotation t  P(t) = linear in m = E[cos(phi)], P(0) = P1
-  gains             Q1 = eta, Q2 = eta^2 (or those of a full link budget)
+  gains             Q1, Q2 of a link budget (eta and eta^2 at bare efficiency eta)
   state error       e1 = Q1*|P(0) - P(dth)|,  e2 = Q2*|P(0) - P(2*dth)|
   assignment error  e1' = (1-Q1)*A,  e2' = (1-Q2)*A,  A = sum w*min(p, 1-p)
   capacity          C_S = Q2*(1-h(e2+e2')) - Q1*h(e1+e1')
@@ -53,18 +53,12 @@ def binary_entropy(x: float) -> float:
     return -(x * math.log(x) + (1.0 - x) * math.log(1.0 - x)) / _LN2
 
 
-def rotated_outcome_probability(cos_phi: float, theta: float, rotation: float) -> float:
-    """P(g=0) of the state at amplitude angle t = theta + rotation measured in
-    the basis at theta whose phase trails it by phi: |cos(theta)cos(t) +
-    e^{i phi} sin(theta)sin(t)|^2. Linear in cos(phi), so at the mean cosine
-    of an offset distribution it is the distribution's mean P(g=0)."""
-    two_t = 2.0 * (theta + rotation)
-    return _outcome_probability(cos_phi, theta, math.cos(two_t), math.sin(two_t))
-
-
 def _outcome_probability(cos_phi: float, theta: float, cos_two_t, sin_two_t):
-    """rotated_outcome_probability from the cosine and sine of its doubled
-    angle 2t; elementwise, in the same order of operations, over arrays of them."""
+    """P(g=0) of the state at amplitude angle t measured in the basis at theta
+    whose phase trails it by phi, |cos(theta)cos(t) + e^{i phi} sin(theta)sin(t)|^2,
+    from the cosine and sine of 2t; elementwise over arrays of them. Linear in
+    cos(phi), so at the mean cosine of an offset distribution it is the
+    distribution's mean P(g=0)."""
     return 0.5 * (1.0 + math.cos(2.0 * theta) * cos_two_t
                   + math.sin(2.0 * theta) * sin_two_t * cos_phi)
 
@@ -94,7 +88,9 @@ class OffsetModel:
     def of(cls, offsets: OffsetDistribution, theta: float) -> "OffsetModel":
         cosines = [(w, math.cos(2.0 * math.pi * d / offsets.n))
                    for d, w in zip(offsets.deltas, offsets.weights)]
-        ideal = [(w, rotated_outcome_probability(c, theta, 0.0)) for w, c in cosines]
+        two_theta = 2.0 * theta
+        ideal = [(w, _outcome_probability(c, theta, math.cos(two_theta), math.sin(two_theta)))
+                 for w, c in cosines]
         return cls(theta, math.fsum(w * c for w, c in cosines),
                    math.fsum(w * min(p, 1.0 - p) for w, p in ideal),
                    math.fsum(w for w, p in ideal if p > 0.5))
@@ -122,8 +118,8 @@ def offset_model(p1: float, config: BasisConfig = REFERENCE_CONFIG) -> OffsetMod
 class CapacityParams:
     """Operating point of the capacity model.
 
-    Exactly one of `eta` (bare total detection efficiency, gains eta and
-    eta^2) or `link` (full link budget) must be given. `delta_theta` is
+    `link` gives the gains; a bare total detection efficiency eta is
+    LinkBudget(eta_c=eta), whose gains are eta and eta^2. `delta_theta` is
     the rotation per one-way trip; both checking rounds target p1 with the
     target-p1 policy at `config`.
     """
@@ -131,21 +127,10 @@ class CapacityParams:
     p1: float
     delta_theta: float = 0.0
     config: BasisConfig = REFERENCE_CONFIG
-    eta: Optional[float] = None
-    link: Optional[LinkBudget] = None
+    link: LinkBudget = LinkBudget()
 
     def __post_init__(self) -> None:
         UNIT.check("p1", self.p1)
-        if (self.eta is None) == (self.link is None):
-            raise ValueError("exactly one of eta or link must be set")
-        if self.eta is not None:
-            UNIT.check("eta", self.eta)
-
-    def gains(self) -> tuple[float, float]:
-        """(one-way gain, round-trip gain)."""
-        if self.eta is not None:
-            return self.eta, self.eta**2
-        return self.link.q_ab, self.link.q_aba
 
 
 @dataclass(frozen=True)
@@ -206,8 +191,8 @@ def expected_stats(model: OffsetModel, q_ab: float, q_aba: float, delta_theta: f
 def error_budget(params: CapacityParams) -> ErrorBudget:
     """Error budget of the operating point: its expected state errors in
     absolute value, and its assignment errors."""
-    stats = expected_stats(offset_model(params.p1, params.config), *params.gains(),
-                           params.delta_theta)
+    stats = expected_stats(offset_model(params.p1, params.config), params.link.q_ab,
+                           params.link.q_aba, params.delta_theta)
     return ErrorBudget(
         e_ab=abs(stats["e_ab_signed"]),
         e_ab_assign=stats["e_ab_assign"],
@@ -225,7 +210,7 @@ def _information(q_ab: float, q_aba: float, e_one_way: float, e_round_trip: floa
 
 def secrecy_capacity(params: CapacityParams) -> CapacityPoint:
     """Secrecy message capacity C_S; negative values are reported as-is."""
-    q_ab, q_aba = params.gains()
+    q_ab, q_aba = params.link.q_ab, params.link.q_aba
     b = error_budget(params)
     i_ab, i_be = _information(q_ab, q_aba, b.total_one_way, b.total_round_trip)
     return CapacityPoint(
@@ -342,18 +327,11 @@ def delta_theta_threshold(p1: float, config: BasisConfig = REFERENCE_CONFIG) -> 
     return _root(_cs_of_delta_theta(p1, config), scan, lambda pos: SOLVER_TOL)
 
 
-def fidelity_threshold(delta_theta_star: float) -> float:
-    """State fidelity after one rotated trip: cos^2(delta_theta)."""
-    NON_NEGATIVE.check("delta_theta_star", delta_theta_star)
-    return math.cos(delta_theta_star) ** 2
-
-
 def fidelity_pair(delta_theta_star: float) -> tuple[float, float]:
-    """(one-trip, two-trip) fidelity readings: cos^2(dth), cos^2(2*dth)."""
-    return (
-        fidelity_threshold(delta_theta_star),
-        math.cos(2.0 * delta_theta_star) ** 2,
-    )
+    """State fidelity after one and after two rotated trips: cos^2(dth),
+    cos^2(2*dth)."""
+    NON_NEGATIVE.check("delta_theta_star", delta_theta_star)
+    return math.cos(delta_theta_star) ** 2, math.cos(2.0 * delta_theta_star) ** 2
 
 
 @dataclass(frozen=True)
@@ -390,24 +368,23 @@ class SweepColumns:
     i_ab: list[float]
     i_be: list[float]
     c_s: list[float]
-    e_s: list[Optional[float]]
+    e_s: list[float]
 
 
 def sweep(
     axis: str,
     values: Sequence[float],
     p1s: Sequence[float],
+    efficiency: EfficiencyParams,
     delta_theta: float = 0.0,
-    link: Optional[LinkBudget] = None,
-    efficiency: Optional[EfficiencyParams] = None,
+    link: LinkBudget = LinkBudget(),
     config: BasisConfig = REFERENCE_CONFIG,
 ) -> SweepColumns:
     """Evaluate the capacity at every grid value for each P1 in p1s.
 
     axis "eta" varies the bare efficiency, "L" the link distance in km
-    (template `link` supplies the other budget factors), "delta_theta"
-    the per-trip rotation at eta = 1 unless a link is given. e_s is None
-    without `efficiency`.
+    (`link` supplies the other budget factors; no other axis reads it),
+    "delta_theta" the per-trip rotation at eta = 1.
 
     Each column equals the value secrecy_capacity gives at its point. The
     gains and the rotation terms, which do not depend on P1, are computed
@@ -422,32 +399,31 @@ def sweep(
     for p1 in p1s:
         UNIT.check("p1", p1)
     n = len(grid)
+    rotations, dths = [delta_theta], [delta_theta] * n
     if axis == "eta":
         for eta in grid:
-            UNIT.check("eta", eta)
+            UNIT.check("eta_c", eta)
+        # the gains of LinkBudget(eta_c=eta), bit for bit
         q_ab, q_aba = grid, [eta**2 for eta in grid]
     elif axis == "L":
-        links = [replace(link or LinkBudget(), distance_km=v) for v in grid]
+        links = [replace(link, distance_km=v) for v in grid]
         q_ab, q_aba = [b.q_ab for b in links], [b.q_aba for b in links]
     else:
-        gains = (1.0, 1.0) if link is None else (link.q_ab, link.q_aba)
-        q_ab, q_aba = [gains[0]] * n, [gains[1]] * n
-        angles = [(_rotated_angle(config.theta, v, 1), _rotated_angle(config.theta, v, 2))
-                  for v in grid]
-        # (cos, sin) of the doubled angle after one trip and after two
-        trig = [(np.array([math.cos(a[k]) for a in angles]),
-                 np.array([math.sin(a[k]) for a in angles])) for k in (0, 1)]
-    dths = grid if axis == "delta_theta" else [delta_theta] * n
+        q_ab, q_aba = [1.0] * n, [1.0] * n
+        rotations = dths = grid
+    # (cos, sin) of the doubled angle after one trip and after two, one entry
+    # per rotation: off the delta_theta axis a single entry spans the grid
+    angles = [(_rotated_angle(config.theta, v, 1), _rotated_angle(config.theta, v, 2))
+              for v in rotations]
+    trig = [(np.array([math.cos(a[k]) for a in angles]),
+             np.array([math.sin(a[k]) for a in angles])) for k in (0, 1)]
     q1, q2 = np.array(q_ab), np.array(q_aba)
     e_ab, e_aba, i_ab, i_be, c_s = [], [], [], [], []
     for p1 in p1s:
         model = offset_model(p1, config)
-        if axis == "delta_theta":
-            p0 = model.p_g0(0.0)
-            s1, s2 = (np.abs(p0 - _outcome_probability(model.mean_cos, model.theta, cos, sin))
-                      for cos, sin in trig)
-        else:
-            s1, s2 = abs(model.shift(delta_theta)), abs(model.shift(delta_theta, trips=2))
+        p0 = model.p_g0(0.0)
+        s1, s2 = (np.abs(p0 - _outcome_probability(model.mean_cos, model.theta, cos, sin))
+                  for cos, sin in trig)
         # error_budget's totals and _information's terms
         e1 = (q1 * s1 + (1.0 - q1) * model.assign).tolist()
         e2 = (q2 * s2 + (1.0 - q2) * model.assign).tolist()
@@ -459,11 +435,9 @@ def sweep(
         i_ab += i1.tolist()
         i_be += i2.tolist()
         c_s += (i1 - i2).tolist()
-    e_s = ([practical_efficiency(c, efficiency) for c in c_s] if efficiency
-           else [None] * len(c_s))
     blocks = len(p1s)
     return SweepColumns(
         axis=grid * blocks, p1=[p1 for p1 in p1s for _ in range(n)], delta_theta=dths * blocks,
         q_ab=q_ab * blocks, q_aba=q_aba * blocks, e_ab=e_ab, e_aba=e_aba, i_ab=i_ab, i_be=i_be,
-        c_s=c_s, e_s=e_s,
+        c_s=c_s, e_s=[practical_efficiency(c, efficiency) for c in c_s],
     )

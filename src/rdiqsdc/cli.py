@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 from . import analysis, verify
 from .adversary import BlindingAttackParams, detection_power, predict_attacked_distribution
 from .config import ConfigError, RunConfig, load_config
-from .domains import OPEN_UNIT
+from .domains import NON_NEGATIVE, OPEN_UNIT, REAL, UNIT
 from .protocol import (
     BasisPolicyMode, atomic_open, run_first_check, run_full_protocol,
     summary_record, write_transcript,
@@ -183,13 +183,16 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     if not grid:
         raise ConfigError("analysis.grid is empty; set analysis.grid")
     dth = _one_rotation_per_trip(cfg)
-    link = cfg.link()  # checked on every axis, used on the distance axis
+    # the delta_theta axis takes any finite rotation; the solver names one that overflows
+    domain = {"eta": UNIT, "L": NON_NEGATIVE}.get(axis, REAL)
+    for v in grid:
+        if v not in domain:
+            raise ConfigError(f"analysis.grid entries {domain.text} on the {axis} axis, "
+                              f"got {v!r}")
+    link = cfg.link()  # read on the distance axis only
     eff = cfg.efficiency()
-    config = cfg.basis_config()
-    cols = analysis.sweep(
-        axis, grid, cfg["analysis.p1_list"], delta_theta=dth,
-        link=link if axis == "L" else None, efficiency=eff, config=config,
-    )
+    cols = analysis.sweep(axis, grid, cfg["analysis.p1_list"], eff, delta_theta=dth, link=link,
+                          config=cfg.basis_config())
     header = ["axis", "p1", "delta_theta", "eta", "q_ab", "q_aba",
               "e_ab", "e_aba", "i_ab", "i_be", "c_s", "e_s"]
     # eta is the bare efficiency, which is q_ab on every axis

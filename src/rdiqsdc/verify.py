@@ -165,7 +165,7 @@ def criterion4() -> list[CheckResult]:
 def criterion5() -> list[CheckResult]:
     out = []
     for dth_star, want in FIDELITY_TARGETS.items():
-        got = analysis.fidelity_threshold(dth_star)
+        got = analysis.fidelity_pair(dth_star)[0]
         out.append(
             _check("5", f"fidelity at dth*={dth_star}", want, got, 5e-4, "reference")
         )
@@ -452,7 +452,7 @@ def criterion10(
     out = []
 
     def params(p1: float, dth: float, eta: float = 1.0) -> analysis.CapacityParams:
-        return analysis.CapacityParams(p1=p1, delta_theta=dth, eta=eta)
+        return analysis.CapacityParams(p1=p1, delta_theta=dth, link=LinkBudget(eta_c=eta))
 
     worst = 0.0
     for p1 in (0.05, 0.1, 0.25, 0.4, 0.45):

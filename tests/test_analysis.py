@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdiqsdc.analysis import (
@@ -23,11 +23,9 @@ from rdiqsdc.analysis import (
     error_budget,
     eta_threshold,
     fidelity_pair,
-    fidelity_threshold,
     max_distance,
     offset_model,
     practical_efficiency,
-    rotated_outcome_probability,
     secrecy_capacity,
     sweep,
 )
@@ -85,6 +83,11 @@ def brute_capacity(p1: float, config: BasisConfig, eta: float, dth: float) -> fl
     return q2 * (1.0 - binary_entropy(e2)) - q1 * binary_entropy(e1)
 
 
+def single_offset_model(n: int, d: int, theta: float) -> OffsetModel:
+    """Model of the distribution that draws basis offset d alone."""
+    return OffsetModel.of(OffsetDistribution(n=n, deltas=(d,), weights=(1.0,)), theta)
+
+
 def l_max(p1: float, dth: float, eta_c: float = 0.95, **kw):
     return max_distance(p1, dth, LinkBudget(eta_c=eta_c, **kw), eta_star=eta_threshold(p1, dth))
 
@@ -121,56 +124,67 @@ class TestBinaryEntropy:
 
 
 class TestCapacityParams:
-    def test_exactly_one_gain_source(self):
-        with pytest.raises(ValueError):
-            CapacityParams(p1=0.1)
-        with pytest.raises(ValueError):
-            CapacityParams(p1=0.1, eta=0.5, link=LinkBudget())
-
     def test_bare_gains(self):
-        q1, q2 = CapacityParams(p1=0.1, eta=0.6).gains()
-        assert q1 == 0.6 and q2 == pytest.approx(0.36, abs=1e-15)
+        pt = secrecy_capacity(CapacityParams(p1=0.1, link=LinkBudget(eta_c=0.6)))
+        assert pt.q_ab == 0.6 and pt.q_aba == pytest.approx(0.36, abs=1e-15)
 
     def test_link_gains(self):
         link = LinkBudget(distance_km=5.0, eta_c=0.9)
-        q1, q2 = CapacityParams(p1=0.1, link=link).gains()
-        assert q1 == pytest.approx(link.q_ab) and q2 == pytest.approx(link.q_aba)
+        pt = secrecy_capacity(CapacityParams(p1=0.1, link=link))
+        assert pt.q_ab == link.q_ab and pt.q_aba == link.q_aba
+
+    def test_lossless_link_by_default(self):
+        assert CapacityParams(p1=0.1).link == LinkBudget()
+        assert (LinkBudget().q_ab, LinkBudget().q_aba) == (1.0, 1.0)
+
+    @given(st.floats(0.0, 1.0))
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(1.0)
+    def test_bare_efficiency_gains_are_eta_and_its_square(self, eta):
+        # a bare efficiency is written LinkBudget(eta_c=eta); its gains are the
+        # model's eta and eta^2 bit for bit, the sign of a zero included
+        link = LinkBudget(eta_c=eta)
+        assert link.q_ab.hex() == eta.hex()
+        assert link.q_aba.hex() == (eta**2).hex()
 
     def test_p1_validation(self):
         with pytest.raises(ValueError):
-            CapacityParams(p1=1.2, eta=1.0)
+            CapacityParams(p1=1.2)
 
     def test_reference_basis_config_by_default(self):
-        assert CapacityParams(p1=0.1, eta=1.0).config == BasisConfig(n=8, theta=math.pi / 4)
+        assert CapacityParams(p1=0.1).config == BasisConfig(n=8, theta=math.pi / 4)
 
 
 class TestErrorBudget:
     def test_ideal_point_is_error_free(self):
-        b = error_budget(CapacityParams(p1=0.3, delta_theta=0.0, eta=1.0))
+        b = error_budget(CapacityParams(p1=0.3, delta_theta=0.0))
         assert b.e_ab == b.e_ab_assign == b.e_aba == b.e_aba_assign == 0.0
 
     def test_loss_only_point(self):
         # at the 0.4823 operating point with no rotation
-        b = error_budget(CapacityParams(p1=0.1, delta_theta=0.0, eta=0.4823))
+        b = error_budget(CapacityParams(p1=0.1, delta_theta=0.0, link=LinkBudget(eta_c=0.4823)))
         assert b.total_one_way == pytest.approx((1 - 0.4823) * 0.1, abs=1e-15)
         assert b.total_round_trip == pytest.approx((1 - 0.4823**2) * 0.1, abs=1e-15)
         assert b.total_one_way == pytest.approx(0.05177, abs=1e-12)
         assert b.total_round_trip == pytest.approx(0.076739, abs=1e-6)
 
     def test_noise_only_point(self):
-        b = error_budget(CapacityParams(p1=0.1, delta_theta=0.2547, eta=1.0))
+        b = error_budget(CapacityParams(p1=0.1, delta_theta=0.2547))
         assert b.total_one_way == pytest.approx(0.4 * (1 - math.cos(0.5094)), abs=1e-15)
         assert b.total_round_trip == pytest.approx(0.4 * (1 - math.cos(1.0188)), abs=1e-15)
 
     def test_totals_are_sums(self):
-        b = error_budget(CapacityParams(p1=0.2, delta_theta=0.1, eta=0.7))
+        b = error_budget(CapacityParams(p1=0.2, delta_theta=0.1, link=LinkBudget(eta_c=0.7)))
         assert b.total_one_way == pytest.approx(b.e_ab + b.e_ab_assign, abs=1e-15)
         assert b.total_round_trip == pytest.approx(b.e_aba + b.e_aba_assign, abs=1e-15)
 
     def test_symmetric_in_p1(self):
         for p1 in (0.1, 0.3):
-            a = error_budget(CapacityParams(p1=p1, delta_theta=0.2, eta=0.8))
-            b = error_budget(CapacityParams(p1=1 - p1, delta_theta=0.2, eta=0.8))
+            link = LinkBudget(eta_c=0.8)
+            a = error_budget(CapacityParams(p1=p1, delta_theta=0.2, link=link))
+            b = error_budget(CapacityParams(p1=1 - p1, delta_theta=0.2, link=link))
             assert a.total_one_way == pytest.approx(b.total_one_way, abs=1e-12)
             assert a.total_round_trip == pytest.approx(b.total_round_trip, abs=1e-12)
 
@@ -180,7 +194,8 @@ class TestErrorBudget:
         for p1 in P1_LIST + tuple(1.0 - p for p in P1_LIST):
             for eta in (0.3, 0.7, 1.0):
                 for dth in (0.0, math.pi / 400, math.pi / 40, 0.3, 1.2):
-                    b = error_budget(CapacityParams(p1=p1, delta_theta=dth, eta=eta))
+                    link = LinkBudget(eta_c=eta)
+                    b = error_budget(CapacityParams(p1=p1, delta_theta=dth, link=link))
                     got = (b.e_ab, b.e_ab_assign, b.e_aba, b.e_aba_assign)
                     want = quarter_pi_budget(p1, eta, eta**2, dth)
                     assert got == pytest.approx(want, abs=1e-12)
@@ -201,14 +216,14 @@ class TestErrorBudget:
         # the offset above one half is the one whose no-clicks are assigned g=0
         assert model.assign_g0 == pytest.approx(
             sum(w for d, w in zip(offs.deltas, offs.weights) if d in (1, 4)), abs=1e-12)
-        b = error_budget(CapacityParams(p1=0.4, config=config, eta=0.5))
+        b = error_budget(CapacityParams(p1=0.4, config=config, link=LinkBudget(eta_c=0.5)))
         assert b.e_ab_assign == pytest.approx(0.5 * oracle, abs=1e-12)
 
     def test_reduced_form_requires_quarter_pi(self):
         # away from pi/4 the phase-independent part of the Born shift no
         # longer cancels, so the 2*p1-1 reduction misses most of the error
         config = BasisConfig(n=8, theta=0.6)
-        b = error_budget(CapacityParams(p1=0.3, delta_theta=math.pi / 40, config=config, eta=1.0))
+        b = error_budget(CapacityParams(p1=0.3, delta_theta=math.pi / 40, config=config))
         brute = brute_mean_p(0.3, config, 0.0) - brute_mean_p(0.3, config, math.pi / 40)
         assert b.e_ab == pytest.approx(abs(brute), abs=1e-12)
         assert b.e_ab == pytest.approx(0.0401, abs=1e-4)
@@ -266,7 +281,7 @@ class TestOffsetModel:
     def test_overflowing_rotation_names_delta_theta(self, dth):
         # 5e307 keeps the one-trip angle finite, but not the round trip's
         for solve in (lambda: eta_threshold(0.1, dth),
-                      lambda: secrecy_capacity(CapacityParams(p1=0.1, delta_theta=dth, eta=1.0))):
+                      lambda: secrecy_capacity(CapacityParams(p1=0.1, delta_theta=dth))):
             with pytest.raises(ValueError, match=r"^delta_theta=.* is too large"):
                 solve()
 
@@ -274,11 +289,11 @@ class TestOffsetModel:
 class TestSecrecyCapacity:
     def test_perfect_channel(self):
         for p1 in (0.001, 0.25, 0.5):
-            pt = secrecy_capacity(CapacityParams(p1=p1, delta_theta=0.0, eta=1.0))
+            pt = secrecy_capacity(CapacityParams(p1=p1, delta_theta=0.0))
             assert pt.c_s == pytest.approx(1.0, abs=1e-12)
 
     def test_threshold_point_is_marginal(self):
-        pt = secrecy_capacity(CapacityParams(p1=0.1, delta_theta=0.0, eta=0.4823))
+        pt = secrecy_capacity(CapacityParams(p1=0.1, link=LinkBudget(eta_c=0.4823)))
         assert abs(pt.c_s) < 1e-3
 
     def test_half_km_operating_point(self):
@@ -292,13 +307,14 @@ class TestSecrecyCapacity:
         assert pt.c_s == pytest.approx(0.713, abs=1e-3)
 
     def test_negative_capacity_reported(self):
-        pt = secrecy_capacity(CapacityParams(p1=0.1, delta_theta=0.0, eta=0.2))
+        pt = secrecy_capacity(CapacityParams(p1=0.1, delta_theta=0.0, link=LinkBudget(eta_c=0.2)))
         assert pt.c_s < 0.0
 
     def test_bounds(self):
         for eta in (0.1, 0.5, 0.9):
             for dth in (0.0, 0.3, 1.2):
-                pt = secrecy_capacity(CapacityParams(p1=0.2, delta_theta=dth, eta=eta))
+                link = LinkBudget(eta_c=eta)
+                pt = secrecy_capacity(CapacityParams(p1=0.2, delta_theta=dth, link=link))
                 assert 0.0 <= pt.i_ab <= pt.q_aba + 1e-15
                 assert 0.0 <= pt.i_be_bound <= pt.q_ab + 1e-15
                 assert abs(pt.c_s) <= 1.0 + 1e-15
@@ -312,14 +328,14 @@ class TestEtaThreshold:
 
     def test_capacity_changes_sign_at_root(self):
         star = eta_threshold(0.2, 0.0)
-        below = secrecy_capacity(CapacityParams(p1=0.2, eta=star - 1e-4)).c_s
-        above = secrecy_capacity(CapacityParams(p1=0.2, eta=star + 1e-4)).c_s
+        below = secrecy_capacity(CapacityParams(p1=0.2, link=LinkBudget(eta_c=star - 1e-4))).c_s
+        above = secrecy_capacity(CapacityParams(p1=0.2, link=LinkBudget(eta_c=star + 1e-4))).c_s
         assert below < 0 < above
 
     def test_monotone_above_threshold(self):
         star = eta_threshold(0.1, 0.0)
         values = [
-            secrecy_capacity(CapacityParams(p1=0.1, eta=e)).c_s
+            secrecy_capacity(CapacityParams(p1=0.1, link=LinkBudget(eta_c=e))).c_s
             for e in [star + k * (1 - star) / 200 for k in range(201)]
         ]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
@@ -333,8 +349,9 @@ class TestEtaThreshold:
         # the log tail must still find them with a real sign change
         star = eta_threshold(1e-5, 0.0)
         assert star == pytest.approx(1.8e-4, rel=0.05)
-        assert secrecy_capacity(CapacityParams(p1=1e-5, eta=star * 1.01)).c_s > 0
-        assert secrecy_capacity(CapacityParams(p1=1e-5, eta=star * 0.99)).c_s < 0
+        above, below = LinkBudget(eta_c=star * 1.01), LinkBudget(eta_c=star * 0.99)
+        assert secrecy_capacity(CapacityParams(p1=1e-5, link=above)).c_s > 0
+        assert secrecy_capacity(CapacityParams(p1=1e-5, link=below)).c_s < 0
         assert l_max(1e-5, 0.0, eta_c=0.95) == pytest.approx(186.1, abs=0.5)
 
     def test_p1_validation(self):
@@ -386,14 +403,14 @@ class TestDeltaThetaThreshold:
 
     def test_root_brackets_sign_change(self):
         star = delta_theta_threshold(0.3)
-        above = secrecy_capacity(CapacityParams(p1=0.3, delta_theta=star - 1e-4, eta=1.0)).c_s
-        below = secrecy_capacity(CapacityParams(p1=0.3, delta_theta=star + 1e-4, eta=1.0)).c_s
+        above = secrecy_capacity(CapacityParams(p1=0.3, delta_theta=star - 1e-4)).c_s
+        below = secrecy_capacity(CapacityParams(p1=0.3, delta_theta=star + 1e-4)).c_s
         assert above > 0 > below
 
     def test_midrange_minimum_regime(self):
         # high operating points keep a positive capacity at the half-pi
         # rotation where the round-trip error vanishes
-        pt = secrecy_capacity(CapacityParams(p1=0.429, delta_theta=math.pi / 2, eta=1.0))
+        pt = secrecy_capacity(CapacityParams(p1=0.429, delta_theta=math.pi / 2))
         assert pt.budget.e_aba == pytest.approx(0.0, abs=1e-12)
         assert pt.c_s > 0.4
 
@@ -404,14 +421,14 @@ class TestDeltaThetaThreshold:
         cs = _cs_of_delta_theta(p1, REFERENCE_CONFIG)
         for k in range(201):
             dth = 1e-4 + k * (math.pi - 2e-4) / 200
-            assert cs(dth) == secrecy_capacity(CapacityParams(p1=p1, delta_theta=dth, eta=1.0)).c_s
+            assert cs(dth) == secrecy_capacity(CapacityParams(p1=p1, delta_theta=dth)).c_s
 
 
 class TestFidelity:
     def test_mapping(self):
-        assert fidelity_threshold(0.2547) == pytest.approx(0.9365, abs=5e-4)
-        assert fidelity_threshold(0.5912) == pytest.approx(0.6894, abs=5e-4)
-        assert fidelity_threshold(0.0) == 1.0
+        assert fidelity_pair(0.2547)[0] == pytest.approx(0.9365, abs=5e-4)
+        assert fidelity_pair(0.5912)[0] == pytest.approx(0.6894, abs=5e-4)
+        assert fidelity_pair(0.0) == (1.0, 1.0)
 
     def test_pair_includes_two_trip_reading(self):
         one, two = fidelity_pair(0.2547)
@@ -420,7 +437,7 @@ class TestFidelity:
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            fidelity_threshold(-0.1)
+            fidelity_pair(-0.1)
 
 
 class TestPracticalEfficiency:
@@ -443,41 +460,42 @@ class TestPracticalEfficiency:
 
 class TestSweep:
     def test_eta_axis(self):
-        cols = sweep("eta", [0.3, 0.6, 0.9], [0.1])
+        eff = EfficiencyParams()
+        cols = sweep("eta", [0.3, 0.6, 0.9], [0.1], eff)
         assert cols.axis == cols.q_ab == [0.3, 0.6, 0.9]
-        assert cols.e_s == [None] * 3
+        assert cols.e_s == [practical_efficiency(c, eff) for c in cols.c_s]
 
     def test_distance_axis_maps_gains(self):
         link = LinkBudget(eta_c=0.95)
-        cols = sweep("L", [0.0, 10.0, 20.0], [0.1], link=link, efficiency=EfficiencyParams())
+        cols = sweep("L", [0.0, 10.0, 20.0], [0.1], EfficiencyParams(), link=link)
         assert cols.q_ab[0] == pytest.approx(0.95)
         assert cols.q_ab[0] > cols.q_ab[1] > cols.q_ab[2]
-        assert all(e_s is not None for e_s in cols.e_s)
 
     def test_delta_theta_axis_runs_lossless(self):
-        cols = sweep("delta_theta", [0.0, 0.1], [0.2])
-        assert cols.q_ab[0] == 1.0
+        # a link is read on the distance axis only
+        cols = sweep("delta_theta", [0.0, 0.1], [0.2], EfficiencyParams(),
+                     link=LinkBudget(eta_c=0.5))
+        assert cols.q_ab == cols.q_aba == [1.0, 1.0]
         assert cols.c_s[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown_axis(self):
         with pytest.raises(ValueError):
-            sweep("loss", [1.0], [0.1])
+            sweep("loss", [1.0], [0.1], EfficiencyParams())
 
     def test_efficiency_floor_in_sweep(self):
-        cols = sweep("eta", [0.05], [0.1], efficiency=EfficiencyParams())
+        cols = sweep("eta", [0.05], [0.1], EfficiencyParams())
         assert cols.c_s[0] < 0 and cols.e_s == [0.0]
 
 
 def scalar_params(axis: str, v: float, p1: float, dth: float = 0.0,
-                  link: LinkBudget = None, config: BasisConfig = REFERENCE_CONFIG):
+                  link: LinkBudget = LinkBudget(), config: BasisConfig = REFERENCE_CONFIG):
     """The operating point of one sweep row, built as a scalar evaluation."""
     if axis == "eta":
-        return CapacityParams(p1=p1, delta_theta=dth, config=config, eta=v)
+        return CapacityParams(p1=p1, delta_theta=dth, config=config, link=LinkBudget(eta_c=v))
     if axis == "L":
         return CapacityParams(p1=p1, delta_theta=dth, config=config,
-                              link=replace(link or LinkBudget(), distance_km=v))
-    gain = {"eta": 1.0} if link is None else {"link": link}
-    return CapacityParams(p1=p1, delta_theta=v, config=config, **gain)
+                              link=replace(link, distance_km=v))
+    return CapacityParams(p1=p1, delta_theta=v, config=config)
 
 
 def _bits(values) -> list:
@@ -485,12 +503,11 @@ def _bits(values) -> list:
     return [(v, math.copysign(1.0, v)) if isinstance(v, float) else v for v in values]
 
 
-def assert_sweep_equals_scalar(axis, grid, p1s, dth=0.0, link=None, efficiency=None,
+def assert_sweep_equals_scalar(axis, grid, p1s, efficiency, dth=0.0, link=LinkBudget(),
                                config=REFERENCE_CONFIG):
     """Every column of the sweep equals secrecy_capacity at its point, bit for
     bit, in P1-major order; returns the c_s column."""
-    cols = sweep(axis, grid, p1s, delta_theta=dth, link=link, efficiency=efficiency,
-                 config=config)
+    cols = sweep(axis, grid, p1s, efficiency, delta_theta=dth, link=link, config=config)
     got = list(zip(cols.axis, cols.p1, cols.delta_theta, cols.q_ab, cols.q_aba, cols.e_ab,
                    cols.e_aba, cols.i_ab, cols.i_be, cols.c_s, cols.e_s))
     want = []
@@ -498,10 +515,9 @@ def assert_sweep_equals_scalar(axis, grid, p1s, dth=0.0, link=None, efficiency=N
         for v in grid:
             params = scalar_params(axis, v, p1, dth, link, config)
             pt = secrecy_capacity(params)
-            e_s = practical_efficiency(pt.c_s, efficiency) if efficiency else None
             want.append((v, p1, params.delta_theta, pt.q_ab, pt.q_aba,
                          pt.budget.total_one_way, pt.budget.total_round_trip,
-                         pt.i_ab, pt.i_be_bound, pt.c_s, e_s))
+                         pt.i_ab, pt.i_be_bound, pt.c_s, practical_efficiency(pt.c_s, efficiency)))
     assert got == want
     assert [_bits(row) for row in got] == [_bits(row) for row in want]
     return cols.c_s
@@ -515,34 +531,30 @@ def assert_sweep_equals_scalar(axis, grid, p1s, dth=0.0, link=None, efficiency=N
     grid=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
     dth=st.one_of(st.just(0.0), st.floats(-0.4, 0.4)),
     factors=st.tuples(*[st.floats(0.0, 1.0)] * 4),
-    with_link=st.booleans(),
-    with_efficiency=st.booleans(),
+    efficiency=st.builds(EfficiencyParams, r_rep_hz=st.floats(1.0, 1e9), p_s=st.floats(0.0, 1.0)),
 )
 @settings(max_examples=200, deadline=None)
 def test_sweep_columns_equal_scalar_capacity(axis, n, theta, p1_fractions, grid, dth, factors,
-                                            with_link, with_efficiency):
+                                            efficiency):
     config = BasisConfig(n=n, theta=theta)
-    ideal = [rotated_outcome_probability(math.cos(2 * math.pi * d / n), theta, 0.0)
-             for d in range(n)]
+    ideal = [single_offset_model(n, d, theta).p_g0(0.0) for d in range(n)]
     lo, hi = min(ideal), max(ideal)
     p1s = [min(max(lo + f * (hi - lo), lo), hi) for f in p1_fractions]
     eta_c, eta_m, eta_d, alpha = factors
     link = LinkBudget(alpha_db_per_km=alpha, eta_c=eta_c, eta_m=eta_m, eta_d=eta_d)
     scale = {"eta": 1.0, "L": 200.0, "delta_theta": 1.0}[axis]
     grid = [scale * v for v in grid]
-    link = link if with_link or axis == "L" else None
     # and on both sides of a root, where C_S changes sign: the solvers
     # return it to within 1e-3 of itself (eta*) or 1e-6 (dth*)
     p1, root = p1s[0], None
     if 0.0 < p1 < 1.0 and axis == "eta":
         root = eta_threshold(p1, dth, config=config)
-    elif 0.0 < p1 < 1.0 and axis == "delta_theta" and link is None:
+    elif 0.0 < p1 < 1.0 and axis == "delta_theta":
         root = delta_theta_threshold(p1, config=config)
     if root is not None:
         d = 2e-3 * root if axis == "eta" else 2e-6
         grid += [root - d, root, min(root + d, 1.0)]
-    efficiency = EfficiencyParams() if with_efficiency else None
-    c_s = assert_sweep_equals_scalar(axis, grid, p1s, dth, link, efficiency, config)
+    c_s = assert_sweep_equals_scalar(axis, grid, p1s, efficiency, dth, link, config)
     if root is not None and root + d <= 1.0:
         below, _, above = c_s[len(grid) - 3:len(grid)]
         assert (below > 0.0) != (above > 0.0)
@@ -553,7 +565,7 @@ def test_dense_sweep_equals_scalar_capacity(axis, top):
     # a libm call swapped for its numpy version can differ on a few inputs in
     # a thousand (numpy's x**2 and pow(x, 2) do), which only a dense grid shows
     grid = [top * k / 10_000 for k in range(10_001)]
-    assert_sweep_equals_scalar(axis, grid, [0.1], dth=0.0785398, efficiency=EfficiencyParams())
+    assert_sweep_equals_scalar(axis, grid, [0.1], EfficiencyParams(), dth=0.0785398)
 
 
 @pytest.mark.parametrize("axis, bad", [
@@ -565,19 +577,22 @@ def test_sweep_raises_the_scalar_error(axis, bad):
     with pytest.raises(ValueError) as scalar:
         secrecy_capacity(scalar_params(axis, bad, 0.1))
     with pytest.raises(ValueError) as columns:
-        sweep(axis, [0.5, bad], [0.1, 0.4])
+        sweep(axis, [0.5, bad], [0.1, 0.4], EfficiencyParams())
     assert str(columns.value) == str(scalar.value)
 
 
 def test_ideal_outcome_probability_reduces_to_cosine():
-    # the unrotated outcome probability of offset d at pi/4 is cos^2(pi*d/n)
+    # the unrotated outcome probability of offset d at pi/4 is cos^2(pi*d/n),
+    # and the model of an offset drawn alone assigns its no-clicks at min(p, 1-p)
     for n in (3, 5, 8, 16):
         for d in range(n):
-            p = rotated_outcome_probability(math.cos(2 * math.pi * d / n), math.pi / 4, 0.0)
-            assert p == pytest.approx(math.cos(math.pi * d / n) ** 2, abs=1e-12)
-    # and at any angle it is |cos^2(theta) + e^{i phi} sin^2(theta)|^2
+            want = math.cos(math.pi * d / n) ** 2
+            model = single_offset_model(n, d, math.pi / 4)
+            assert model.p_g0(0.0) == pytest.approx(want, abs=1e-12)
+            assert model.assign == pytest.approx(min(want, 1.0 - want), abs=1e-12)
+    # and at any angle it is |cos^2(theta) + e^{i phi} sin^2(theta)|^2, phi = 2*pi*d/n
     for theta in (0.3, 0.6, 1.2):
-        for phi in (0.0, 1.0, math.pi / 2, math.pi, 5.0):
+        for n, d in ((8, 0), (7, 1), (8, 2), (8, 4), (9, 7)):
+            phi = 2 * math.pi * d / n
             want = abs(math.cos(theta) ** 2 + cmath.exp(1j * phi) * math.sin(theta) ** 2) ** 2
-            assert rotated_outcome_probability(math.cos(phi), theta, 0.0) == pytest.approx(
-                want, abs=1e-12)
+            assert single_offset_model(n, d, theta).p_g0(0.0) == pytest.approx(want, abs=1e-12)

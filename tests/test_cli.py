@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -437,6 +438,13 @@ class TestConfigContracts:
         ("threshold", ["analysis.p1_list=0.1,1"],
          "analysis.p1_list entries must lie in (0, 1) for threshold, got 1.0"),
         ("sweep", ["analysis.p1_list=0,1"], None),
+        ("sweep", ["analysis.grid=0.5,2"],
+         "analysis.grid entries must lie in [0, 1] on the eta axis, got 2.0"),
+        ("sweep", ["analysis.grid=-0.5"],
+         "analysis.grid entries must lie in [0, 1] on the eta axis, got -0.5"),
+        ("sweep", ["analysis.axis=L", "analysis.grid=-1"],
+         "analysis.grid entries must be >= 0 on the L axis, got -1.0"),
+        ("sweep", ["analysis.axis=delta_theta", "analysis.grid=-1,2"], None),
     ])
     def test_command_scoped_checks(self, tmp_path, capsys, cmd, sets, message):
         # checks that hold in the commands that build what they check, each
@@ -501,11 +509,13 @@ class TestConfigContracts:
         assert abs(empirical - want) <= 5 * math.sqrt(want * (1 - want) / 20_000)
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_config_rows() -> list[tuple[str, str]]:
     """(key, domain column) of each key README's config table names; a row
     such as `physics.eta_c` / `eta_m` / `eta_d` names three keys."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    section = README.read_text().split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
     rows = []
     for line in section.splitlines():
         if line.startswith("| `"):
@@ -515,6 +525,28 @@ def _readme_config_rows() -> list[tuple[str, str]]:
             rows += [(key, cells[4].strip())
                      for key in [first] + [f"{prefix}.{name}" for name in rest]]
     return rows
+
+
+# the file each documented command writes, as README.md names it
+README_OUTPUTS = {"sweep": "sweep.csv", "threshold": "thresholds.csv", "simulate": "summary.json"}
+
+
+def _readme_examples() -> list[list[str]]:
+    """The arguments of each `rdiqsdc` command in the fenced block under
+    `### Examples` in README.md, continuation lines joined."""
+    block = README.read_text().split("\n### Examples\n", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("rdiqsdc ")]
+
+
+def test_readme_examples_run(tmp_path):
+    examples = _readme_examples()
+    assert [argv[0] for argv in examples] == ["sweep", "sweep", "sweep", "threshold", "simulate"]
+    for i, argv in enumerate(examples):
+        out = tmp_path / str(i)
+        assert main(argv + ["--out", str(out), "--workers", "1"]) == 0, argv
+        name = README_OUTPUTS[argv[0]]
+        assert f"`{name}`" in README.read_text() and (out / name).is_file()
 
 
 def test_readme_config_table_lists_every_schema_key():
@@ -828,8 +860,8 @@ class TestBasisConfigInAnalysis:
             eta, p1, c_s = float(fields[0]), float(fields[1]), float(fields[10])
             want = brute_capacity(p1, self.CONFIG, eta, 0.0785398)
             assert c_s == pytest.approx(want, rel=1e-9, abs=1e-12)
-        cols = analysis.sweep("eta", [0.2, 0.6, 1.0], [0.3, 0.6], delta_theta=0.0785398,
-                              config=self.CONFIG)
+        cols = analysis.sweep("eta", [0.2, 0.6, 1.0], [0.3, 0.6], analysis.EfficiencyParams(),
+                              delta_theta=0.0785398, config=self.CONFIG)
         assert cols.p1 == [0.3] * 3 + [0.6] * 3
         for p1, eta, c_s in zip(cols.p1, cols.axis, cols.c_s):
             want = brute_capacity(p1, self.CONFIG, eta, 0.0785398)
@@ -884,6 +916,13 @@ ANALYSIS_GOLDEN = {
     "sweep-delta_theta-2000": (["analysis.axis=delta_theta", "analysis.grid=0:3.14159:2000"],
                                "sweep.csv",
                                "b6c597abbb41cfec74cff01656962ed8853fb8d6fff369442bf2b2c65dc38aa5"),
+    # off the delta_theta axis at a nonzero rotation, where the rotation terms are not 0
+    "sweep-eta-pi40": (["analysis.axis=eta", "analysis.grid=0.0005:1:2000",
+                        "physics.delta_theta=0.0785398"], "sweep.csv",
+                       "61f1c73cba6dab43364c5aa975be2942b2961016103c3c02aad87359c1727862"),
+    "sweep-L-pi40": (["analysis.axis=L", "analysis.grid=0:100:2000",
+                      "physics.delta_theta=0.0785398"], "sweep.csv",
+                     "a245a5cc42c597cace5a14b641c0d3a3d6634288808eac9734e9e5c119816e73"),
 }
 
 

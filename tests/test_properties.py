@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from rdiqsdc.analysis import (
     CapacityParams, OffsetModel, binary_entropy, error_budget, secrecy_capacity,
 )
+from rdiqsdc.devices import LinkBudget
 from rdiqsdc.protocol import _MESSAGE_PHASES, BasisPolicy, BasisPolicyMode, _offset_phases
 from rdiqsdc.qstate import (
     BasisConfig,
@@ -106,8 +107,9 @@ def test_entropy_symmetry_and_bounds(x):
     st.floats(min_value=0.0, max_value=math.pi),
 )
 def test_capacity_symmetric_about_half(p1, eta, dth):
-    a = secrecy_capacity(CapacityParams(p1=p1, delta_theta=dth, eta=eta)).c_s
-    b = secrecy_capacity(CapacityParams(p1=1.0 - p1, delta_theta=dth, eta=eta)).c_s
+    link = LinkBudget(eta_c=eta)
+    a = secrecy_capacity(CapacityParams(p1=p1, delta_theta=dth, link=link)).c_s
+    b = secrecy_capacity(CapacityParams(p1=1.0 - p1, delta_theta=dth, link=link)).c_s
     assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -117,7 +119,7 @@ def test_capacity_symmetric_about_half(p1, eta, dth):
     st.floats(min_value=0.0, max_value=math.pi),
 )
 def test_budget_components_nonnegative_and_additive(p1, eta, dth):
-    b = error_budget(CapacityParams(p1=p1, delta_theta=dth, eta=eta))
+    b = error_budget(CapacityParams(p1=p1, delta_theta=dth, link=LinkBudget(eta_c=eta)))
     assert min(b.e_ab, b.e_ab_assign, b.e_aba, b.e_aba_assign) >= 0.0
     assert b.total_one_way == pytest.approx(b.e_ab + b.e_ab_assign, abs=1e-15)
     assert b.total_one_way <= 1.0 and b.total_round_trip <= 1.0

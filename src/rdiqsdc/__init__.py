@@ -28,8 +28,6 @@ from .analysis import (
 from .devices import ChannelNoiseModel, LinkBudget, LossSite, memory_efficiency
 from .protocol import (
     Announcements,
-    BasisPolicy,
-    BasisPolicyMode,
     EstStat,
     MessageFrame,
     OffsetDistribution,

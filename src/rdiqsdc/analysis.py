@@ -7,8 +7,9 @@ are pure; the Monte Carlo protocol engine cross-validates them at the
 event level.
 
 Every error term comes from one model of the checking rounds: the offsets
-d (weights w, phase phi = 2*pi*d/n) that the target-p1 basis policy draws
-at the operating point (P1, n, theta), under one rotation dth per trip:
+d (weights w, phase phi = 2*pi*d/n) that the checking rounds draw against
+the P1 target at the operating point (P1, n, theta), under one rotation dth
+per trip:
 
   mean P(g=0) after rotation t  P(t) = linear in m = E[cos(phi)], P(0) = P1
   gains             Q1, Q2 of a link budget (eta and eta^2 at bare efficiency eta)
@@ -35,7 +36,7 @@ import numpy as np
 
 from .devices import LinkBudget
 from .domains import NON_NEGATIVE, OPEN_UNIT, POSITIVE, UNIT
-from .protocol import BasisPolicy, BasisPolicyMode, OffsetDistribution
+from .protocol import OffsetDistribution
 from .qstate import BasisConfig
 
 _LN2 = math.log(2.0)
@@ -107,11 +108,11 @@ class OffsetModel:
 
 
 @functools.lru_cache(maxsize=256)
-def offset_model(p1: float, config: BasisConfig = REFERENCE_CONFIG) -> OffsetModel:
-    """Model of the target-p1 policy at P1 = p1, built once per operating
-    point; ValueError when the policy cannot reach p1 at this n and theta."""
-    offsets = BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=p1).offsets(config)
-    return OffsetModel.of(offsets, config.theta)
+def offset_model(p1: Optional[float], config: BasisConfig = REFERENCE_CONFIG) -> OffsetModel:
+    """Model of the offsets drawn against the P1 target p1 (uniform ones
+    where None), built once per operating point; ValueError when no offsets
+    reach p1 at this n and theta."""
+    return OffsetModel.of(OffsetDistribution.of(config, p1), config.theta)
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ class CapacityParams:
     `link` gives the gains; a bare total detection efficiency eta is
     LinkBudget(eta_c=eta), whose gains are eta and eta^2. `delta_theta` is
     the rotation per one-way trip; both checking rounds target p1 with the
-    target-p1 policy at `config`.
+    offsets that target it at `config`.
     """
 
     p1: float

@@ -18,10 +18,9 @@ from typing import Iterable, Optional, Sequence
 from . import analysis, verify
 from .adversary import BlindingAttackParams, detection_power, predict_attacked_distribution
 from .config import ConfigError, RunConfig, load_config
-from .domains import NON_NEGATIVE, OPEN_UNIT, REAL, UNIT
+from .domains import NON_NEGATIVE, OPEN_UNIT, REAL, SEED, UNIT
 from .protocol import (
-    BasisPolicyMode, atomic_open, run_first_check, run_full_protocol,
-    summary_record, write_transcript,
+    atomic_open, run_first_check, run_full_protocol, summary_record, write_transcript,
 )
 
 
@@ -269,11 +268,9 @@ def _attack_point(job) -> list:
 
 def cmd_attack_scan(cfg: RunConfig, args) -> int:
     base = cfg.protocol_params()
-    if base.policy.mode is BasisPolicyMode.TARGET_P1:
-        target = base.policy.target
-    else:
-        offsets = base.policy.offsets(base.config)
-        target = analysis.OffsetModel.of(offsets, base.config.theta).p_g0(0.0)
+    target = base.p1_target
+    if target is None:  # the uniform offsets' expected first-round P(g=0)
+        target = analysis.offset_model(None, base.config).p_g0(0.0)
     r = cfg["attack.r"]
     # one seed per point: a row of the p2 grid spans at least 100 seeds
     stride = max(100, len(cfg["attack.p2_grid"]))
@@ -285,7 +282,8 @@ def cmd_attack_scan(cfg: RunConfig, args) -> int:
                 r=r,
                 adversary=BlindingAttackParams(p1=float(p1a), p2=float(p2a)),
                 continue_on_abort=True,
-                seed=base.seed + 1_000 + stride * i + j,
+                # wraps past the largest seed, as 64-bit words do
+                seed=(base.seed + 1_000 + stride * i + j) % (SEED.hi + 1),
             )
             jobs.append((params, float(target), params.check_tolerance()))
     # a process per point at most

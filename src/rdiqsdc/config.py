@@ -21,9 +21,9 @@ from .adversary import BlindingAttackParams
 from .analysis import EfficiencyParams
 from .devices import ChannelNoiseModel, LinkBudget, memory_efficiency
 from .domains import (
-    ANGLE, COUNT, INDEX, NON_NEGATIVE, OPEN_UNIT, POSITIVE, REAL, SETTINGS, UNIT, Domain,
+    ANGLE, COUNT, INDEX, NON_NEGATIVE, OPEN_UNIT, POSITIVE, REAL, SEED, SETTINGS, UNIT, Domain,
 )
-from .protocol import BasisPolicy, BasisPolicyMode, ProtocolParams, Round2Mode, hoeffding_tolerance
+from .protocol import ProtocolParams, Round2Mode, hoeffding_tolerance
 from .qstate import BasisConfig
 
 ENV_CONFIG = "RDIQSDC_CONFIG"
@@ -62,10 +62,11 @@ def _parse_unit_grid(s: str) -> tuple[float, ...]:
     return grid
 
 
-def _parse_tolerance(s: str):
-    if s.strip().lower() == "hoeffding":
-        return None
-    return NON_NEGATIVE.parse(s)
+def _keyword_or(keyword: str, domain: Domain):
+    """Parser of `keyword`, read as None, or of a number in `domain`."""
+    def parse(s: str):
+        return None if s.strip().lower() == keyword else domain.parse(s)
+    return parse
 
 
 def _parse_epsilon(s: str) -> float:
@@ -95,12 +96,11 @@ SCHEMA: dict[str, tuple] = {
     "protocol.r": (10_000, COUNT),
     "protocol.n": (8, SETTINGS),
     "protocol.theta": (math.pi / 4, ANGLE),
-    "protocol.policy": ("target-p1", _choice("uniform", "target-p1")),
-    "protocol.p1_target": (0.1, UNIT),
-    "protocol.tolerance": (None, _parse_tolerance),
+    "protocol.p1_target": (0.1, _keyword_or("uniform", UNIT)),
+    "protocol.tolerance": (None, _keyword_or("hoeffding", NON_NEGATIVE)),
     "protocol.epsilon": (1e-6, _parse_epsilon),
     "protocol.message": ("random", _parse_message),
-    "protocol.seed": (0, INDEX),
+    "protocol.seed": (0, SEED),
     "protocol.round2_mode": ("policy", _choice("policy", "original-order")),
     "protocol.continue_on_abort": (False, _parse_bool),
     "physics.distance_km": (0.0, NON_NEGATIVE),
@@ -158,11 +158,6 @@ class RunConfig:
     def basis_config(self) -> BasisConfig:
         return BasisConfig(n=self["protocol.n"], theta=self["protocol.theta"])
 
-    def policy(self) -> BasisPolicy:
-        if self["protocol.policy"] == "uniform":
-            return BasisPolicy(mode=BasisPolicyMode.UNIFORM)
-        return BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=self["protocol.p1_target"])
-
     def link(self) -> LinkBudget:
         eta_m = self["physics.eta_m"]
         if self["physics.qm_round_trips"] > 0:
@@ -191,7 +186,7 @@ class RunConfig:
         return ProtocolParams(
             r=self["protocol.r"],
             config=self.basis_config(),
-            policy=self.policy(),
+            p1_target=self["protocol.p1_target"],
             link=self.link(),
             noise=self.noise(),
             adversary=self.adversary(),
@@ -234,17 +229,24 @@ def load_config(
     if path is None:
         path = os.environ.get(ENV_CONFIG) or None
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, raw = (part.strip() for part in line.split("=", 1))
-                values[key] = parse_value(key, raw)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 ({exc.reason} at byte "
+                              f"{exc.start})") from None
+        for lineno, line in enumerate(lines, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key = value")
+            key, raw = (part.strip() for part in line.split("=", 1))
+            values[key] = parse_value(key, raw)
     for key, raw in (overrides or {}).items():
         values[key] = parse_value(key, raw)
     return RunConfig(values).validate()

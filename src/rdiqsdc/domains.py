@@ -29,6 +29,8 @@ class Domain:
     def text(self) -> str:
         """The rule as a phrase, such as "must lie in [0, 1]"."""
         if self.kind is int:
+            if self.hi is not None:
+                return f"must be an integer in [{self.lo}, {self.hi}]"
             excluded = "".join(f" and != {x}" for x in self.exclude)
             return f"must be an integer >= {self.lo}{excluded}"
         if self.lo is None:
@@ -64,5 +66,6 @@ NON_NEGATIVE = Domain(float, 0.0)
 POSITIVE = Domain(float, 0.0, open=True)
 COUNT = Domain(int, 1)
 INDEX = Domain(int, 0)
+SEED = Domain(int, 0, 2**64 - 1)  # the 64-bit word each random stream's entropy takes
 SETTINGS = Domain(int, 3, exclude=(4,))  # n = 2 has one usable basis, n = 4 pins P1 at 0.5
 ANGLE = Domain(float, 0.0, math.pi / 2, open=True)

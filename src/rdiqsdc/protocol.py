@@ -34,17 +34,12 @@ import numpy as np
 from . import seeding
 from .adversary import AttackOutcomeStats, BlindingAttackParams, attack_stats
 from .devices import ChannelNoiseModel, LinkBudget, LossSite
-from .domains import COUNT, NON_NEGATIVE, OPEN_UNIT, UNIT
+from .domains import COUNT, NON_NEGATIVE, OPEN_UNIT, SEED, UNIT
 from .qstate import BasisConfig, born_p
 
 
 class ProtocolViolation(ValueError):
     """Raised when announced data is inconsistent with the protocol state."""
-
-
-class BasisPolicyMode(enum.Enum):
-    UNIFORM = "uniform"
-    TARGET_P1 = "target-p1"
 
 
 @dataclass(frozen=True)
@@ -63,48 +58,31 @@ class OffsetDistribution:
         idx = rng.choice(len(self.deltas), size=size, p=self.weights)
         return np.asarray(self.deltas, dtype=np.int64)[idx]
 
+    @classmethod
+    def of(cls, config: BasisConfig, p1_target: Optional[float]) -> "OffsetDistribution":
+        """The offsets the checking rounds draw against the first-round
+        P(g=0) target `p1_target`.
 
-@dataclass(frozen=True)
-class BasisPolicy:
-    """How measurement bases relate to preparation bases in the checks.
-
-    UNIFORM draws the offset uniformly (expected first-round P(g=0) = 0.5
-    for every n at theta = pi/4); TARGET_P1 mixes the two offsets whose ideal outcome
-    probabilities bracket the requested target, hitting it exactly in
-    expectation, or the one offset that realizes it alone.
-    """
-
-    mode: BasisPolicyMode = BasisPolicyMode.UNIFORM
-    target: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.mode is BasisPolicyMode.TARGET_P1:
-            if self.target is None:
-                raise ValueError("target-p1 policy needs a target")
-            UNIT.check("target", self.target)
-        elif self.target is not None:
-            raise ValueError("uniform policy takes no target")
-
-    def offsets(self, config: BasisConfig) -> OffsetDistribution:
+        None draws them uniformly (expected first-round P(g=0) = 0.5 for
+        every n at theta = pi/4); a target mixes the two offsets whose ideal
+        outcome probabilities bracket it, hitting it exactly in expectation,
+        or takes the one offset that realizes it alone.
+        """
         n = config.n
-        if self.mode is BasisPolicyMode.UNIFORM:
-            return OffsetDistribution(
-                n=n, deltas=tuple(range(n)), weights=(1.0 / n,) * n
-            )
+        if p1_target is None:
+            return cls(n=n, deltas=tuple(range(n)), weights=(1.0 / n,) * n)
         ideal = _ideal_p(config.theta, 2.0 * math.pi * np.arange(n) / n)
         probs = [(float(p), d) for d, p in enumerate(ideal)]
-        lo = max(((p, d) for p, d in probs if p <= self.target + 1e-12), default=None)
-        hi = min(((p, d) for p, d in probs if p >= self.target - 1e-12), default=None)
+        lo = max(((p, d) for p, d in probs if p <= p1_target + 1e-12), default=None)
+        hi = min(((p, d) for p, d in probs if p >= p1_target - 1e-12), default=None)
         if lo is None or hi is None:
             raise ValueError(
-                f"target {self.target} is outside the reachable range for n={n}"
+                f"target {p1_target} is outside the reachable range for n={n}"
             )
         if abs(hi[0] - lo[0]) <= 1e-12:
-            return OffsetDistribution(n=n, deltas=(lo[1],), weights=(1.0,))
-        w_hi = (self.target - lo[0]) / (hi[0] - lo[0])
-        return OffsetDistribution(
-            n=n, deltas=(lo[1], hi[1]), weights=(1.0 - w_hi, w_hi)
-        )
+            return cls(n=n, deltas=(lo[1],), weights=(1.0,))
+        w_hi = (p1_target - lo[0]) / (hi[0] - lo[0])
+        return cls(n=n, deltas=(lo[1], hi[1]), weights=(1.0 - w_hi, w_hi))
 
 
 def _ideal_p(theta: float, phases: np.ndarray) -> np.ndarray:
@@ -133,8 +111,8 @@ def hoeffding_tolerance(m: int, epsilon: float = 1e-6) -> float:
 
 
 class Round2Mode(enum.Enum):
-    # measurement bases drawn through the policy against the arriving
-    # photon's preparation index, so both rounds target the same P(g=0)
+    # measurement bases drawn at the P1 target's offsets against the
+    # arriving photon's preparation index, so both rounds target the same P(g=0)
     POLICY = "policy"
     # receiver reuses her original basis order against the shuffled stream
     ORIGINAL_ORDER = "original-order"
@@ -144,7 +122,7 @@ class Round2Mode(enum.Enum):
 class ProtocolParams:
     r: int
     config: BasisConfig
-    policy: BasisPolicy
+    p1_target: Optional[float]  # None -> uniform basis offsets
     link: LinkBudget = LinkBudget()
     noise: ChannelNoiseModel = ChannelNoiseModel()
     adversary: Optional[BlindingAttackParams] = None
@@ -156,8 +134,11 @@ class ProtocolParams:
 
     def __post_init__(self) -> None:
         COUNT.check("r", self.r)
+        if self.p1_target is not None:
+            UNIT.check("p1_target", self.p1_target)
         if self.tolerance is not None:
             NON_NEGATIVE.check("tolerance", self.tolerance)
+        SEED.check("seed", self.seed)
 
     def check_tolerance(self) -> float:
         if self.tolerance is not None:
@@ -587,11 +568,11 @@ class ProtocolRun:
                      ) -> tuple[_Measured, SecurityCheckReport]:
         """Checking round on the photons arriving at `slots` of trip `leg`,
         measured in bases[i] at slot i, or, where `bases` is None, in an
-        index drawn through the policy against the photon's preparation
-        index. No-clicks are assigned the more likely ideal outcome.
+        index drawn at the P1 target's offsets against the photon's
+        preparation index. No-clicks are assigned the more likely ideal outcome.
         Returns the round's record and its report."""
         r, n, theta, prep = self.r, self.n, self.theta, self.ledger.prep
-        offs = self.params.policy.offsets(self.params.config)
+        offs = OffsetDistribution.of(self.params.config, self.params.p1_target)
         phases, ideal, assign = self._offset_table
         rec = _Measured(k=np.empty(r, dtype=np.min_scalar_type(2 * n - 2)),
                         clicked=np.empty(r, dtype=bool), g=np.empty(r, dtype=np.int8))

@@ -10,9 +10,7 @@ import hashlib
 
 import numpy as np
 
-from .domains import INDEX
-
-_MASK64 = (1 << 64) - 1
+from .domains import SEED
 
 
 def purpose_key(purpose: str) -> int:
@@ -22,10 +20,10 @@ def purpose_key(purpose: str) -> int:
 
 
 def seed_sequence(master: int, purpose: str) -> np.random.SeedSequence:
-    INDEX.check("master seed", master)
+    SEED.check("master seed", master)
     # the third word, 0, is part of every stream's entropy: changing it
     # changes every value drawn
-    return np.random.SeedSequence((master & _MASK64, purpose_key(purpose), 0))
+    return np.random.SeedSequence((master, purpose_key(purpose), 0))
 
 
 def stream(master: int, purpose: str) -> np.random.Generator:

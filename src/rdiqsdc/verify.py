@@ -27,8 +27,6 @@ from . import analysis
 from .adversary import BlindingAttackParams, detection_power, predict_attacked_distribution
 from .devices import ChannelNoiseModel, LinkBudget
 from .protocol import (
-    BasisPolicy,
-    BasisPolicyMode,
     ProtocolParams,
     ProtocolResult,
     SecurityCheckReport,
@@ -215,7 +213,7 @@ def _criterion7_point(args: tuple) -> dict:
     params = ProtocolParams(
         r=r,
         config=config,
-        policy=BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=p1),
+        p1_target=p1,
         link=link,
         noise=ChannelNoiseModel(delta_theta=dth),
         continue_on_abort=True,
@@ -285,12 +283,7 @@ def _announced_order_holds(result: ProtocolResult) -> bool:
 
 def criterion8() -> list[CheckResult]:
     config = BasisConfig(n=8)
-    policy = BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=0.1)
-    params = ProtocolParams(
-        r=1000, config=config, policy=policy, link=LinkBudget(),
-        noise=ChannelNoiseModel(), seed=42,
-    )
-    result = run_full_protocol(params)
+    result = run_full_protocol(ProtocolParams(r=1000, config=config, p1_target=0.1, seed=42))
     ok = (
         result.completed
         and result.frame.n_lost == 0
@@ -307,10 +300,7 @@ def criterion8() -> list[CheckResult]:
     ]
     bad = 0
     for seed in range(100):
-        p = ProtocolParams(
-            r=50, config=config, policy=policy, link=LinkBudget(),
-            noise=ChannelNoiseModel(), seed=seed,
-        )
+        p = ProtocolParams(r=50, config=config, p1_target=0.1, seed=seed)
         if not _announced_order_holds(run_full_protocol(p)):
             bad += 1
     out.append(
@@ -336,9 +326,7 @@ def _first_check(job: tuple) -> SecurityCheckReport:
     return run_first_check(ProtocolParams(
         r=r,
         config=BasisConfig(n=8),
-        policy=BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=target),
-        link=LinkBudget(),
-        noise=ChannelNoiseModel(),
+        p1_target=target,
         adversary=BlindingAttackParams(p1=p1a, p2=p2a),
         continue_on_abort=True,
         seed=seed,

@@ -1,4 +1,5 @@
 """Blinding/fake-state attack model tests."""
+import functools
 import math
 from fractions import Fraction
 
@@ -14,8 +15,6 @@ from rdiqsdc.adversary import (
 )
 from rdiqsdc.devices import ChannelNoiseModel, LinkBudget
 from rdiqsdc.protocol import (
-    BasisPolicy,
-    BasisPolicyMode,
     ProtocolParams,
     ProtocolRun,
     run_full_protocol,
@@ -27,7 +26,7 @@ def attack_run_params(r, p1, p2, target=0.1, seed=0, **kw) -> ProtocolParams:
     defaults = dict(
         r=r,
         config=BasisConfig(n=8),
-        policy=BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=target),
+        p1_target=target,
         link=LinkBudget(),
         noise=ChannelNoiseModel(),
         adversary=BlindingAttackParams(p1=p1, p2=p2),
@@ -124,8 +123,8 @@ class TestFirstCheckByHand:
     def test_verify_first_check(self, monkeypatch, workers):
         _, want = self.full_check1(workers, 3000, 0.3, 0.5, 0.1, 7)
         # the criterion's runs are lossless and noiseless; give them this link
-        monkeypatch.setattr(verify, "LinkBudget", lambda: self.LINK)
-        monkeypatch.setattr(verify, "ChannelNoiseModel", lambda: self.NOISE)
+        monkeypatch.setattr(verify, "ProtocolParams",
+                            functools.partial(ProtocolParams, link=self.LINK, noise=self.NOISE))
         assert verify._first_check((3000, 0.3, 0.5, 0.1, 7)) == want
 
 

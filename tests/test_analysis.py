@@ -30,7 +30,7 @@ from rdiqsdc.analysis import (
     sweep,
 )
 from rdiqsdc.devices import LinkBudget
-from rdiqsdc.protocol import BasisPolicy, BasisPolicyMode, OffsetDistribution
+from rdiqsdc.protocol import OffsetDistribution
 from rdiqsdc.qstate import (
     BasisConfig, ChannelRotation, Measurement, apply_rotation, outcome_probability, prepare,
 )
@@ -51,9 +51,9 @@ def quarter_pi_budget(p1: float, q_ab: float, q_aba: float, dth: float) -> tuple
 
 
 def brute_mean_p(p1: float, config: BasisConfig, rotation: float) -> float:
-    """Mean P(g=0) of the target-p1 policy's check photons after `rotation`,
+    """Mean P(g=0) of the check photons drawn against P1 = p1 after `rotation`,
     photon by photon through the scalar state algebra."""
-    offs = BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=p1).offsets(config)
+    offs = OffsetDistribution.of(config, p1)
     n = config.n
     return math.fsum(
         w / n * outcome_probability(
@@ -66,7 +66,7 @@ def brute_mean_p(p1: float, config: BasisConfig, rotation: float) -> float:
 
 
 def brute_assign(p1: float, config: BasisConfig) -> float:
-    offs = BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=p1).offsets(config)
+    offs = OffsetDistribution.of(config, p1)
     n = config.n
     ideal = (
         outcome_probability(prepare(n, config), Measurement(((-d - 1) % n) + 1, config))
@@ -204,7 +204,7 @@ class TestErrorBudget:
         # n=5 offsets bracketing 0.4 straddle one half: the per-photon
         # assignment rule then costs less than the reduced min(p1, 1-p1)
         config = BasisConfig(n=5)
-        offs = BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=0.4).offsets(config)
+        offs = OffsetDistribution.of(config, 0.4)
         model = offset_model(0.4, config)
         oracle = math.fsum(
             w * min(p, 1 - p)
@@ -268,7 +268,7 @@ class TestOffsetModel:
     @pytest.mark.parametrize("theta", [math.pi / 4, 0.6])
     def test_any_offset_distribution(self, theta):
         # the uniform policy: E[cos(phi)] = 0, so P(g=0) = (1 + cos^2(2*theta)) / 2
-        offs = BasisPolicy(mode=BasisPolicyMode.UNIFORM).offsets(BasisConfig(n=5, theta=theta))
+        offs = OffsetDistribution.of(BasisConfig(n=5, theta=theta), None)
         model = OffsetModel.of(offs, theta)
         assert model.p_g0(0.0) == pytest.approx((1 + math.cos(2 * theta) ** 2) / 2, abs=1e-12)
 

@@ -22,7 +22,7 @@ from rdiqsdc.cli import _write_rows, main
 from rdiqsdc.config import SCHEMA, ConfigError, load_config, parse_value
 from rdiqsdc.devices import LinkBudget
 from rdiqsdc.domains import (
-    ANGLE, COUNT, INDEX, NON_NEGATIVE, OPEN_UNIT, POSITIVE, REAL, SETTINGS, UNIT, Domain,
+    ANGLE, COUNT, INDEX, NON_NEGATIVE, OPEN_UNIT, POSITIVE, REAL, SEED, SETTINGS, UNIT, Domain,
 )
 from rdiqsdc.qstate import BasisConfig, Measurement, outcome_probability, prepare
 from test_analysis import brute_capacity
@@ -59,7 +59,8 @@ class TestConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        for line in ("protocol.bogus = 1", "adversary.closeness_angle = 0.5", "analysis.p_e = 7"):
+        for line in ("protocol.bogus = 1", "adversary.closeness_angle = 0.5", "analysis.p_e = 7",
+                     "protocol.policy = uniform"):
             path.write_text(line + "\n")
             with pytest.raises(ConfigError):
                 load_config(str(path))
@@ -139,7 +140,8 @@ class TestSimulateCommand:
     def test_config_error_exits_two(self, tmp_path, capsys):
         # removed keys are rejected like any other unknown key
         for item in ("bogus.key=1", "adversary.closeness_angle=0.5", "analysis.p_e=7",
-                     "physics.noise_mode=per-photon", "physics.noise_family=uniform-interval"):
+                     "physics.noise_mode=per-photon", "physics.noise_family=uniform-interval",
+                     "protocol.policy=uniform"):
             rc = main(["simulate", "--out", str(tmp_path), "--set", item])
             assert rc == 2
             err = capsys.readouterr().err
@@ -272,10 +274,11 @@ def _domain_values(domain: Domain) -> tuple[list[tuple[str, str]], list[str]]:
 def test_domain_phrases_and_checks():
     # the phrases the CLI prints, and a domain object's message for the same rule
     assert [d.text for d in (UNIT, OPEN_UNIT, NON_NEGATIVE, POSITIVE, COUNT, INDEX,
-                             SETTINGS, ANGLE, REAL)] == [
+                             SETTINGS, ANGLE, REAL, SEED)] == [
         "must lie in [0, 1]", "must lie in (0, 1)", "must be >= 0", "must be positive",
         "must be an integer >= 1", "must be an integer >= 0", "must be an integer >= 3 and != 4",
         "must lie in (0, pi/2)", "must be a finite number",
+        "must be an integer in [0, 18446744073709551615]",
     ]
     assert 0.0 in UNIT and 0.0 not in OPEN_UNIT and math.nan not in UNIT and 4 not in SETTINGS
     with pytest.raises(ValueError, match=re.escape("eta_c must lie in [0, 1], got 2.0")):
@@ -294,7 +297,7 @@ def _run(out: Path, cmd: str, *sets: str) -> int:
 class TestConfigContracts:
     @pytest.mark.parametrize("cmd", COMMANDS)
     @pytest.mark.parametrize("item", [
-        "protocol.policy=bogus", "protocol.round2_mode=bogus", "analysis.axis=bogus",
+        "protocol.p1_target=bogus", "protocol.round2_mode=bogus", "analysis.axis=bogus",
         "protocol.message=0120", "output.transcript=maybe",
     ])
     def test_bad_value_names_its_key(self, tmp_path, capsys, cmd, item):
@@ -311,7 +314,9 @@ class TestConfigContracts:
     @pytest.mark.parametrize("item, domain", [
         ("protocol.r=0", ">= 1"), ("protocol.r=-5", ">= 1"),
         ("attack.r=0", ">= 1"), ("attack.r=-1", ">= 1"),
-        ("protocol.seed=-1", ">= 0"), ("physics.qm_round_trips=-1", ">= 0"),
+        ("protocol.seed=-1", "in [0, 18446744073709551615]"),
+        ("protocol.seed=18446744073709551616", "in [0, 18446744073709551615]"),
+        ("physics.qm_round_trips=-1", ">= 0"),
     ])
     def test_integer_out_of_domain_names_its_key(self, tmp_path, capsys, cmd, item, domain):
         # counts and seeds are checked when the config is read, by every
@@ -325,7 +330,7 @@ class TestConfigContracts:
     @pytest.mark.parametrize("cmd", COMMANDS)
     @pytest.mark.parametrize("sets, domain", [
         (["protocol.p1_target=2"], "must lie in [0, 1]"),
-        (["protocol.policy=uniform", "protocol.p1_target=-0.1"], "must lie in [0, 1]"),
+        (["protocol.p1_target=-0.1"], "must lie in [0, 1]"),
         (["analysis.p_s=2"], "must lie in [0, 1]"),
         (["analysis.p_s=-0.5"], "must lie in [0, 1]"),
         (["attack.p1_grid=5"], "every entry must lie in [0, 1]"),
@@ -386,11 +391,11 @@ class TestConfigContracts:
 
     @pytest.mark.parametrize("cmd", COMMANDS)
     @pytest.mark.parametrize("sets", [
-        ["protocol.p1_target=0", "protocol.policy=uniform"],
-        ["protocol.p1_target=1", "protocol.policy=uniform"],
+        # offsets that always or never give g = 0 at n = 8, and uniform ones
+        ["protocol.p1_target=0"], ["protocol.p1_target=1"], ["protocol.p1_target=uniform"],
         ["analysis.p_s=0"], ["analysis.p_s=1"], ["analysis.r_rep_hz=5e-324"],
         ["attack.p1_grid=0,1"], ["attack.p2_grid=0:1:3"], ["protocol.tolerance=0"],
-        # a P1 target the target-p1 policy reaches at n = 3
+        # a P1 target reachable at n = 3
         ["protocol.p1_target=0.4", "analysis.p1_list=0.4", "protocol.n=3"],
         ["physics.eta_c=0"], ["physics.eta_c=1"], ["physics.eta_m=0"], ["physics.eta_d=0"],
         ["physics.distance_km=0"], ["physics.alpha_db_per_km=0"],
@@ -399,6 +404,43 @@ class TestConfigContracts:
     def test_float_domain_edges_accepted(self, tmp_path, cmd, sets):
         # the edges the domain objects accept are accepted when read
         assert _run(tmp_path / "out", cmd, *sets) == 0
+
+    @pytest.mark.parametrize("source", ["directory", "env-directory", "not-utf8"])
+    def test_unreadable_config_file_exits_two(self, tmp_path, capsys, monkeypatch, source):
+        # a directory, named by --config or by $RDIQSDC_CONFIG, and a file
+        # that is not UTF-8 text: one line that names the path
+        path = tmp_path / "run.cfg"
+        argv = ["simulate", "--out", str(tmp_path / "out"), "--workers", "1"]
+        if source == "not-utf8":
+            path.write_bytes(b"protocol.r = 10  # \xff\n")
+            want = f"config file {path} is not UTF-8 (invalid start byte at byte 19)"
+        else:
+            path.mkdir()
+            want = f"cannot read config file {path}: Is a directory"
+        if source == "env-directory":
+            monkeypatch.setenv("RDIQSDC_CONFIG", str(path))
+        else:
+            argv += ["--config", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {want}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_is_a_64_bit_word(self, tmp_path, capsys):
+        # 2**64 is rejected rather than read as seed 0; the largest seed runs
+        # simulate and an attack scan, whose point seeds wrap past it
+        assert main(["simulate", "--out", str(tmp_path / "nf"), "--seed", str(2**64)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: bad value for protocol.seed: '18446744073709551616' "
+            "(must be an integer in [0, 18446744073709551615])\n")
+        assert not (tmp_path / "nf").exists()
+        top = str(2**64 - 1)
+        assert main(["simulate", "--out", str(tmp_path / "sim"), "--seed", top,
+                     "--set", "protocol.r=50"]) == 0
+        assert json.loads((tmp_path / "sim" / "summary.json").read_text())["seed"] == 2**64 - 1
+        assert main(["attack-scan", "--out", str(tmp_path / "scan"), "--seed", top,
+                     "--workers", "1", "--set", "attack.r=50", "--set", "attack.p1_grid=0",
+                     "--set", "attack.p2_grid=0,1"]) == 0
+        assert len((tmp_path / "scan" / "attack_scan.csv").read_text().splitlines()) == 3
 
     def test_theta_edges_accepted_when_read(self):
         # the floats next to theta's open bounds; every basis offset there
@@ -493,11 +535,11 @@ class TestConfigContracts:
 
         monkeypatch.setattr(cli, "_write_rows", keep_rows)
         argv = ["attack-scan", "--out", str(tmp_path), "--workers", "1",
-                "--set", "protocol.policy=uniform", "--set", "protocol.theta=0.6",
+                "--set", "protocol.p1_target=uniform", "--set", "protocol.theta=0.6",
                 "--set", "attack.p1_grid=0", "--set", "attack.p2_grid=0",
                 "--set", "attack.r=20000"]
         assert main(argv) == 0
-        # the uniform policy pairs every preparation with every basis alike
+        # uniform offsets pair every preparation with every basis alike
         config = BasisConfig(n=8, theta=0.6)
         want = math.fsum(
             outcome_probability(prepare(x, config), Measurement(y, config))
@@ -559,6 +601,8 @@ def test_readme_config_table_states_each_domain():
         key: domain.text for key, domain in DOMAIN_KEYS.items()}
     for key in ("analysis.p1_list", "attack.p1_grid", "attack.p2_grid"):
         assert stated[key] == f"every entry {UNIT.text}"
+    assert stated["protocol.p1_target"] == f"`uniform`, or a float that {UNIT.text}"
+    assert stated["protocol.tolerance"] == f"`hoeffding`, or a float that {NON_NEGATIVE.text}"
 
 
 # sha256 of the files `simulate --seed 0` writes at r = 2000, with the step
@@ -566,7 +610,7 @@ def test_readme_config_table_states_each_domain():
 # writers shows up here first. The abort and original-order cases cover the
 # early returns, the second-leg memory losses and the detector losses; the
 # per-photon case covers odd n, theta != pi/4, per-photon angles and the
-# uniform policy, the inputs of the engine's Born-rule tables.
+# uniform offsets, the inputs of the engine's Born-rule tables.
 GOLDEN_RUNS = {
     "clean": ([], None, {
         "summary.json": "3debe6bb629a2165517c137e20fcbef4ce9213b180d743c1f35e345a2e0e0a0d",
@@ -597,7 +641,7 @@ GOLDEN_RUNS = {
         "transcript.jsonl": "ed0f4fe67974d1dee57e263fc939bfbb5cfeca0e90bfdc8cf655bf7eaaf783f4",
     }),
     "per-photon-n5": ([
-        "protocol.n=5", "protocol.theta=0.6", "protocol.policy=uniform",
+        "protocol.n=5", "protocol.theta=0.6", "protocol.p1_target=uniform",
         "physics.noise_spread=0.05", "physics.delta_theta=0.0785398", "physics.eta_m=0.9",
         "adversary.enabled=true", "adversary.p1=0.1", "adversary.p2=0.4",
         "protocol.continue_on_abort=true",
@@ -1007,6 +1051,10 @@ class TestAttackScanCommand:
         assert main(argv + ["--set", "attack.p2_grid=0:1:100"]) == 0
         assert seeds == [1_000 + 100 * i + j for i in range(2) for j in range(100)]
         seeds.clear()
+        # past the largest seed the point seeds wrap around, as 64-bit words
+        assert main(argv + ["--set", "attack.p2_grid=0,1", "--seed", str(2**64 - 1)]) == 0
+        assert seeds == [999, 1_000, 1_099, 1_100]
+        seeds.clear()
         # 101 columns: (0, 1.0) and (0.5, 0) would both take seed 1100
         assert main(argv + ["--set", "attack.p2_grid=0:1:101"]) == 0
         assert len(set(seeds)) == len(seeds) == 202
@@ -1040,12 +1088,12 @@ class TestVerifyCommand:
 _JUNK = ("x",)
 FUZZ_VALUES = {
     int: ("0", "1", "2", "3", "-1", "1.5") + _JUNK,
+    # `uniform` is protocol.p1_target's keyword and junk for the other floats
     float: ("0", "0.3", "0.5", "0.7", "1", "2", "-0.5", "1e-300", "5e-324", "5e307", "1e308",
-            "-1e308", "inf") + _JUNK,
+            "-1e308", "inf", "uniform") + _JUNK,
     bool: ("true", "false", "1") + _JUNK,
     tuple: ("0.5", "0.1,0.4", "0,1", "0:1:3", "1:0:2", "-1", "5e-324,0.5", "1e308") + _JUNK,
-    str: ("0110", "random", "uniform", "target-p1", "eta", "L", "delta_theta", "policy",
-          "original-order") + _JUNK,
+    str: ("0110", "random", "eta", "L", "delta_theta", "policy", "original-order") + _JUNK,
     type(None): ("hoeffding", "0.01", "1", "0", "-1") + _JUNK,  # protocol.tolerance
 }
 

@@ -16,8 +16,6 @@ from rdiqsdc.devices import (
 )
 from rdiqsdc.protocol import (
     _SITE_CODE,
-    BasisPolicy,
-    BasisPolicyMode,
     ProtocolParams,
     ProtocolRun,
     run_full_protocol,
@@ -28,7 +26,7 @@ from rdiqsdc.qstate import BasisConfig
 def engine_params(r=500, n=8, target=0.1, seed=0, **kw) -> ProtocolParams:
     defaults = dict(
         r=r, config=BasisConfig(n=n),
-        policy=BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=target),
+        p1_target=target,
         link=LinkBudget(), noise=ChannelNoiseModel(), continue_on_abort=True,
         seed=seed,
     )

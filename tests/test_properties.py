@@ -12,7 +12,7 @@ from rdiqsdc.analysis import (
     CapacityParams, OffsetModel, binary_entropy, error_budget, secrecy_capacity,
 )
 from rdiqsdc.devices import LinkBudget
-from rdiqsdc.protocol import _MESSAGE_PHASES, BasisPolicy, BasisPolicyMode, _offset_phases
+from rdiqsdc.protocol import _MESSAGE_PHASES, OffsetDistribution, _offset_phases
 from rdiqsdc.qstate import (
     BasisConfig,
     ChannelRotation,
@@ -133,7 +133,7 @@ def test_policy_hits_any_reachable_target(n, frac):
         math.cos(math.pi * d / n) ** 2 for d in range(n)
     )
     target = reachable_min + frac * (1.0 - reachable_min)
-    offs = BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=target).offsets(config)
+    offs = OffsetDistribution.of(config, target)
     assert sum(offs.weights) == pytest.approx(1.0, abs=1e-12)
     assert OffsetModel.of(offs, config.theta).p_g0(0.0) == pytest.approx(target, abs=1e-9)
 
@@ -141,7 +141,7 @@ def test_policy_hits_any_reachable_target(n, frac):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=25)
 def test_offset_draws_stay_in_support(seed):
-    offs = BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=0.3).offsets(BasisConfig(n=8))
+    offs = OffsetDistribution.of(BasisConfig(n=8), 0.3)
     draws = offs.draw(500, np.random.default_rng(seed))
     assert set(np.unique(draws)) <= set(offs.deltas)
 

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -20,8 +21,7 @@ from rdiqsdc import analysis, protocol, seeding, verify
 from rdiqsdc.adversary import BlindingAttackParams
 from rdiqsdc.devices import ChannelNoiseModel, LinkBudget
 from rdiqsdc.protocol import (
-    BasisPolicy,
-    BasisPolicyMode,
+    OffsetDistribution,
     ProtocolParams,
     ProtocolRun,
     ProtocolViolation,
@@ -36,13 +36,8 @@ from rdiqsdc.qstate import BasisConfig
 
 
 def params_for(r=1000, n=8, target=0.1, seed=0, **kw) -> ProtocolParams:
-    policy = (
-        BasisPolicy(mode=BasisPolicyMode.UNIFORM)
-        if target is None
-        else BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=target)
-    )
     defaults = dict(
-        r=r, config=BasisConfig(n=n), policy=policy,
+        r=r, config=BasisConfig(n=n), p1_target=target,
         link=LinkBudget(), noise=ChannelNoiseModel(), seed=seed,
     )
     defaults.update(kw)
@@ -59,36 +54,32 @@ class TestBasisPolicy:
     def test_target_realized_exactly(self):
         # mixing the two bracketing offsets hits the target in expectation
         config = BasisConfig(n=16)
-        offs = BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=0.1).offsets(config)
+        offs = OffsetDistribution.of(config, 0.1)
         assert abs(sum(offs.weights) - 1.0) <= 1e-12
         assert mean_p_g0(offs) == pytest.approx(0.1, abs=1e-9)
 
     @pytest.mark.parametrize("n,target", [(8, 0.1), (8, 0.4), (5, 0.25), (16, 0.001)])
     def test_various_targets(self, n, target):
-        offs = BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=target).offsets(
-            BasisConfig(n=n)
-        )
+        offs = OffsetDistribution.of(BasisConfig(n=n), target)
         assert mean_p_g0(offs) == pytest.approx(target, abs=1e-9)
 
     def test_exact_atom_when_target_is_reachable_alone(self):
-        offs = BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=0.25).offsets(
-            BasisConfig(n=3)
-        )
+        offs = OffsetDistribution.of(BasisConfig(n=3), 0.25)
         assert len(offs.deltas) == 1 and offs.weights == (1.0,)
 
     def test_infeasible_target(self):
         # n=3 cannot reach below cos^2(pi/3) = 0.25
         with pytest.raises(ValueError):
-            BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=0.1).offsets(BasisConfig(n=3))
+            OffsetDistribution.of(BasisConfig(n=3), 0.1)
 
     @pytest.mark.parametrize("n", [3, 5, 8, 16, 31])
     def test_uniform_mode_half(self, n):
-        offs = BasisPolicy(mode=BasisPolicyMode.UNIFORM).offsets(BasisConfig(n=n))
+        offs = OffsetDistribution.of(BasisConfig(n=n), None)
         assert mean_p_g0(offs) == pytest.approx(0.5, abs=1e-12)
 
     def test_uniform_offset_distribution(self):
         # drawn offsets are uniform: multinomial 5-sigma per bin
-        offs = BasisPolicy(mode=BasisPolicyMode.UNIFORM).offsets(BasisConfig(n=3))
+        offs = OffsetDistribution.of(BasisConfig(n=3), None)
         draws = offs.draw(100_000, np.random.default_rng(0))
         for d in range(3):
             freq = np.mean(draws == d)
@@ -98,24 +89,25 @@ class TestBasisPolicy:
     def test_half_target_is_a_single_offset(self):
         # at n = 8 one offset has ideal P(g=0) of one half and realizes the
         # target alone, so no-clicks cost min(P1, 1 - P1) = 0.5 as in the paper
-        offs = BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=0.5).offsets(
-            BasisConfig(n=8)
-        )
+        offs = OffsetDistribution.of(BasisConfig(n=8), 0.5)
         assert offs.deltas == (6,) and offs.weights == (1.0,)
         assert mean_p_g0(offs) == pytest.approx(0.5, abs=1e-12)
         # n = 3 has no such offset and mixes the two that bracket 0.5
-        offs = BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=0.5).offsets(
-            BasisConfig(n=3)
-        )
+        offs = OffsetDistribution.of(BasisConfig(n=3), 0.5)
         assert offs.deltas == (1, 0)
         assert offs.weights == pytest.approx((2 / 3, 1 / 3), abs=1e-12)
         assert mean_p_g0(offs) == pytest.approx(0.5, abs=1e-12)
 
     def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            BasisPolicy(mode=BasisPolicyMode.TARGET_P1)
-        with pytest.raises(ValueError):
-            BasisPolicy(mode=BasisPolicyMode.UNIFORM, target=0.3)
+        with pytest.raises(ValueError, match=re.escape("p1_target must lie in [0, 1], got 1.5")):
+            ProtocolParams(r=1, config=BasisConfig(n=8), p1_target=1.5)
+
+
+def test_params_seed_is_a_64_bit_word():
+    ProtocolParams(r=1, config=BasisConfig(n=8), p1_target=None, seed=2**64 - 1)
+    with pytest.raises(ValueError, match=re.escape(
+            "seed must be an integer in [0, 18446744073709551615], got 18446744073709551616")):
+        ProtocolParams(r=1, config=BasisConfig(n=8), p1_target=None, seed=2**64)
 
 
 def test_hoeffding_tolerance_formula():
@@ -697,7 +689,6 @@ class TestNoClickAssignment:
         # at theta = pi/4 these offsets have ideal P(g=0) of exactly one half;
         # the engine's float sum lands just below it and assigns g=1, and the
         # closed-form model of the keystone check must count the same slots
-        policy = BasisPolicy(mode=BasisPolicyMode.UNIFORM)
         params = params_for(
             r=2000, n=n, target=None, link=LinkBudget(eta_c=0.0), continue_on_abort=True
         )
@@ -711,7 +702,7 @@ class TestNoClickAssignment:
         # at zero gain the model's observed P(g=0) is its assigned-g=0 fraction
         config = BasisConfig(n=n)
         model = analysis.expected_stats(
-            analysis.OffsetModel.of(policy.offsets(config), config.theta), 0.0, 0.0, 0.0
+            analysis.offset_model(None, config), 0.0, 0.0, 0.0
         )
         engine_g0 = sum(engine[d] == 0 for d in range(n)) / n
         assert model["p1_observed"] == pytest.approx(engine_g0, abs=1e-12)
@@ -738,7 +729,7 @@ class TestEngineMatchesOffsetModel:
         config = BasisConfig(n=n, theta=theta)
         params = ProtocolParams(
             r=100_000, config=config,
-            policy=BasisPolicy(mode=BasisPolicyMode.TARGET_P1, target=p1),
+            p1_target=p1,
             link=link, noise=ChannelNoiseModel(delta_theta=dth),
             continue_on_abort=True, seed=seed,
         )

@@ -1,8 +1,10 @@
-"""Every definition in the package is read by the package itself.
+"""Every definition and every config key in the package is read by the
+package itself.
 
 A top-level function, class or constant, or a method, that no other code
 under src/rdiqsdc names is reachable only from the tests. The scalar
-qstate algebra is kept on purpose as an independent test oracle.
+qstate algebra is kept on purpose as an independent test oracle. A config
+key that no code outside `SCHEMA` names is accepted and then ignored.
 """
 import ast
 from collections import Counter
@@ -47,10 +49,14 @@ def _names(node: ast.AST):
             yield sub.attr
 
 
+def _trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+
+
 def _unreferenced() -> set[tuple[str, str]]:
     """(module, name) of each definition named nowhere outside itself."""
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    trees = _trees()
     everywhere = Counter(n for tree in trees.values() for n in _names(tree))
     return {(module, name)
             for module, tree in trees.items() for name, node in _definitions(tree)
@@ -62,3 +68,18 @@ def test_every_definition_is_named_by_the_package():
     assert sorted(found - ORACLES) == []
     # an oracle the package starts to read leaves this list
     assert found == ORACLES
+
+
+def _unread_keys() -> list[str]:
+    """Each key of config.SCHEMA that no string outside SCHEMA spells."""
+    trees = _trees()
+    [schema] = [node.value for node in trees["config"].body
+                if isinstance(node, ast.AnnAssign) and node.target.id == "SCHEMA"]
+    inside = set(map(id, ast.walk(schema)))
+    spelled = {node.value for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and id(node) not in inside}
+    return [key.value for key in schema.keys if key.value not in spelled]
+
+
+def test_every_config_key_is_read_by_the_package():
+    assert _unread_keys() == []

@@ -43,6 +43,10 @@ def test_purpose_key_stable():
 def test_validation():
     with pytest.raises(ValueError):
         seed_sequence(-1, "x")
+    # a seed is one 64-bit word of the stream's entropy, not reduced mod 2**64
+    seed_sequence(2**64 - 1, "x")
+    with pytest.raises(ValueError):
+        seed_sequence(2**64, "x")
 
 
 @pytest.mark.parametrize("draw", [

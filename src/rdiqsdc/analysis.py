@@ -29,8 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -220,10 +219,24 @@ def secrecy_capacity(params: CapacityParams) -> CapacityPoint:
     )
 
 
-def _cs_of_eta(p1: float, delta_theta: float, config: BasisConfig) -> Callable[[float], float]:
-    """C_S as a function of the bare efficiency eta at one operating point.
-    The rotation terms do not depend on eta, so they are evaluated here once
-    rather than on every step of a scan."""
+def _entropy_screen(x: np.ndarray) -> np.ndarray:
+    """binary_entropy elementwise in numpy, nan outside [0, 1]; close to the
+    scalar values but not bit-identical to them."""
+    h = -(x * np.log(x) + (1.0 - x) * np.log(1.0 - x)) / _LN2
+    return np.where((x == 0.0) | (x == 1.0), 0.0, h)
+
+
+def _screen(q1, q2, e_one_way, e_round_trip) -> np.ndarray:
+    """_information's I_AB - I_BE elementwise in numpy."""
+    return (q2 * (1.0 - _entropy_screen(np.minimum(e_round_trip, 1.0)))
+            - q1 * _entropy_screen(np.minimum(e_one_way, 1.0)))
+
+
+def _cs_of_eta(p1: float, delta_theta: float, config: BasisConfig) -> tuple[Callable, Callable]:
+    """C_S as a function of the bare efficiency eta at one operating point:
+    the scalar path, and its numpy screen over an array of eta. The rotation
+    terms do not depend on eta, so they are evaluated here once rather than
+    on every step of a scan."""
     model = offset_model(p1, config)
     e1, e2, a = abs(model.shift(delta_theta)), abs(model.shift(delta_theta, trips=2)), model.assign
 
@@ -232,11 +245,16 @@ def _cs_of_eta(p1: float, delta_theta: float, config: BasisConfig) -> Callable[[
         i_ab, i_be = _information(q1, q2, q1 * e1 + (1.0 - q1) * a, q2 * e2 + (1.0 - q2) * a)
         return i_ab - i_be
 
-    return cs
+    def screen(eta: np.ndarray) -> np.ndarray:
+        q2 = eta * eta
+        return _screen(eta, q2, eta * e1 + (1.0 - eta) * a, q2 * e2 + (1.0 - q2) * a)
+
+    return cs, screen
 
 
-def _cs_of_delta_theta(p1: float, config: BasisConfig) -> Callable[[float], float]:
-    """C_S at eta = 1 as a function of the rotation per trip delta_theta.
+def _cs_of_delta_theta(p1: float, config: BasisConfig) -> tuple[Callable, Callable]:
+    """C_S at eta = 1 as a function of the rotation per trip delta_theta: the
+    scalar path, and its numpy screen over an array of finite delta_theta.
     The offset model does not depend on delta_theta, so it is built here
     once rather than on every step of a scan."""
     model = offset_model(p1, config)
@@ -247,28 +265,81 @@ def _cs_of_delta_theta(p1: float, config: BasisConfig) -> Callable[[float], floa
                                   abs(p0 - model.p_g0(dth, trips=2)))
         return i_ab - i_be
 
-    return cs
+    def screen(dth: np.ndarray) -> np.ndarray:
+        e1, e2 = (np.abs(p0 - _outcome_probability(model.mean_cos, model.theta,
+                                                   np.cos(two_t), np.sin(two_t)))
+                  for two_t in (2.0 * (model.theta + dth), 2.0 * (model.theta + 2 * dth)))
+        return _screen(1.0, 1.0, e1, e2)
+
+    return cs, screen
 
 
 SCAN_RESOLUTION = 1e-3
 SOLVER_TOL = 1e-6
 DTH_SCAN_MAX = 0.3 * math.pi
+# a screen value beyond this, in absolute value, sets its point's sign; the
+# screen measured within 3.3e-16 of the scalar path
+SCREEN_MARGIN = 1e-9
 
 
-def _root(cs: Callable[[float], float], scan: Iterable[float],
-          width: Callable[[float], float]) -> Optional[float]:
+@functools.cache
+def _eta_scan() -> np.ndarray:
+    """eta_threshold's scan, downward from eta = 1 at SCAN_RESOLUTION and
+    then on a log-spaced tail below the linear scan floor."""
+    steps = int(round(1.0 / SCAN_RESOLUTION))
+    return np.array([k * SCAN_RESOLUTION for k in range(steps, 0, -1)]
+                    + [SCAN_RESOLUTION / 2.0**j for j in range(1, 48)])
+
+
+@functools.cache
+def _delta_theta_scan() -> np.ndarray:
+    """delta_theta_threshold's scan, upward from 0 to DTH_SCAN_MAX in steps
+    of at most SCAN_RESOLUTION."""
+    steps = int(math.ceil(DTH_SCAN_MAX / SCAN_RESOLUTION))
+    return np.array([min(k * DTH_SCAN_MAX / steps, DTH_SCAN_MAX) for k in range(steps + 1)])
+
+
+def _first_step(cs: Callable[[float], float], screen: Callable[[np.ndarray], np.ndarray],
+                scan: np.ndarray) -> Optional[tuple[float, float]]:
+    """(pos, neg): the first step of `scan` from a point where cs > 0 to one
+    where cs <= 0, or None when the scan has no such step.
+
+    screen(scan) sets the sign of each point where it is finite and beyond
+    SCREEN_MARGIN; cs decides, in scan order, every other point that could
+    start the step. A screen with a non-finite value is not used: cs then
+    runs at every point up to the step."""
+    with np.errstate(all="ignore"):
+        s = screen(scan)
+    if not np.isfinite(s).all():
+        prev = prev_val = None
+        for x in scan.tolist():
+            val = cs(x)
+            if prev is not None and val <= 0.0 < prev_val:
+                return prev, x
+            prev, prev_val = x, val
+        return None
+
+    @functools.cache
+    def positive(i: int) -> bool:
+        return s[i] > SCREEN_MARGIN or (s[i] >= -SCREEN_MARGIN and cs(scan[i].item()) > 0.0)
+
+    # a step can start only where the screen allows cs > 0 and then cs <= 0
+    for i in np.flatnonzero((s[:-1] >= -SCREEN_MARGIN) & (s[1:] <= SCREEN_MARGIN)).tolist():
+        if positive(i) and not positive(i + 1):
+            return scan[i].item(), scan[i + 1].item()
+    return None
+
+
+def _root(cs: Callable[[float], float], screen: Callable[[np.ndarray], np.ndarray],
+          scan: np.ndarray, width: Callable[[float], float]) -> Optional[float]:
     """Root of cs at the first step of `scan` from a point where cs > 0 to
     one where cs <= 0, or None when the scan has no such step. The bracket
-    is bisected until it is no wider than width(pos), pos its positive end."""
-    prev = prev_val = None
-    for x in scan:
-        val = cs(x)
-        if prev is not None and val <= 0.0 < prev_val:
-            pos, neg = prev, x
-            break
-        prev, prev_val = x, val
-    else:
+    is bisected with cs until it is no wider than width(pos), pos its
+    positive end, so the root is the scalar path's to the bit."""
+    bracket = _first_step(cs, screen, scan)
+    if bracket is None:
         return None
+    pos, neg = bracket
     while abs(pos - neg) > width(pos):
         mid = 0.5 * (neg + pos)
         if cs(mid) > 0.0:
@@ -288,12 +359,9 @@ def eta_threshold(p1: float, delta_theta: float = 0.0,
     continues on a log-spaced tail, since the root scales with p1.
     """
     OPEN_UNIT.check("p1", p1)
-    steps = int(round(1.0 / SCAN_RESOLUTION))
-    scan = chain((k * SCAN_RESOLUTION for k in range(steps, 0, -1)),
-                 (SCAN_RESOLUTION / 2.0**j for j in range(1, 48)))
     # absolute tolerance per the contract, plus relative refinement so
     # tiny roots keep enough precision for the distance mapping
-    return _root(_cs_of_eta(p1, delta_theta, config), scan,
+    return _root(*_cs_of_eta(p1, delta_theta, config), _eta_scan(),
                  lambda pos: min(SOLVER_TOL, 1e-3 * pos))
 
 
@@ -307,7 +375,8 @@ def max_distance(p1: float, delta_theta: float, link: LinkBudget, *,
     distance; inf when C_S never changes sign but is positive at 1, or when
     lossless fiber (alpha = 0) reaches the threshold at all."""
     if eta_star is None:
-        return math.inf if _cs_of_eta(p1, delta_theta, config)(1.0) > 0.0 else None
+        cs, _ = _cs_of_eta(p1, delta_theta, config)
+        return math.inf if cs(1.0) > 0.0 else None
     budget = link.eta_c * link.eta_m * link.eta_d
     if eta_star > budget:
         return None
@@ -323,9 +392,7 @@ def delta_theta_threshold(p1: float, config: BasisConfig = REFERENCE_CONFIG) -> 
     None means C_S keeps one sign over the scan range (noise-robust when
     positive)."""
     OPEN_UNIT.check("p1", p1)
-    steps = int(math.ceil(DTH_SCAN_MAX / SCAN_RESOLUTION))
-    scan = (min(k * DTH_SCAN_MAX / steps, DTH_SCAN_MAX) for k in range(steps + 1))
-    return _root(_cs_of_delta_theta(p1, config), scan, lambda pos: SOLVER_TOL)
+    return _root(*_cs_of_delta_theta(p1, config), _delta_theta_scan(), lambda pos: SOLVER_TOL)
 
 
 def fidelity_pair(delta_theta_star: float) -> tuple[float, float]:

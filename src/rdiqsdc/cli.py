@@ -115,20 +115,26 @@ def _delim(args) -> str:
 
 
 def _write_rows(path: Path, header: list[str], rows: Iterable[Sequence], delim: str) -> None:
-    """One line per row, each value as _fmt prints it. A full row of finite
-    floats, which _fmt prints as "%.10g", is formatted with one `%`."""
-    width = len(header)
-    floats = delim.join(["%.10g"] * width) + "\n"
+    """One line per row, each value as _fmt prints it. A str that leads a
+    longer row is written as is, which is _fmt's text for it, and may hold
+    several fields. A tail of finite floats, which _fmt prints as "%.10g",
+    is formatted with one `%`."""
+    formats: dict[int, str] = {}  # tail length -> its one `%` format
     path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_open(path) as fh:
         fh.write(delim.join(header) + "\n")
         for row in rows:
+            lead = ""
+            if type(row[0]) is str and len(row) > 1:
+                lead, row = row[0] + delim, row[1:]
             # a sum of floats is finite only when every term is
-            if (len(row) == width and all(type(v) is float for v in row)
-                    and math.isfinite(sum(row))):
-                fh.write(floats % tuple(row))
+            if all(type(v) is float for v in row) and math.isfinite(sum(row)):
+                fmt = formats.get(len(row))
+                if fmt is None:
+                    fmt = formats[len(row)] = delim.join(["%.10g"] * len(row)) + "\n"
+                fh.write(lead + fmt % tuple(row))
             else:
-                fh.write(delim.join(_fmt(v) for v in row) + "\n")
+                fh.write(lead + delim.join(_fmt(v) for v in row) + "\n")
 
 
 def _fmt(v) -> str:
@@ -194,13 +200,20 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
                           config=cfg.basis_config())
     header = ["axis", "p1", "delta_theta", "eta", "q_ab", "q_aba",
               "e_ab", "e_aba", "i_ab", "i_be", "c_s", "e_s"]
-    # eta is the bare efficiency, which is q_ab on every axis
-    rows = zip(cols.axis, cols.p1, cols.delta_theta, cols.q_ab, cols.q_ab, cols.q_aba,
-               cols.e_ab, cols.e_aba, cols.i_ab, cols.i_be, cols.c_s, cols.e_s)
+    # the six leading fields as text, p1 once per P1 and the other five once
+    # per grid point (rows run P1 major); eta is the bare efficiency, which is
+    # q_ab on every axis
+    d, n = _delim(args), len(grid)
+    axis_text = [_fmt(v) for v in cols.axis[:n]]
+    gains_text = [d.join(map(_fmt, vals)) for vals in
+                  zip(cols.delta_theta[:n], cols.q_ab[:n], cols.q_ab[:n], cols.q_aba[:n])]
+    lead = (a + d + p1 + d + g for p1 in map(_fmt, cols.p1[::n])
+            for a, g in zip(axis_text, gains_text))
+    rows = zip(lead, cols.e_ab, cols.e_aba, cols.i_ab, cols.i_be, cols.c_s, cols.e_s)
     path = outdir / f"sweep.{args.format}"
-    _write_rows(path, header, rows, _delim(args))
+    _write_rows(path, header, rows, d)
     if cfg["output.gnuplot"]:
-        _write_gnuplot(outdir / "sweep.gp", path.name, axis, _delim(args))
+        _write_gnuplot(outdir / "sweep.gp", path.name, axis, d)
     print(f"wrote {path} ({len(cols.c_s)} rows)")
     return 0
 

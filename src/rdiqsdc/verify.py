@@ -149,7 +149,7 @@ def criterion4() -> list[CheckResult]:
         out.append(
             _check("4", f"dth* at p1={p1}", want, got, 0.02 * want, "reference")
         )
-    cs = analysis._cs_of_delta_theta(0.429, analysis.REFERENCE_CONFIG)
+    cs, _ = analysis._cs_of_delta_theta(0.429, analysis.REFERENCE_CONFIG)
     c_min = min(cs(float(d)) for d in np.linspace(1e-4, math.pi - 1e-4, 4001))
     out.append(
         CheckResult(

@@ -6,18 +6,28 @@ arithmetic (mpmath, direct formula chains) or frozen from those oracles.
 import cmath
 import math
 from dataclasses import replace
+from itertools import chain
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rdiqsdc import analysis
 from rdiqsdc.analysis import (
+    DTH_SCAN_MAX,
     REFERENCE_CONFIG,
+    SCAN_RESOLUTION,
+    SCREEN_MARGIN,
+    SOLVER_TOL,
     CapacityParams,
     EfficiencyParams,
     OffsetModel,
     _cs_of_delta_theta,
+    _cs_of_eta,
+    _delta_theta_scan,
+    _eta_scan,
     binary_entropy,
     delta_theta_threshold,
     error_budget,
@@ -30,6 +40,7 @@ from rdiqsdc.analysis import (
     sweep,
 )
 from rdiqsdc.devices import LinkBudget
+from rdiqsdc.domains import OPEN_UNIT
 from rdiqsdc.protocol import OffsetDistribution
 from rdiqsdc.qstate import (
     BasisConfig, ChannelRotation, Measurement, apply_rotation, outcome_probability, prepare,
@@ -418,10 +429,119 @@ class TestDeltaThetaThreshold:
     def test_scan_closure_is_secrecy_capacity(self, p1):
         # the closure the threshold and criterion 4 scan gives C_S at eta = 1
         # to the bit
-        cs = _cs_of_delta_theta(p1, REFERENCE_CONFIG)
+        cs, _ = _cs_of_delta_theta(p1, REFERENCE_CONFIG)
         for k in range(201):
             dth = 1e-4 + k * (math.pi - 2e-4) / 200
             assert cs(dth) == secrecy_capacity(CapacityParams(p1=p1, delta_theta=dth)).c_s
+
+
+# -- the unscreened solvers: cs at every scan point in order, then bisection --
+def plain_eta_scan():
+    steps = int(round(1.0 / SCAN_RESOLUTION))
+    return chain((k * SCAN_RESOLUTION for k in range(steps, 0, -1)),
+                 (SCAN_RESOLUTION / 2.0**j for j in range(1, 48)))
+
+
+def plain_delta_theta_scan():
+    steps = int(math.ceil(DTH_SCAN_MAX / SCAN_RESOLUTION))
+    return (min(k * DTH_SCAN_MAX / steps, DTH_SCAN_MAX) for k in range(steps + 1))
+
+
+def plain_root(cs, scan, width):
+    prev = prev_val = None
+    for x in scan:
+        val = cs(x)
+        if prev is not None and val <= 0.0 < prev_val:
+            pos, neg = prev, x
+            break
+        prev, prev_val = x, val
+    else:
+        return None
+    while abs(pos - neg) > width(pos):
+        mid = 0.5 * (neg + pos)
+        if cs(mid) > 0.0:
+            pos = mid
+        else:
+            neg = mid
+    return 0.5 * (neg + pos)
+
+
+def plain_eta_threshold(p1, dth, config):
+    OPEN_UNIT.check("p1", p1)
+    cs, _ = _cs_of_eta(p1, dth, config)
+    return plain_root(cs, plain_eta_scan(), lambda pos: min(SOLVER_TOL, 1e-3 * pos))
+
+
+def plain_delta_theta_threshold(p1, config):
+    OPEN_UNIT.check("p1", p1)
+    cs, _ = _cs_of_delta_theta(p1, config)
+    return plain_root(cs, plain_delta_theta_scan(), lambda pos: SOLVER_TOL)
+
+
+def outcome(solve, *args):
+    """A solver's result by float.hex, "none", or its ValueError text."""
+    try:
+        root = solve(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return "none" if root is None else root.hex()
+
+
+def assert_solvers_equal_plain(p1, dth, config):
+    assert outcome(eta_threshold, p1, dth, config) == outcome(plain_eta_threshold, p1, dth, config)
+    assert (outcome(delta_theta_threshold, p1, config)
+            == outcome(plain_delta_theta_threshold, p1, config))
+
+
+def test_scan_grids_equal_the_plain_scans():
+    assert [x.hex() for x in _eta_scan().tolist()] == [x.hex() for x in plain_eta_scan()]
+    assert ([x.hex() for x in _delta_theta_scan().tolist()]
+            == [x.hex() for x in plain_delta_theta_scan()])
+
+
+@given(
+    p1=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    dth=st.one_of(st.sampled_from((0.0, -math.pi / 40, math.pi / 400, 1e6)), st.floats(-1.0, 1.0)),
+    n=st.one_of(st.sampled_from((3, 5, 8, 129)), st.integers(3, 200).filter(lambda n: n != 4)),
+    theta=st.one_of(st.just(math.pi / 4), st.floats(0.05, 1.5)),
+)
+@example(p1=1e-300, dth=0.0, n=8, theta=math.pi / 4)
+@example(p1=1e-12, dth=-math.pi / 40, n=3, theta=math.pi / 4)
+@example(p1=0.5, dth=math.pi / 400, n=5, theta=0.6)
+@example(p1=1.0 - 1e-12, dth=1e6, n=129, theta=1.2)
+@example(p1=0.1, dth=1e308, n=8, theta=math.pi / 4)  # the rotation angle overflows
+@example(p1=0.1, dth=0.0, n=5, theta=0.6)  # no offsets reach p1
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+def test_solvers_equal_the_plain_scan(p1, dth, n, theta):
+    # the screened solvers return the plain scan's root to the bit, and its
+    # None and ValueError text
+    assert_solvers_equal_plain(p1, dth, BasisConfig(n=n, theta=theta))
+
+
+SCREEN_FAULTS = {
+    "high": lambda s: s + 0.5 * SCREEN_MARGIN,
+    "low": lambda s: s - 0.5 * SCREEN_MARGIN,
+    "nan": lambda s: np.full_like(s, math.nan),
+    "inf": lambda s: np.full_like(s, math.inf),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SCREEN_FAULTS))
+@pytest.mark.parametrize("p1, dth, config", [
+    (1e-300, 0.0, REFERENCE_CONFIG), (1e-12, 0.0, REFERENCE_CONFIG),
+    (1e-5, math.pi / 400, REFERENCE_CONFIG), (0.1, math.pi / 40, REFERENCE_CONFIG),
+    (0.5, 0.0, REFERENCE_CONFIG), (1.0 - 1e-12, 1e6, REFERENCE_CONFIG),
+    (0.3, math.pi / 40, BasisConfig(n=5, theta=0.6)),
+])
+def test_faulty_screen_keeps_every_root(monkeypatch, fault, p1, dth, config):
+    # a screen off by half the margin leaves the signs inside it to the scalar
+    # path, and a non-finite one is not used at all
+    for name in ("_cs_of_eta", "_cs_of_delta_theta"):
+        def faulty(*args, curve=getattr(analysis, name)):
+            cs, screen = curve(*args)
+            return cs, lambda x: SCREEN_FAULTS[fault](screen(x))
+        monkeypatch.setattr(analysis, name, faulty)
+    assert_solvers_equal_plain(p1, dth, config)
 
 
 class TestFidelity:

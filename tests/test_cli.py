@@ -784,6 +784,13 @@ def test_write_rows_prints_each_value_as_fmt(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[1:] == [",".join(cli._fmt(v) for v in row) for row in rows]
     assert lines[2] == "0.5,inf,inf,nan,1"
+    # a leading str is written as is and may hold several fields, before a
+    # finite tail, a non-finite one or one that is not all floats
+    led = [("x,0.5", 0.1, -0.0, 1e300), ("y", 5e-324, math.inf, 1.0), ("z,1", math.nan, 2.0, None),
+           ("w", 0.25, 7, "v"), ("only",)]
+    _write_rows(path, list("abcd"), led, ",")
+    assert path.read_text().splitlines()[1:] == [",".join(cli._fmt(v) for v in row) for row in led]
+    assert path.read_text().splitlines()[1:3] == ["x,0.5,0.1,-0,1e+300", "y,4.940656458e-324,inf,1"]
 
 
 class TestSweepCommand:
@@ -946,7 +953,15 @@ ANALYSIS_GOLDEN = {
     "threshold-pi40-60": (["physics.delta_theta=0.0785398", "analysis.p1_list=0.005:0.995:60"],
                           "thresholds.csv",
                           "99d9294a558aab78f7c4d05daa0a6aa1c5f8de03f1b8c5a4c4f56f24b70b5c26"),
-    "sweep-eta": (["analysis.axis=eta", "analysis.grid=0.0005:1:200"], "sweep.csv",
+    # off the reference basis (n = 5 reaches P1 in [0.214, 1] at theta = 0.6)
+    "threshold-n5-theta0.6": (["protocol.n=5", "protocol.theta=0.6", "physics.delta_theta=0.0785398",
+                               "analysis.p1_list=0.25:0.995:8"], "thresholds.csv",
+                              "f2b4c22bdefdca4a756d998f695d2ed47712908b77b473d191943bc23bc7232a"),
+    # extreme P1 and a huge rotation: most scan points sit near C_S = 0
+    "threshold-extreme": (["analysis.p1_list=1e-300,1e-12,0.5,0.999999999999",
+                           "physics.delta_theta=1e6"], "thresholds.csv",
+                          "bfef6b2a25a4130d2991c992dc875c6d98c8d5df76ff29a4835e19fb37e46f76"),
+    "sweep-eta":(["analysis.axis=eta", "analysis.grid=0.0005:1:200"], "sweep.csv",
                   "9178cdfef18a3b3e9efb80212c6cb52321050360868b4af050411fe2d4584b06"),
     "sweep-L": (["analysis.axis=L", "analysis.grid=0:100:200"], "sweep.csv",
                 "7aeac225bc31e7382bc0b40ce5408986939ab6fd525f1759911f81016a02d7b6"),

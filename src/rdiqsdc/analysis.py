@@ -306,18 +306,11 @@ def _first_step(cs: Callable[[float], float], screen: Callable[[np.ndarray], np.
 
     screen(scan) sets the sign of each point where it is finite and beyond
     SCREEN_MARGIN; cs decides, in scan order, every other point that could
-    start the step. A screen with a non-finite value is not used: cs then
-    runs at every point up to the step."""
+    start the step."""
     with np.errstate(all="ignore"):
         s = screen(scan)
-    if not np.isfinite(s).all():
-        prev = prev_val = None
-        for x in scan.tolist():
-            val = cs(x)
-            if prev is not None and val <= 0.0 < prev_val:
-                return prev, x
-            prev, prev_val = x, val
-        return None
+    # a non-finite screen value sets no sign: cs decides its point
+    s = np.where(np.isfinite(s), s, 0.0)
 
     @functools.cache
     def positive(i: int) -> bool:
@@ -422,9 +415,11 @@ def practical_efficiency(c_s: float, eff: EfficiencyParams) -> float:
 
 @dataclass(frozen=True)
 class SweepColumns:
-    """Capacity over a grid at each P1, one list per quantity. Rows run P1
-    major: row k is grid value k % len(grid) at the (k // len(grid))-th P1.
-    The bare efficiency eta of a point is its q_ab on every axis."""
+    """Capacity over a grid at each P1, one list per quantity. `axis`,
+    `delta_theta`, `q_ab` and `q_aba`, which do not depend on P1, hold one
+    entry per grid value and `p1` one per P1. The other lists run P1 major:
+    entry k is grid value k % len(axis) at P1 p1[k // len(axis)]. The bare
+    efficiency eta of a point is its q_ab on every axis."""
 
     axis: list[float]
     p1: list[float]
@@ -503,9 +498,7 @@ def sweep(
         i_ab += i1.tolist()
         i_be += i2.tolist()
         c_s += (i1 - i2).tolist()
-    blocks = len(p1s)
     return SweepColumns(
-        axis=grid * blocks, p1=[p1 for p1 in p1s for _ in range(n)], delta_theta=dths * blocks,
-        q_ab=q_ab * blocks, q_aba=q_aba * blocks, e_ab=e_ab, e_aba=e_aba, i_ab=i_ab, i_be=i_be,
-        c_s=c_s, e_s=[practical_efficiency(c, efficiency) for c in c_s],
+        axis=grid, p1=p1s, delta_theta=dths, q_ab=q_ab, q_aba=q_aba, e_ab=e_ab, e_aba=e_aba,
+        i_ab=i_ab, i_be=i_be, c_s=c_s, e_s=[practical_efficiency(c, efficiency) for c in c_s],
     )

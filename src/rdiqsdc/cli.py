@@ -203,11 +203,11 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     # the six leading fields as text, p1 once per P1 and the other five once
     # per grid point (rows run P1 major); eta is the bare efficiency, which is
     # q_ab on every axis
-    d, n = _delim(args), len(grid)
-    axis_text = [_fmt(v) for v in cols.axis[:n]]
+    d = _delim(args)
+    axis_text = [_fmt(v) for v in cols.axis]
     gains_text = [d.join(map(_fmt, vals)) for vals in
-                  zip(cols.delta_theta[:n], cols.q_ab[:n], cols.q_ab[:n], cols.q_aba[:n])]
-    lead = (a + d + p1 + d + g for p1 in map(_fmt, cols.p1[::n])
+                  zip(cols.delta_theta, cols.q_ab, cols.q_ab, cols.q_aba)]
+    lead = (a + d + p1 + d + g for p1 in map(_fmt, cols.p1)
             for a, g in zip(axis_text, gains_text))
     rows = zip(lead, cols.e_ab, cols.e_aba, cols.i_ab, cols.i_be, cols.c_s, cols.e_s)
     path = outdir / f"sweep.{args.format}"

@@ -523,6 +523,9 @@ SCREEN_FAULTS = {
     "low": lambda s: s - 0.5 * SCREEN_MARGIN,
     "nan": lambda s: np.full_like(s, math.nan),
     "inf": lambda s: np.full_like(s, math.inf),
+    # every third value non-finite, -inf where the screen was positive
+    "holes": lambda s: np.where(np.arange(s.size) % 3 == 0,
+                                np.where(s > 0.0, -math.inf, math.nan), s),
 }
 
 
@@ -535,7 +538,7 @@ SCREEN_FAULTS = {
 ])
 def test_faulty_screen_keeps_every_root(monkeypatch, fault, p1, dth, config):
     # a screen off by half the margin leaves the signs inside it to the scalar
-    # path, and a non-finite one is not used at all
+    # path, and so does a non-finite screen value, alone or at every point
     for name in ("_cs_of_eta", "_cs_of_delta_theta"):
         def faulty(*args, curve=getattr(analysis, name)):
             cs, screen = curve(*args)
@@ -628,7 +631,12 @@ def assert_sweep_equals_scalar(axis, grid, p1s, efficiency, dth=0.0, link=LinkBu
     """Every column of the sweep equals secrecy_capacity at its point, bit for
     bit, in P1-major order; returns the c_s column."""
     cols = sweep(axis, grid, p1s, efficiency, delta_theta=dth, link=link, config=config)
-    got = list(zip(cols.axis, cols.p1, cols.delta_theta, cols.q_ab, cols.q_aba, cols.e_ab,
+    n, blocks = len(grid), len(p1s)
+    # the P1-independent columns hold one entry per grid value, p1 one per P1
+    assert [len(c) for c in (cols.axis, cols.delta_theta, cols.q_ab, cols.q_aba)] == [n] * 4
+    assert len(cols.p1) == blocks and len(cols.c_s) == n * blocks
+    got = list(zip(cols.axis * blocks, [p1 for p1 in cols.p1 for _ in range(n)],
+                   cols.delta_theta * blocks, cols.q_ab * blocks, cols.q_aba * blocks, cols.e_ab,
                    cols.e_aba, cols.i_ab, cols.i_be, cols.c_s, cols.e_s))
     want = []
     for p1 in p1s:

@@ -2,6 +2,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -913,8 +914,8 @@ class TestBasisConfigInAnalysis:
             assert c_s == pytest.approx(want, rel=1e-9, abs=1e-12)
         cols = analysis.sweep("eta", [0.2, 0.6, 1.0], [0.3, 0.6], analysis.EfficiencyParams(),
                               delta_theta=0.0785398, config=self.CONFIG)
-        assert cols.p1 == [0.3] * 3 + [0.6] * 3
-        for p1, eta, c_s in zip(cols.p1, cols.axis, cols.c_s):
+        assert cols.p1 == [0.3, 0.6] and cols.axis == [0.2, 0.6, 1.0]
+        for (p1, eta), c_s in zip(itertools.product(cols.p1, cols.axis), cols.c_s):
             want = brute_capacity(p1, self.CONFIG, eta, 0.0785398)
             assert c_s == pytest.approx(want, abs=1e-12)
 
@@ -961,7 +962,7 @@ ANALYSIS_GOLDEN = {
     "threshold-extreme": (["analysis.p1_list=1e-300,1e-12,0.5,0.999999999999",
                            "physics.delta_theta=1e6"], "thresholds.csv",
                           "bfef6b2a25a4130d2991c992dc875c6d98c8d5df76ff29a4835e19fb37e46f76"),
-    "sweep-eta":(["analysis.axis=eta", "analysis.grid=0.0005:1:200"], "sweep.csv",
+    "sweep-eta": (["analysis.axis=eta", "analysis.grid=0.0005:1:200"], "sweep.csv",
                   "9178cdfef18a3b3e9efb80212c6cb52321050360868b4af050411fe2d4584b06"),
     "sweep-L": (["analysis.axis=L", "analysis.grid=0:100:200"], "sweep.csv",
                 "7aeac225bc31e7382bc0b40ce5408986939ab6fd525f1759911f81016a02d7b6"),

@@ -148,6 +148,7 @@ def _fmt(v) -> str:
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
+    cfg.check_p1_reachable("protocol.p1_target")
     params, message = cfg.protocol_params(), cfg.message_bits()
     outdir = Path(args.out)
     result = run_full_protocol(params, message, workers=args.workers)
@@ -188,6 +189,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     if not grid:
         raise ConfigError("analysis.grid is empty; set analysis.grid")
     dth = _one_rotation_per_trip(cfg)
+    cfg.check_p1_reachable("analysis.p1_list")
     # the delta_theta axis takes any finite rotation; the solver names one that overflows
     domain = {"eta": UNIT, "L": NON_NEGATIVE}.get(axis, REAL)
     for v in grid:
@@ -236,6 +238,7 @@ def cmd_threshold(cfg: RunConfig, args) -> int:
         if p1 not in OPEN_UNIT:
             raise ConfigError(f"analysis.p1_list entries {OPEN_UNIT.text} for threshold, "
                               f"got {p1!r}")
+    cfg.check_p1_reachable("analysis.p1_list")
     dth = _one_rotation_per_trip(cfg)
     link = cfg.link()  # eta_m from the memory's round trips when they are set
     config = cfg.basis_config()
@@ -280,6 +283,7 @@ def _attack_point(job) -> list:
 
 
 def cmd_attack_scan(cfg: RunConfig, args) -> int:
+    cfg.check_p1_reachable("protocol.p1_target")
     base = cfg.protocol_params()
     target = base.p1_target
     if target is None:  # the uniform offsets' expected first-round P(g=0)

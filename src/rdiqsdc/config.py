@@ -23,7 +23,7 @@ from .devices import ChannelNoiseModel, LinkBudget, memory_efficiency
 from .domains import (
     ANGLE, COUNT, INDEX, NON_NEGATIVE, OPEN_UNIT, POSITIVE, REAL, SEED, SETTINGS, UNIT, Domain,
 )
-from .protocol import ProtocolParams, Round2Mode, hoeffding_tolerance
+from .protocol import OffsetDistribution, ProtocolParams, Round2Mode, hoeffding_tolerance
 from .qstate import BasisConfig
 
 ENV_CONFIG = "RDIQSDC_CONFIG"
@@ -153,6 +153,17 @@ class RunConfig:
                 f"bad values for physics.delta_theta and physics.noise_spread ({exc})"
             ) from exc
         return self
+
+    def check_p1_reachable(self, key: str) -> None:
+        """Every P1 that `key` holds (a target or a list of them) is one the
+        checking rounds' offsets reach at protocol.n and protocol.theta; an
+        unreachable one names `key`, the reachable range, n and theta."""
+        targets = self[key] if isinstance(self[key], tuple) else (self[key],)
+        for p1 in targets:
+            try:
+                OffsetDistribution.of(self.basis_config(), p1)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
 
     # ---- domain-object builders -------------------------------------------
     def basis_config(self) -> BasisConfig:

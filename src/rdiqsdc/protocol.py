@@ -77,7 +77,8 @@ class OffsetDistribution:
         hi = min(((p, d) for p, d in probs if p >= p1_target - 1e-12), default=None)
         if lo is None or hi is None:
             raise ValueError(
-                f"target {p1_target} is outside the reachable range for n={n}"
+                f"target {p1_target} is outside the reachable range "
+                f"[{min(ideal):.6g}, {max(ideal):.6g}] for n={n} at theta={config.theta:.6g}"
             )
         if abs(hi[0] - lo[0]) <= 1e-12:
             return cls(n=n, deltas=(lo[1],), weights=(1.0,))
@@ -214,12 +215,21 @@ class EstStat:
 
 
 def _est(values: np.ndarray) -> EstStat:
+    """Mean and standard error of a float64 column, as float(np.mean(v)) and
+    float(np.std(v) / sqrt(n)) give them to the bit. The column is consumed:
+    the steps of np.mean and np.std run on it in place, so np.std's
+    deviations take no second column."""
     n = len(values)
     if n == 0:
         return EstStat(0.0, 0.0)
-    mean = float(np.mean(values))
-    stderr = float(np.std(values) / math.sqrt(n)) if n > 1 else 0.0
-    return EstStat(mean, stderr)
+    mean = np.add.reduce(values, keepdims=True)
+    np.true_divide(mean, n, out=mean)
+    if n == 1:
+        return EstStat(float(mean[0]), 0.0)
+    np.subtract(values, mean, out=values)
+    np.multiply(values, values, out=values)
+    std = np.sqrt(np.add.reduce(values) / n)
+    return EstStat(float(mean[0]), float(std / math.sqrt(n)))
 
 
 def _rate(count: int, n: int) -> EstStat:
@@ -282,22 +292,23 @@ class SequenceLedger:
     def s3_pos(self) -> np.ndarray:
         return self.order[2 * self.r:]
 
-    # The slot properties read `return_perm`, which step 4 sets once; each is
-    # computed on first read, in the permutation's dtype.
-    @functools.cached_property
+    # The slot properties read `return_perm`, which step 4 sets once. Each is
+    # computed at every read, in the permutation's dtype, and not cached, so
+    # it lives only as long as its reader keeps it.
+    @property
     def s2p_slots(self) -> np.ndarray:
         return np.flatnonzero(self.return_perm < self.r).astype(self.return_perm.dtype)
 
-    @functools.cached_property
+    @property
     def s3p_slots(self) -> np.ndarray:
         return np.flatnonzero(self.return_perm >= self.r).astype(self.return_perm.dtype)
 
-    @functools.cached_property
+    @property
     def s2_order(self) -> np.ndarray:
         """Original S2 index of each announced check slot."""
         return self.return_perm[self.s2p_slots]
 
-    @functools.cached_property
+    @property
     def s3_order(self) -> np.ndarray:
         return self.return_perm[self.s3p_slots] - self.r
 
@@ -438,6 +449,9 @@ class ProtocolRun:
         self.n = params.config.n
         self.theta = params.config.theta
         self._pool: Optional[ThreadPoolExecutor] = None
+        # both checking rounds draw these offsets; an unreachable P1 target
+        # fails here, before step 1
+        self._offsets = OffsetDistribution.of(params.config, params.p1_target)
         self.ledger: Optional[SequenceLedger] = None
         self._message_in = message
         self._stage = 0
@@ -572,7 +586,6 @@ class ProtocolRun:
         preparation index. No-clicks are assigned the more likely ideal outcome.
         Returns the round's record and its report."""
         r, n, theta, prep = self.r, self.n, self.theta, self.ledger.prep
-        offs = OffsetDistribution.of(self.params.config, self.params.p1_target)
         phases, ideal, assign = self._offset_table
         rec = _Measured(k=np.empty(r, dtype=np.min_scalar_type(2 * n - 2)),
                         clicked=np.empty(r, dtype=bool), g=np.empty(r, dtype=np.int8))
@@ -584,7 +597,7 @@ class ProtocolRun:
             if bases is None:
                 # measured index y = ((x - d - 1) mod n) + 1 at drawn offset d,
                 # so k = x - y + n - 1 is d - 1 + n where x > d, else d - 1
-                d = offs.draw(b - a, rng(f"{purpose}-offsets"))
+                d = self._offsets.draw(b - a, rng(f"{purpose}-offsets"))
                 k = d - 1 + n * (x > d)
             else:
                 k = x - bases[a:b].astype(np.int64) + (n - 1)
@@ -692,13 +705,14 @@ class ProtocolRun:
     def step5_second_check(self) -> SecurityCheckReport:
         self._require_stage(5)
         led = self.ledger
-        if len(led.s2p_slots) != self.r:
+        slots = led.s2p_slots
+        if len(slots) != self.r:
             raise ProtocolViolation("announcement length mismatch in round 2")
         # original order: the receiver reuses her S2 preparation order
         # against the shuffled stream
         original = self.params.round2_mode is Round2Mode.ORIGINAL_ORDER
         bases = led.prep[led.s2_pos] if original else None
-        self.round2, self.check2 = self._check_round(2, led.s2p_slots, bases)
+        self.round2, self.check2 = self._check_round(2, slots, bases)
         self._stage = 6
         return self.check2
 
@@ -706,7 +720,8 @@ class ProtocolRun:
     def step6_decode(self) -> MessageFrame:
         self._require_stage(6)
         r, theta, led = self.r, self.theta, self.ledger
-        slots, order = led.s3p_slots, led.s3_order  # original S3 index per slot
+        slots = led.s3p_slots
+        order = led.return_perm[slots] - r  # led.s3_order: original S3 index per slot
         decoded = np.full(r, -1, dtype=np.int8)
 
         def kernel(a, b, rng):
@@ -727,22 +742,32 @@ class ProtocolRun:
     def _stats(self) -> TranscriptStats:
         r, check1, check2 = self.r, self.check1, self.check2
         ideal = self._offset_table[1]
-        # the gain-weighted shift and the assignment cost of each checking
-        # photon, filled a block at a time and averaged over the whole column
-        rounds = [(rec, np.empty(r), np.empty(r)) for rec in (self.round1, self.round2)]
 
-        def columns(a, b, rng):
-            for rec, shift, assign in rounds:
+        # the gain-weighted shift and the assignment cost of a checking photon
+        def shift(clicked, p, g):
+            return clicked * (p - (g == 0))
+
+        def assign(clicked, p, g):
+            return (1.0 - clicked) * np.minimum(p, 1.0 - p)
+
+        def est(term, rec) -> EstStat:
+            """_est of `term` over the checking photons of `rec`: the column is
+            filled a block at a time and reduced whole, so one column at a
+            time is alive."""
+            column = np.empty(r)
+
+            def fill(a, b, rng):
                 clicked, p = rec.clicked[a:b].astype(np.float64), ideal[rec.k[a:b]]
-                shift[a:b] = clicked * (p - (rec.g[a:b] == 0))
-                assign[a:b] = (1.0 - clicked) * np.minimum(p, 1.0 - p)
+                column[a:b] = term(clicked, p, rec.g[a:b])
+
+            self._blocks(r, fill)
+            return _est(column)
 
         def sites(a, b, rng):
             # one bin per (site, leg); the none and detector sites carry no leg
             return np.bincount(3 * self.site[a:b] + self.leg[a:b],
                                minlength=3 * len(_SITE_CODE))
 
-        self._blocks(r, columns)
         tally = sum(self._blocks(3 * r, sites))
         counts = {}
         for idx in np.flatnonzero(tally):
@@ -750,7 +775,6 @@ class ProtocolRun:
             name = _SITE_NAME[code]
             counts[name if leg == 0 else f"{name}-leg{leg}"] = int(tally[idx])
 
-        (_, shift1, assign1), (_, shift2, assign2) = rounds
         return TranscriptStats(
             q_ab=_rate(check1.n_clicked, r),
             q_aba=_rate(check2.n_clicked, r),
@@ -759,10 +783,10 @@ class ProtocolRun:
             p2_observed=_rate(check2.n_clicked_g0 + check2.n_assigned_g0, r),
             p1_clicked=_rate(check1.n_clicked_g0, check1.n_clicked),
             p2_clicked=_rate(check2.n_clicked_g0, check2.n_clicked),
-            e_ab_signed=_est(shift1),
-            e_ab_assign=_est(assign1),
-            e_aba_signed=_est(shift2),
-            e_aba_assign=_est(assign2),
+            e_ab_signed=est(shift, self.round1),
+            e_ab_assign=est(assign, self.round1),
+            e_aba_signed=est(shift, self.round2),
+            e_aba_assign=est(assign, self.round2),
             loss_counts=counts,
         )
 

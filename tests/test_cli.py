@@ -933,15 +933,31 @@ class TestBasisConfigInAnalysis:
             assert brute_capacity(p1, self.CONFIG, 1.0, dth_star - 1e-5) > 0.0
             assert brute_capacity(p1, self.CONFIG, 1.0, dth_star + 1e-5) < 0.0
 
-    @pytest.mark.parametrize("cmd", ["threshold", "sweep"])
-    def test_unreachable_p1_exits_two(self, tmp_path, capsys, cmd):
-        # n = 5 at pi/4 cannot go below cos^2(2*pi/5) = 0.095
-        argv = [cmd, "--out", str(tmp_path), "--set", "protocol.n=5",
-                "--set", "analysis.p1_list=0.3,0.001", "--set", "analysis.grid=0.5"]
+    # n = 5 at pi/4 cannot go below cos^2(2*pi/5) = 0.0955, and at theta = 0.6
+    # not below 0.214; the line names the key that set the P1, the range, n and theta
+    PI4_RANGE = "[0.0954915, 1] for n=5 at theta=0.785398"
+
+    @pytest.mark.parametrize("cmd, sets, want", [
+        ("threshold", ["analysis.p1_list=0.3,0.001"],
+         f"analysis.p1_list: target 0.001 is outside the reachable range {PI4_RANGE}"),
+        ("sweep", ["analysis.p1_list=0.3,0.001", "analysis.grid=0.5"],
+         f"analysis.p1_list: target 0.001 is outside the reachable range {PI4_RANGE}"),
+        ("threshold", ["protocol.theta=0.6", "analysis.p1_list=0.3,0.2"],
+         "analysis.p1_list: target 0.2 is outside the reachable range "
+         "[0.214256, 1] for n=5 at theta=0.6"),
+        ("simulate", ["protocol.p1_target=0.001"],
+         f"protocol.p1_target: target 0.001 is outside the reachable range {PI4_RANGE}"),
+        ("attack-scan", ["protocol.p1_target=0.001", "attack.r=100"],
+         f"protocol.p1_target: target 0.001 is outside the reachable range {PI4_RANGE}"),
+    ], ids=["threshold", "sweep", "threshold-theta0.6", "simulate", "attack-scan"])
+    def test_unreachable_p1_exits_two(self, tmp_path, capsys, cmd, sets, want):
+        argv = [cmd, "--out", str(tmp_path), "--set", "protocol.n=5"]
+        for setting in sets:
+            argv += ["--set", setting]
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err == "config error: target 0.001 is outside the reachable range for n=5\n"
+        assert capsys.readouterr().err == f"config error: {want}\n"
         assert list(tmp_path.iterdir()) == []
+
 
 
 # sha256 of the default `threshold` output and of one sweep per axis over the

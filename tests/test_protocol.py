@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -69,8 +70,14 @@ class TestBasisPolicy:
 
     def test_infeasible_target(self):
         # n=3 cannot reach below cos^2(pi/3) = 0.25
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(
+                "target 0.1 is outside the reachable range [0.25, 1] for n=3 at theta=0.785398")):
             OffsetDistribution.of(BasisConfig(n=3), 0.1)
+
+    def test_infeasible_target_fails_before_step_one(self):
+        # the run draws its offsets when it is made, not in step 3
+        with pytest.raises(ValueError, match="outside the reachable range"):
+            ProtocolRun(params_for(n=3, target=0.1))
 
     @pytest.mark.parametrize("n", [3, 5, 8, 16, 31])
     def test_uniform_mode_half(self, n):
@@ -639,6 +646,71 @@ class TestStatsMatchWholeArrayOracle:
                 assert abs(got.stderr - stderr) <= 1e-15 * stderr, name
             else:
                 assert got == expected, name
+
+
+def _est_columns(kind: str):
+    """Float columns of every length _est is tested at: uniform floats,
+    tiny normals, or what the engine's shift column holds, 0, p or p - 1 at
+    the ideal P(g=0) p of an offset drawn from the 2n - 1 offset table."""
+    rng = np.random.default_rng(28)
+    ideal = protocol._ideal_p(math.pi / 4, protocol._offset_phases(8))
+    for n in [*range(301), 65535, 65536, 65537, 1_000_003]:
+        if kind == "uniform":
+            yield rng.random(n)
+        elif kind == "tiny":
+            yield rng.standard_normal(n) * 1e-150
+        else:
+            p = ideal[rng.integers(0, len(ideal), n)]
+            yield np.choose(rng.integers(0, 3, n), [np.zeros(n), p, p - 1.0])
+
+
+@pytest.mark.parametrize("kind", ["uniform", "tiny", "engine"])
+def test_est_is_mean_and_std_to_the_bit(kind):
+    # _est reduces its argument in place with np.mean's and np.std's own
+    # steps, so it matches them by float.hex and leaves the squared deviations
+    for values in _est_columns(kind):
+        column = values.copy()
+        got = protocol._est(column)
+        want = _oracle_est(values)
+        assert (got.value.hex(), got.stderr.hex()) == tuple(map(float.hex, want)), len(values)
+        if len(values) > 1:
+            assert np.array_equal(column, np.square(values - np.mean(values))), len(values)
+        else:
+            assert np.array_equal(column, values)
+
+
+class TestStatsMemory:
+    # _stats holds one float column of r values at a time, plus the
+    # temporaries of the block being filled: five block-length float64
+    # arrays on one thread (2.63 MB at the 65536-photon block, measured),
+    # allowed six here
+    R = 500_000
+    BLOCK_ALLOWANCE = 6 * 8 * protocol._ENGINE_BLOCK
+
+    def test_stats_peak_is_one_column(self):
+        params = params_for(r=self.R, seed=28, link=LinkBudget(eta_c=0.7),
+                            continue_on_abort=True)
+        run = ProtocolRun(params)
+        for step in (run.step1_prepare, run.step2_transmit_to_bob, run.step3_first_check,
+                     run.step4_encode_and_shuffle, run.step5_transmit_to_alice,
+                     run.step5_second_check, run.step6_decode):
+            step()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run._stats()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 8 * self.R + self.BLOCK_ALLOWANCE
+
+    def test_ledger_keeps_no_slot_array(self):
+        # the slot arrays are computed at each read and cached by no one
+        result = run_full_protocol(params_for(r=2000, seed=28, continue_on_abort=True))
+        led = result.ledger
+        assert len(led.s2p_slots) == len(led.s3p_slots) == 2000
+        assert result.announcements.s3_original_positions is not None
+        assert vars(led).keys() == {"r", "prep", "order", "return_perm"}
 
 
 class TestOneRotationPerTrip:

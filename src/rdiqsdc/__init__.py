@@ -25,7 +25,7 @@ from .analysis import (
     secrecy_capacity,
     sweep,
 )
-from .devices import ChannelNoiseModel, LinkBudget, LossSite, memory_efficiency
+from .devices import ChannelNoiseModel, LinkBudget, LossSite
 from .protocol import (
     Announcements,
     EstStat,

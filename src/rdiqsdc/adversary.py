@@ -21,6 +21,7 @@ import decimal
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from typing import Optional
 
 from .domains import COUNT, NON_NEGATIVE, UNIT
 
@@ -40,12 +41,13 @@ class BlindingAttackParams:
 @dataclass(frozen=True)
 class AttackOutcomeStats:
     """Attack-run summary: predicted vs observed first-round distribution
-    and the per-intercepted-bit information the eavesdropper gained."""
+    and the per-intercepted-bit information the eavesdropper gained, the
+    last two None when no message photon was intercepted."""
 
     predicted_p_g0: float
     empirical_p_g0: float
-    eve_correct_fraction: float
-    eve_info_per_bit: float
+    eve_correct_fraction: Optional[float]
+    eve_info_per_bit: Optional[float]
 
     def __post_init__(self) -> None:
         UNIT.check("predicted_p_g0", self.predicted_p_g0)
@@ -145,17 +147,3 @@ def eve_information(correct_fraction: float) -> float:
     if p in (0.0, 1.0):
         return 1.0
     return 1.0 + p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p)
-
-
-def attack_stats(
-    p1_target: float,
-    params: BlindingAttackParams,
-    empirical_p_g0: float,
-    eve_correct_fraction: float,
-) -> AttackOutcomeStats:
-    return AttackOutcomeStats(
-        predicted_p_g0=predict_attacked_distribution(p1_target, params),
-        empirical_p_g0=empirical_p_g0,
-        eve_correct_fraction=eve_correct_fraction,
-        eve_info_per_bit=eve_information(eve_correct_fraction),
-    )

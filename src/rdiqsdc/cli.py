@@ -13,7 +13,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NoReturn, Optional, Sequence
 
 from . import analysis, verify
 from .adversary import BlindingAttackParams, detection_power, predict_attacked_distribution
@@ -63,33 +63,46 @@ def _usable_cpus() -> int:
     return cpus if quota is None else min(cpus, quota)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a config error: one line, exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="rdiqsdc",
         description="Single-photon RDI QSDC simulator and capacity analysis",
     )
     sub = p.add_subparsers(dest="cmd", required=True)
-    for name, help_text in (
-        ("simulate", "run the six-step protocol and write transcripts"),
-        ("sweep", "closed-form capacity sweep to CSV"),
-        ("threshold", "loss/noise thresholds and distances per operating point"),
-        ("attack-scan", "blinding-attack grid: predicted/empirical statistics"),
-        ("verify", "run the acceptance battery"),
+    # the flags each command reads besides --config, --out, --workers and --set,
+    # which every command takes
+    for name, help_text, flags in (
+        ("simulate", "run the six-step protocol and write transcripts", {"--seed"}),
+        ("sweep", "closed-form capacity sweep to CSV", {"--format"}),
+        ("threshold", "loss/noise thresholds and distances per operating point", {"--format"}),
+        ("attack-scan", "blinding-attack grid: predicted/empirical statistics",
+         {"--seed", "--format"}),
+        ("verify", "run the acceptance battery", {"--keystone-r"}),
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", type=str, default=None,
                          help="config file path (default: $RDIQSDC_CONFIG)")
-        cmd.add_argument("--seed", type=int, default=None, help="master seed override")
+        if "--seed" in flags:
+            cmd.add_argument("--seed", type=int, default=None, help="master seed override")
         cmd.add_argument("--out", type=str, default=".", help="output directory")
         cmd.add_argument("--workers", type=int, default=_usable_cpus(),
                          help="parallel workers, at least 1: threads in simulate, processes "
                               "in attack-scan and verify (verify: one pool shared by criteria "
-                              "7, 9 and 10; 1 runs everything serially in this process); the "
-                              "output is the same for any worker count")
-        cmd.add_argument("--format", choices=("csv", "tsv"), default="csv")
+                              "7, 9 and 10; 1 runs everything serially in this process; sweep "
+                              "and threshold run on one thread); the output is the same for "
+                              "any worker count")
+        if "--format" in flags:
+            cmd.add_argument("--format", choices=("csv", "tsv"), default="csv")
         cmd.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                          help="override a config key (repeatable)")
-        if name == "verify":
+        if "--keystone-r" in flags:
             cmd.add_argument("--keystone-r", type=int, default=1_000_000,
                              help="photons per sequence in the cross-validation runs, at least 1")
     return p
@@ -105,7 +118,7 @@ def _load(args) -> RunConfig:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
         overrides[key.strip()] = raw.strip()
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:  # on the commands that declare --seed
         overrides["protocol.seed"] = str(args.seed)
     return load_config(args.config, overrides)
 
@@ -240,7 +253,7 @@ def cmd_threshold(cfg: RunConfig, args) -> int:
                               f"got {p1!r}")
     cfg.check_p1_reachable("analysis.p1_list")
     dth = _one_rotation_per_trip(cfg)
-    link = cfg.link()  # eta_m from the memory's round trips when they are set
+    link = cfg.link()
     config = cfg.basis_config()
     rows = []
     for p1 in cfg["analysis.p1_list"]:
@@ -332,12 +345,12 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         command = {"simulate": cmd_simulate, "sweep": cmd_sweep, "threshold": cmd_threshold,
                    "attack-scan": cmd_attack_scan, "verify": cmd_verify}[args.cmd]
         return command(_load(args), args)
-    except ValueError as exc:  # ConfigError and the domain objects' own checks
+    except ValueError as exc:  # ConfigError, usage errors and the domain objects' own checks
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,9 +19,9 @@ import numpy as np
 
 from .adversary import BlindingAttackParams
 from .analysis import EfficiencyParams
-from .devices import ChannelNoiseModel, LinkBudget, memory_efficiency
+from .devices import ChannelNoiseModel, LinkBudget
 from .domains import (
-    ANGLE, COUNT, INDEX, NON_NEGATIVE, OPEN_UNIT, POSITIVE, REAL, SEED, SETTINGS, UNIT, Domain,
+    ANGLE, COUNT, NON_NEGATIVE, OPEN_UNIT, POSITIVE, REAL, SEED, SETTINGS, UNIT, Domain,
 )
 from .protocol import OffsetDistribution, ProtocolParams, Round2Mode, hoeffding_tolerance
 from .qstate import BasisConfig
@@ -108,8 +108,6 @@ SCHEMA: dict[str, tuple] = {
     "physics.eta_c": (0.95, UNIT),
     "physics.eta_m": (1.0, UNIT),
     "physics.eta_d": (1.0, UNIT),
-    "physics.qm_per_trip_efficiency": (1.0, UNIT),
-    "physics.qm_round_trips": (0, INDEX),
     "physics.delta_theta": (0.0, REAL),
     "physics.noise_spread": (0.0, NON_NEGATIVE),
     "adversary.enabled": (False, _parse_bool),
@@ -137,15 +135,13 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         """The rules that tie one key to another, checked for every command:
-        the message length, eta_m against the memory's round trips, and the
-        two-leg rotation bound of delta_theta and noise_spread. Rules that
-        depend on what a command builds (P1 reachability, the sweep grid,
-        the rotation spread and P1 domain of the closed forms) stay with it."""
+        the message length and the two-leg rotation bound of delta_theta
+        and noise_spread. Rules that depend on what a command builds (P1
+        reachability, the sweep grid, the rotation spread and P1 domain of
+        the closed forms) stay with it."""
         message = self["protocol.message"]
         if message != "random" and len(message) != self["protocol.r"]:
             raise ConfigError("protocol.message length must equal protocol.r")
-        if self["physics.qm_round_trips"] > 0 and self["physics.eta_m"] != 1.0:
-            raise ConfigError("set physics.eta_m or physics.qm_round_trips, not both")
         try:
             self.noise()
         except ValueError as exc:
@@ -170,16 +166,11 @@ class RunConfig:
         return BasisConfig(n=self["protocol.n"], theta=self["protocol.theta"])
 
     def link(self) -> LinkBudget:
-        eta_m = self["physics.eta_m"]
-        if self["physics.qm_round_trips"] > 0:
-            eta_m = memory_efficiency(
-                self["physics.qm_per_trip_efficiency"], self["physics.qm_round_trips"]
-            )
         return LinkBudget(
             distance_km=self["physics.distance_km"],
             alpha_db_per_km=self["physics.alpha_db_per_km"],
             eta_c=self["physics.eta_c"],
-            eta_m=eta_m,
+            eta_m=self["physics.eta_m"],
             eta_d=self["physics.eta_d"],
         )
 

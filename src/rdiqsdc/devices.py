@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import INDEX, NON_NEGATIVE, UNIT
+from .domains import NON_NEGATIVE, UNIT
 
 
 class LossSite(enum.Enum):
@@ -67,14 +67,6 @@ class LinkBudget:
     def q_aba(self) -> float:
         """Round-trip detection gain."""
         return self.eta_t**2 * self.eta_c**2 * self.eta_m**2 * self.eta_d
-
-
-def memory_efficiency(per_trip_efficiency: float, round_trips: int) -> float:
-    """Aggregate storage efficiency of a loop holding a photon for
-    round_trips circulations."""
-    UNIT.check("per_trip_efficiency", per_trip_efficiency)
-    INDEX.check("round_trips", round_trips)
-    return per_trip_efficiency**round_trips
 
 
 @dataclass(frozen=True)

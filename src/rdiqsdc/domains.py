@@ -65,7 +65,6 @@ OPEN_UNIT = Domain(float, 0.0, 1.0, open=True)
 NON_NEGATIVE = Domain(float, 0.0)
 POSITIVE = Domain(float, 0.0, open=True)
 COUNT = Domain(int, 1)
-INDEX = Domain(int, 0)
 SEED = Domain(int, 0, 2**64 - 1)  # the 64-bit word each random stream's entropy takes
 SETTINGS = Domain(int, 3, exclude=(4,))  # n = 2 has one usable basis, n = 4 pins P1 at 0.5
 ANGLE = Domain(float, 0.0, math.pi / 2, open=True)

@@ -32,7 +32,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import seeding
-from .adversary import AttackOutcomeStats, BlindingAttackParams, attack_stats
+from .adversary import (
+    AttackOutcomeStats, BlindingAttackParams, eve_information, predict_attacked_distribution,
+)
 from .devices import ChannelNoiseModel, LinkBudget, LossSite
 from .domains import COUNT, NON_NEGATIVE, OPEN_UNIT, SEED, UNIT
 from .qstate import BasisConfig, born_p
@@ -875,10 +877,14 @@ class ProtocolRun:
             guess = seeding.stream(seed, "adv-guess").integers(0, 2, size=r).astype(np.int8)
             eve_bits = np.where(known, self.payload, guess)
             correct = float(np.mean(eve_bits[att3] == self.payload[att3]))
-        else:
-            correct = 0.0
-        return attack_stats(
-            self.check1.theoretical_p_g0, adv, self.check1.empirical_p_g0, correct
+            info = eve_information(correct)
+        else:  # nothing intercepted, nothing learned or guessed
+            correct = info = None
+        return AttackOutcomeStats(
+            predicted_p_g0=predict_attacked_distribution(self.check1.theoretical_p_g0, adv),
+            empirical_p_g0=self.check1.empirical_p_g0,
+            eve_correct_fraction=correct,
+            eve_info_per_bit=info,
         )
 
     def _result(self, aborted_at_step: Optional[int]) -> ProtocolResult:

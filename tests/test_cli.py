@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from rdiqsdc.cli import _write_rows, main
 from rdiqsdc.config import SCHEMA, ConfigError, load_config, parse_value
 from rdiqsdc.devices import LinkBudget
 from rdiqsdc.domains import (
-    ANGLE, COUNT, INDEX, NON_NEGATIVE, OPEN_UNIT, POSITIVE, REAL, SEED, SETTINGS, UNIT, Domain,
+    ANGLE, COUNT, NON_NEGATIVE, OPEN_UNIT, POSITIVE, REAL, SEED, SETTINGS, UNIT, Domain,
 )
 from rdiqsdc.qstate import BasisConfig, Measurement, outcome_probability, prepare
 from test_analysis import brute_capacity
@@ -101,13 +102,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(path)).message_bits()
 
-    def test_storage_loop_maps_to_memory_efficiency(self):
-        cfg = load_config(None, {
-            "physics.qm_per_trip_efficiency": str(0.91 ** (1 / 11)),
-            "physics.qm_round_trips": "11",
-        })
-        assert cfg.link().eta_m == pytest.approx(0.91, abs=1e-9)
-
     def test_protocol_params_roundtrip(self):
         params = load_config(None, {"protocol.r": "50", "protocol.seed": "5"}).protocol_params()
         assert params.r == 50 and params.seed == 5
@@ -126,6 +120,21 @@ class TestSimulateCommand:
         assert summary["message"]["length"] == 200
         lines = (tmp_path / "transcript.jsonl").read_text().splitlines()
         assert len(lines) == 601
+
+    def test_no_intercepted_message_photon_leaves_eve_fields_null(self, tmp_path):
+        # at p1 = 0 no S3 photon is intercepted: there is no guess accuracy or
+        # information to report, in the summary or the transcript's last record
+        assert main(["simulate", "--out", str(tmp_path), "--workers", "1",
+                     "--set", "protocol.r=2000", "--set", "adversary.enabled=true",
+                     "--set", "adversary.p1=0", "--set", "adversary.p2=0.5",
+                     "--set", "protocol.continue_on_abort=true"]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        trailing = json.loads((tmp_path / "transcript.jsonl").read_text().splitlines()[-1])
+        assert trailing == dict(summary, record="summary")
+        attack = summary["attack"]
+        assert attack["eve_correct_fraction"] is None and attack["eve_info_per_bit"] is None
+        assert attack["predicted_p_g0"] == summary["check1"]["theoretical_p_g0"]
+        assert attack["empirical_p_g0"] == summary["check1"]["empirical_p_g0"]
 
     def test_aborted_run_exits_zero(self, tmp_path):
         rc = main([
@@ -215,8 +224,8 @@ class TestSimulateCommand:
         # probabilities are checked when the config is read, for every command,
         # whether or not the command uses them
         for cmd in ("simulate", "sweep", "threshold", "attack-scan", "verify"):
-            for item in ("physics.qm_per_trip_efficiency=2", "physics.qm_per_trip_efficiency=-0.1",
-                         "adversary.p1=2", "adversary.p2=-0.5"):
+            for item in ("physics.eta_m=2", "physics.eta_m=-0.1", "adversary.p1=2",
+                         "adversary.p2=-0.5"):
                 argv = [cmd, "--out", str(tmp_path / "nf"), "--workers", "1", "--set", item]
                 assert main(argv) == 2
                 err = capsys.readouterr().err
@@ -232,6 +241,14 @@ class TestSimulateCommand:
 
 
 COMMANDS = ("simulate", "sweep", "threshold", "attack-scan")
+# the flags each command takes, in the order its --help lists them
+COMMAND_FLAGS = {
+    "simulate": ["--config", "--seed", "--out", "--workers", "--set"],
+    "sweep": ["--config", "--out", "--workers", "--format", "--set"],
+    "threshold": ["--config", "--out", "--workers", "--format", "--set"],
+    "attack-scan": ["--config", "--seed", "--out", "--workers", "--format", "--set"],
+    "verify": ["--config", "--out", "--workers", "--set", "--keystone-r"],
+}
 # small runs unless a later setting overrides them: photons, attack points,
 # grid sizes
 SMALL_RUN = ("protocol.r=20", "attack.r=20", "attack.p1_grid=0,1", "attack.p2_grid=0,1",
@@ -274,10 +291,10 @@ def _domain_values(domain: Domain) -> tuple[list[tuple[str, str]], list[str]]:
 
 def test_domain_phrases_and_checks():
     # the phrases the CLI prints, and a domain object's message for the same rule
-    assert [d.text for d in (UNIT, OPEN_UNIT, NON_NEGATIVE, POSITIVE, COUNT, INDEX,
+    assert [d.text for d in (UNIT, OPEN_UNIT, NON_NEGATIVE, POSITIVE, COUNT,
                              SETTINGS, ANGLE, REAL, SEED)] == [
         "must lie in [0, 1]", "must lie in (0, 1)", "must be >= 0", "must be positive",
-        "must be an integer >= 1", "must be an integer >= 0", "must be an integer >= 3 and != 4",
+        "must be an integer >= 1", "must be an integer >= 3 and != 4",
         "must lie in (0, pi/2)", "must be a finite number",
         "must be an integer in [0, 18446744073709551615]",
     ]
@@ -317,7 +334,6 @@ class TestConfigContracts:
         ("attack.r=0", ">= 1"), ("attack.r=-1", ">= 1"),
         ("protocol.seed=-1", "in [0, 18446744073709551615]"),
         ("protocol.seed=18446744073709551616", "in [0, 18446744073709551615]"),
-        ("physics.qm_round_trips=-1", ">= 0"),
     ])
     def test_integer_out_of_domain_names_its_key(self, tmp_path, capsys, cmd, item, domain):
         # counts and seeds are checked when the config is read, by every
@@ -426,6 +442,22 @@ class TestConfigContracts:
         assert capsys.readouterr().err == f"config error: {want}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("source", ["set", "file"])
+    @pytest.mark.parametrize("key", ["physics.qm_per_trip_efficiency", "physics.qm_round_trips"])
+    def test_storage_loop_keys_are_unknown(self, tmp_path, capsys, key, source):
+        # a loop of k round trips at survival s per trip is physics.eta_m = s**k,
+        # the one memory key; the loop's own keys fail as any unknown key does
+        argv = ["simulate", "--out", str(tmp_path / "out"), "--workers", "1"]
+        if source == "file":
+            path = tmp_path / "run.cfg"
+            path.write_text(f"{key} = 1\n")
+            argv += ["--config", str(path)]
+        else:
+            argv += ["--set", f"{key}=1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: unknown config key: {key!r}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_seed_is_a_64_bit_word(self, tmp_path, capsys):
         # 2**64 is rejected rather than read as seed 0; the largest seed runs
         # simulate and an attack scan, whose point seeds wrap past it
@@ -457,10 +489,6 @@ class TestConfigContracts:
          "protocol.message length must equal protocol.r"),
         (["attack.r=4", "protocol.message=0101"],
          "protocol.message length must equal protocol.r"),
-        (["physics.eta_m=0.5", "physics.qm_round_trips=1"],
-         "set physics.eta_m or physics.qm_round_trips, not both"),
-        (["physics.qm_round_trips=3", "physics.eta_m=0.999"],
-         "set physics.eta_m or physics.qm_round_trips, not both"),
         (["physics.delta_theta=1e308"], TWO_LEG.format("delta_theta=1e+308, spread=0.0")),
         (["physics.delta_theta=-1e308"], TWO_LEG.format("delta_theta=-1e+308, spread=0.0")),
         (["physics.delta_theta=5e307", "physics.noise_spread=5e307"],
@@ -550,6 +578,38 @@ class TestConfigContracts:
         [(_, _, predicted, empirical, _, _)] = rows
         assert predicted == pytest.approx(want, abs=1e-12)
         assert abs(empirical - want) <= 5 * math.sqrt(want * (1 - want) / 20_000)
+
+
+@pytest.mark.parametrize("cmd", sorted(COMMAND_FLAGS))
+def test_help_lists_the_flags_each_command_reads(capsys, cmd):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--help"])
+    assert exc.value.code == 0
+    assert re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M) == COMMAND_FLAGS[cmd]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    (["attack-scan", "--workers", "abc"], "argument --workers: invalid int value: 'abc'"),
+    (["sweep", "--format", "xml"], "argument --format: invalid choice: 'xml' "),
+    (["verify", "--keystone-r", "x"], "argument --keystone-r: invalid int value: 'x'"),
+    # flags a command does not read
+    (["verify", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    (["sweep", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    (["simulate", "--format", "tsv"], "unrecognized arguments: --format tsv"),
+    (["verify", "--format", "csv"], "unrecognized arguments: --format csv"),
+    (["threshold", "--keystone-r", "10"], "unrecognized arguments: --keystone-r 10"),
+    (["threshold", "--bogus"], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: cmd"),
+    (["bogus"], "argument cmd: invalid choice: 'bogus' "),
+])
+def test_usage_error_is_one_config_error_line(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(verify, "run_all", lambda **kw: [])
+    out = tmp_path / "out"
+    assert main(argv[:1] + ["--out", str(out)] + argv[1:] if argv[1:] else argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+    assert not out.exists()
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -858,8 +918,8 @@ class TestThresholdCommand:
         out = capsys.readouterr().out
         assert "DI benchmark" in out and "0.926" in out
 
-    def test_memory_round_trips_set_eta_m(self, tmp_path):
-        # 11 round trips at 0.9 per trip are the memory efficiency 0.9**11
+    def test_eta_m_moves_thresholds(self, tmp_path):
+        # a storage loop of 11 round trips at 0.9 per trip is eta_m = 0.9**11
         def thresholds(name, *sets):
             argv = ["threshold", "--out", str(tmp_path / name)]
             for item in sets:
@@ -867,10 +927,7 @@ class TestThresholdCommand:
             assert main(argv) == 0
             return (tmp_path / name / "thresholds.csv").read_bytes()
 
-        trips = thresholds("trips", "physics.qm_round_trips=11",
-                           "physics.qm_per_trip_efficiency=0.9")
-        assert trips == thresholds("eta_m", f"physics.eta_m={0.9 ** 11!r}")
-        assert trips != thresholds("default")
+        assert thresholds("loop", f"physics.eta_m={0.9 ** 11!r}") != thresholds("default")
 
     @pytest.mark.parametrize("dth, per_p1", [("0", 1), ("0.0785398", 2)])
     def test_noiseless_columns_solved_once_at_zero_rotation(self, tmp_path, monkeypatch,
@@ -1149,6 +1206,50 @@ def test_fuzzed_settings_exit_cleanly(cmd, sets):
             rc = _run(out, cmd, *sets)
         assert rc in (0, 2)
         assert err.getvalue().count("\n") <= 1
+        files = sorted(p.name for p in out.rglob("*")) if out.exists() else []
+        if rc == 2:
+            assert files == []
+        assert not [name for name in files if name.endswith(".tmp")]
+
+
+# values drawn per flag: valid ones, ones outside the flag's domain, and junk
+FLAG_VALUES = {
+    "--seed": ("0", "7", str(2**64 - 1), str(2**64), "-1", "1.5", "x"),
+    "--format": ("csv", "tsv", "xml", ""),
+    "--workers": ("1", "2", "0", "-1", "x"),
+    "--keystone-r": ("1", "100", "0", "-5", "x"),
+}
+
+
+def _flag(flag: str):
+    return st.sampled_from(FLAG_VALUES[flag]).map(lambda v: (flag, v))
+
+
+@given(
+    cmd=st.sampled_from(sorted(COMMAND_FLAGS)),
+    flags=st.lists(st.sampled_from(sorted(FLAG_VALUES)).flatmap(_flag), max_size=3),
+    sets=st.lists(st.sampled_from(sorted(SCHEMA)).flatmap(_setting), max_size=2),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_fuzzed_flags_exit_cleanly(cmd, flags, sets):
+    # every outcome is a result (exit 0) or one config-error line (exit 2)
+    # that leaves no output file behind, and a flag the command does not
+    # read is an error; the battery and the scan's process pool are stubbed
+    argv = [cmd, "--workers", "1"] + [item for flag in flags for item in flag]
+    for item in SMALL_RUN + tuple(sets):
+        argv += ["--set", item]
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(verify, "run_all", lambda **kw: []), \
+            mock.patch.object(cli, "ProcessPoolExecutor",
+                              lambda max_workers: RecordingPool([], max_workers)):
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv + ["--out", str(out)])
+        assert rc in (0, 2)
+        assert err.getvalue().count("\n") <= 1
+        if any(flag not in COMMAND_FLAGS[cmd] for flag, _ in flags):
+            assert rc == 2
         files = sorted(p.name for p in out.rglob("*")) if out.exists() else []
         if rc == 2:
             assert files == []

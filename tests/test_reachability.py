@@ -3,8 +3,10 @@ package itself.
 
 A top-level function, class or constant, or a method, that no other code
 under src/rdiqsdc names is reachable only from the tests. The scalar
-qstate algebra is kept on purpose as an independent test oracle. A config
-key that no code outside `SCHEMA` names is accepted and then ignored.
+qstate algebra is kept on purpose as an independent test oracle, and a
+method that overrides a standard-library hook is called by its base
+class. A config key that no code outside `SCHEMA` names is accepted and
+then ignored.
 """
 import ast
 from collections import Counter
@@ -15,6 +17,9 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rdiqsdc"
 # test oracles kept in the package: (module, name)
 ORACLES = {("qstate", "outcome_probability"), ("qstate", "state_fidelity"),
            ("qstate", "states_close")}
+# overrides that a standard-library base class calls, so no package code
+# names them: argparse reports every usage error through `error`
+HOOKS = {("cli", "error")}
 
 
 def _dunder(name: str) -> bool:
@@ -65,9 +70,10 @@ def _unreferenced() -> set[tuple[str, str]]:
 
 def test_every_definition_is_named_by_the_package():
     found = _unreferenced()
-    assert sorted(found - ORACLES) == []
-    # an oracle the package starts to read leaves this list
-    assert found == ORACLES
+    assert sorted(found - ORACLES - HOOKS) == []
+    # an oracle the package starts to read leaves this list, and so does a
+    # hook that is no longer defined
+    assert found == ORACLES | HOOKS
 
 
 def _unread_keys() -> list[str]:

@@ -42,6 +42,14 @@ class TestConfig:
         assert cfg["analysis.r_rep_hz"] == 1e7
         assert cfg["analysis.p_s"] == 1.0
 
+    def test_link_reads_eta_m_as_given(self):
+        # eta_m is the one memory key: a loop of 11 round trips at 0.9 per
+        # trip is set as 0.9**11 and reaches the link budget unchanged
+        cfg = load_config(overrides={"physics.eta_m": repr(0.9 ** 11),
+                                     "physics.distance_km": "5"})
+        assert cfg.link() == LinkBudget(distance_km=5.0, alpha_db_per_km=0.2, eta_c=0.95,
+                                        eta_m=0.9 ** 11, eta_d=1.0)
+
     def test_file_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
@@ -596,6 +604,7 @@ def test_help_lists_the_flags_each_command_reads(capsys, cmd):
     # flags a command does not read
     (["verify", "--seed", "3"], "unrecognized arguments: --seed 3"),
     (["sweep", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    (["threshold", "--seed", "3"], "unrecognized arguments: --seed 3"),
     (["simulate", "--format", "tsv"], "unrecognized arguments: --format tsv"),
     (["verify", "--format", "csv"], "unrecognized arguments: --format csv"),
     (["threshold", "--keystone-r", "10"], "unrecognized arguments: --keystone-r 10"),
@@ -610,6 +619,16 @@ def test_usage_error_is_one_config_error_line(tmp_path, capsys, monkeypatch, arg
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_top_level_help_lists_the_commands(capsys):
+    # -h is not a usage error: it prints help to stdout and exits 0
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "{simulate,sweep,threshold,attack-scan,verify}" in captured.out
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
